@@ -9,7 +9,7 @@ use orianna_graph::{
 };
 use orianna_lie::Pose2;
 use orianna_math::{par::available_threads, Parallelism};
-use orianna_solver::{eliminate, eliminate_with, GaussNewton, GaussNewtonSettings, SolvePlan};
+use orianna_solver::{eliminate, GaussNewton, GaussNewtonSettings, SolvePlan};
 
 fn chain(n: usize) -> FactorGraph {
     let mut g = FactorGraph::new();
@@ -135,10 +135,12 @@ fn bench_incremental_vs_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel linearize + eliminate on the largest benchmark
-/// algorithm (by factor count) across all applications. Report speedup as
-/// serial-time / parallel-time at each thread count; on a multicore host
-/// the ≥ 4-thread configuration should exceed 2×.
+/// Linearize + arena solve ([`SolvePlan::solve_in_with`]) on the largest
+/// benchmark algorithm (by factor count) across all applications, at 1,
+/// 2, 4 and all-core thread counts. One plan and one workspace serve
+/// every iteration; results are bitwise identical at every width, so the
+/// rows differ only in time. Report speedup as 1-thread time over
+/// n-thread time.
 fn bench_parallel_speedup(c: &mut Criterion) {
     let apps = all_apps(2024);
     let algo = apps
@@ -147,22 +149,20 @@ fn bench_parallel_speedup(c: &mut Criterion) {
         .max_by_key(|a| a.graph.num_factors())
         .expect("benchmark apps are non-empty");
     let ordering = natural_ordering(&algo.graph);
-    let cores = available_threads();
+    let plan = SolvePlan::for_graph(&algo.graph, ordering.as_slice()).unwrap();
+    let mut ws = plan.workspace();
 
     let mut group = c.benchmark_group("parallel_linearize_eliminate");
     group.sample_size(10);
-    group.bench_function("serial", |b| {
-        b.iter(|| {
-            let sys = algo.graph.linearize();
-            eliminate(&sys, &ordering).unwrap()
-        })
-    });
-    for threads in [2usize, 4, cores] {
+    let mut widths = vec![1usize, 2, 4, available_threads()];
+    widths.sort_unstable();
+    widths.dedup();
+    for threads in widths {
         let par = Parallelism::with_threads(threads);
-        group.bench_function(BenchmarkId::new("parallel", threads), |b| {
+        group.bench_function(BenchmarkId::new("arena", threads), |b| {
             b.iter(|| {
                 let sys = algo.graph.linearize_with(&par);
-                eliminate_with(&sys, &ordering, &par).unwrap()
+                plan.solve_in_with(&sys, &mut ws, &par).unwrap().len()
             })
         });
     }
@@ -228,7 +228,7 @@ fn bench_plan_reuse(c: &mut Criterion) {
             b.iter(|| eliminate(&sys, &ordering).unwrap())
         });
         group.bench_function(BenchmarkId::new("planned", app.name), |b| {
-            b.iter(|| plan.execute(&sys, &Parallelism::serial()).unwrap())
+            b.iter(|| plan.execute(&sys).unwrap())
         });
         // The arena path: same schedule executed against a reusable flat
         // workspace — no per-step matrix allocation, R-only Householder.

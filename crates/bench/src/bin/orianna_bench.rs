@@ -269,7 +269,7 @@ fn bench_solver(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f
             std::hint::black_box(bn.back_substitute().unwrap());
         });
         results.record(&format!("solve/planned/{name}"), 3, || {
-            let (bn, _) = plan.execute(&sys, &Parallelism::serial()).unwrap();
+            let (bn, _) = plan.execute(&sys).unwrap();
             std::hint::black_box(bn.back_substitute().unwrap());
         });
 

@@ -1,7 +1,7 @@
 //! Shared parallel-execution substrate.
 //!
 //! Every parallel path in the workspace (per-factor linearization in
-//! `orianna-graph`, independent-clique elimination in `orianna-solver`,
+//! `orianna-graph`, level-scheduled arena elimination in `orianna-solver`,
 //! batched simulation in `orianna-hw`) funnels through this module so the
 //! policy lives in one place:
 //!

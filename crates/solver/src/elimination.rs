@@ -13,9 +13,12 @@
 //! After all variables are eliminated the conditionals form an
 //! upper-triangular system (a Bayes net); back-substitution in reverse
 //! order recovers Δ (Fig. 6).
+//!
+//! [`eliminate`] is the plan-less reference oracle. Production solves run
+//! a cached [`SolvePlan`](crate::plan::SolvePlan) inside a reusable
+//! workspace arena, bitwise identical to it.
 
 use orianna_graph::{LinearFactor, LinearSystem, Ordering, VarId};
-use orianna_math::par::Parallelism;
 use orianna_math::{householder_qr, Mat, Vec64};
 use std::sync::Arc;
 
@@ -221,9 +224,9 @@ impl EliminationStats {
 
 /// Eliminates one variable given its gathered live adjacent factors: the
 /// single dense sub-problem of paper Fig. 5. Pure function of its inputs —
-/// the serial sweep ([`eliminate`]), the batched parallel sweep
-/// ([`eliminate_with`]) and the incremental solver all call it, so every
-/// path runs identical arithmetic.
+/// the reference sweep ([`eliminate`]), the plan executor and the
+/// incremental solver all call it, so every path runs identical
+/// arithmetic.
 ///
 /// Returns the conditional, the new separator factor (when any non-trivial
 /// rows remain) and the size/density record for this step.
@@ -422,8 +425,8 @@ fn push_new_factor(work: &mut WorkList, adj: &mut [Vec<usize>], nf: LinearFactor
 }
 
 /// Eliminates every variable of `system` in `ordering`, producing the
-/// Bayes net and the per-step statistics. This is the serial reference
-/// path; [`eliminate_with`] is the parallel counterpart.
+/// Bayes net and the per-step statistics. This is the reference oracle
+/// every planned path ([`crate::plan`]) is bitwise identical to.
 ///
 /// # Errors
 /// Returns an error when a variable is unconstrained or singular.
@@ -470,45 +473,6 @@ pub fn eliminate(
         },
         stats,
     ))
-}
-
-/// [`eliminate`] with independent-clique parallelism.
-///
-/// Variables whose live adjacent-factor sets are pairwise disjoint touch
-/// no common data and are not separators of one another, so their dense
-/// sub-problems ([`eliminate_step`]) run concurrently. The deterministic
-/// batch schedule is a pure function of the graph's structure — never of
-/// the thread count — and results merge in batch order, so the output is
-/// **bitwise identical for every `threads` value**.
-///
-/// Since the symbolic/numeric split this is a convenience wrapper: it
-/// builds a one-shot [`SolvePlan`](crate::plan::SolvePlan) for the
-/// system's structure and executes it. Iterating callers (Gauss-Newton,
-/// LM, the mission harness) build the plan once themselves and amortize
-/// the symbolic phase to zero — see [`crate::plan`].
-///
-/// Relative to [`eliminate`], the effective elimination order is a
-/// permutation of `ordering` (skipped variables are revisited in later
-/// batches), so the assembled `R` differs in structure but the
-/// back-substituted Δ agrees to floating-point roundoff (`< 1e-12`;
-/// asserted for every bundled application in `tests/parallel.rs`).
-///
-/// # Errors
-/// Returns an error when a variable is unconstrained or singular.
-pub fn eliminate_with(
-    system: &LinearSystem,
-    ordering: &Ordering,
-    par: &Parallelism,
-) -> Result<(BayesNet, EliminationStats), SolveError> {
-    assert_eq!(
-        ordering.len(),
-        system.var_dims.len(),
-        "ordering must cover every variable"
-    );
-    if !par.is_parallel() {
-        return eliminate(system, ordering);
-    }
-    crate::plan::SolvePlan::for_system(system, ordering.as_slice())?.execute(system, par)
 }
 
 #[cfg(test)]

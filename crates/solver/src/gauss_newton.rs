@@ -9,8 +9,9 @@
 use crate::elimination::{EliminationStats, SolveError};
 use crate::plan::{PlanCache, SolvePlan};
 use crate::workspace::Workspace;
-use orianna_graph::{min_degree_ordering, natural_ordering, FactorGraph, Ordering};
+use orianna_graph::{min_degree_ordering, natural_ordering, FactorGraph, LinearSystem, Ordering};
 use orianna_math::{Parallelism, Vec64};
+use std::sync::Arc;
 
 /// Which elimination ordering the solver uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -55,8 +56,8 @@ pub struct GaussNewtonSettings {
     /// anyway (0 disables the line search).
     pub max_step_halvings: usize,
     /// Worker threads for linearization and elimination. Defaults to the
-    /// available cores; `Parallelism::serial()` selects the reference
-    /// path. Results are identical up to floating-point roundoff.
+    /// available cores; `Parallelism::serial()` runs both serially.
+    /// Results are bitwise identical at every setting.
     pub parallelism: Parallelism,
 }
 
@@ -105,17 +106,16 @@ impl GaussNewton {
 
     /// Optimizes the graph in place.
     ///
-    /// The symbolic phase of elimination (ordering adjacency, parallel
-    /// batch schedule, separator layouts) is computed once on the first
-    /// iteration as a [`SolvePlan`] and reused by every later iteration —
-    /// topology is fixed during optimization, only values change.
+    /// The symbolic phase of elimination (ordering adjacency, separator
+    /// layouts, arena layout) is computed once on the first iteration as a
+    /// [`SolvePlan`] and reused by every later iteration — topology is
+    /// fixed during optimization, only values change.
     ///
     /// # Errors
     /// Propagates [`SolveError`] from elimination (unconstrained or
     /// singular variables).
     pub fn optimize(&self, graph: &mut FactorGraph) -> Result<GaussNewtonReport, SolveError> {
-        let mut cache = PlanCache::new();
-        self.optimize_with_cache(graph, &mut cache)
+        self.optimize_with_cache(graph, &mut PlanCache::new())
     }
 
     /// [`optimize`](GaussNewton::optimize) against an externally
@@ -137,55 +137,7 @@ impl GaussNewton {
         plan: &SolvePlan,
         ws: &mut Workspace,
     ) -> Result<GaussNewtonReport, SolveError> {
-        let s = &self.settings;
-        let initial_error = graph.total_error();
-        let mut error = initial_error;
-        let mut converged = error <= s.abs_tol;
-        let mut iterations = 0;
-        let mut sys = orianna_graph::LinearSystem {
-            factors: Vec::new(),
-            var_dims: Vec::new(),
-        };
-
-        while iterations < s.max_iterations && !converged {
-            iterations += 1;
-            graph.linearize_into(&s.parallelism, &mut sys);
-            let delta = plan.solve_in_with(&sys, ws, &s.parallelism)?;
-
-            let mut scale = 1.0;
-            let mut best: Option<(f64, Vec64)> = None;
-            for _ in 0..=s.max_step_halvings {
-                let step = delta.scale(scale);
-                let candidate = graph.values().retract_all(&step);
-                let e = graph.total_error_with(&candidate);
-                if e < error || s.max_step_halvings == 0 {
-                    best = Some((e, step));
-                    break;
-                }
-                if best.as_ref().is_none_or(|(be, _)| e < *be) {
-                    best = Some((e, step));
-                }
-                scale *= 0.5;
-            }
-            let (new_error, step) = best.expect("at least one candidate evaluated");
-            graph.retract_all(&step);
-
-            let improvement = (error - new_error).abs() / error.max(1e-300);
-            error = new_error;
-            if error <= s.abs_tol || improvement <= s.rel_tol {
-                converged = true;
-            }
-        }
-
-        Ok(GaussNewtonReport {
-            iterations,
-            initial_error,
-            final_error: error,
-            converged,
-            last_stats: EliminationStats {
-                steps: ws.stats().to_vec(),
-            },
-        })
+        self.run(graph, PlanSource::Held(plan, ws))
     }
 
     /// [`optimize`](GaussNewton::optimize) with a caller-owned
@@ -200,41 +152,35 @@ impl GaussNewton {
         graph: &mut FactorGraph,
         cache: &mut PlanCache,
     ) -> Result<GaussNewtonReport, SolveError> {
+        self.run(
+            graph,
+            PlanSource::Cache {
+                cache,
+                checkout: None,
+            },
+        )
+    }
+
+    /// The Gauss-Newton iteration loop behind every entry point.
+    fn run(
+        &self,
+        graph: &mut FactorGraph,
+        mut source: PlanSource<'_>,
+    ) -> Result<GaussNewtonReport, SolveError> {
         let s = &self.settings;
         let initial_error = graph.total_error();
         let mut error = initial_error;
-        let mut last_stats = EliminationStats::default();
         let mut converged = error <= s.abs_tol;
         let mut iterations = 0;
-        let mut plan: Option<std::sync::Arc<SolvePlan>> = None;
-        let mut plan_fp: Option<u64> = None;
-        // Every solve runs against a reusable workspace arena: taken from
-        // the cache (parked there by an earlier solve over the same
-        // topology) or allocated once, then allocation-free per iteration.
-        // Systems the cost gate deems big enough fan out *inside* the
-        // arena (level-parallel elimination, bitwise identical to serial),
-        // so there is no separate allocating batched path anymore.
-        let mut ws: Option<Workspace> = None;
+        let mut sys = LinearSystem {
+            factors: Vec::new(),
+            var_dims: Vec::new(),
+        };
 
         while iterations < s.max_iterations && !converged {
             iterations += 1;
-            let sys = graph.linearize_with(&s.parallelism);
-            if plan.is_none() {
-                // Lazy: already-converged graphs never pay the symbolic
-                // phase (and keep returning Ok even when structurally
-                // unsolvable, matching the pre-plan behavior).
-                let fp = sys.structure_fingerprint();
-                let built = cache.get_or_build(fp, s.ordering.cache_tag(), || {
-                    let ordering = s.ordering.resolve(graph);
-                    SolvePlan::for_system(&sys, ordering.as_slice())
-                })?;
-                ws = Some(cache.checkout_workspace(&built, s.ordering.cache_tag()));
-                plan = Some(built);
-                plan_fp = Some(fp);
-            }
-            let plan_ref = plan.as_ref().unwrap();
-            let w = ws.as_mut().expect("workspace checked out with the plan");
-            let delta: &Vec64 = plan_ref.solve_in_with(&sys, w, &s.parallelism)?;
+            graph.linearize_into(&s.parallelism, &mut sys);
+            let delta = source.solve(&sys, graph, s.ordering, &s.parallelism)?;
 
             // Step-halving line search. Trial steps only move the
             // estimates, so each candidate is scored by re-evaluating the
@@ -265,22 +211,74 @@ impl GaussNewton {
             }
         }
 
-        // Arena path: the workspace holds the final iteration's stats;
-        // park the arena for the next solve over this topology.
-        if let (Some(w), Some(fp)) = (ws.take(), plan_fp) {
-            last_stats = EliminationStats {
-                steps: w.stats().to_vec(),
-            };
-            cache.store_workspace(fp, s.ordering.cache_tag(), w);
-        }
-
         Ok(GaussNewtonReport {
             iterations,
             initial_error,
             final_error: error,
             converged,
-            last_stats,
+            last_stats: source.finish(s.ordering),
         })
+    }
+}
+
+/// Where an optimizer loop gets its plan and workspace.
+pub(crate) enum PlanSource<'a> {
+    /// A plan and workspace the caller already holds.
+    Held(&'a SolvePlan, &'a mut Workspace),
+    /// Checked out of `cache` on the first linearization — lazily, so an
+    /// already-converged graph never pays the symbolic phase (and keeps
+    /// returning `Ok` even when structurally unsolvable) — and parked
+    /// back by [`PlanSource::finish`].
+    Cache {
+        cache: &'a mut PlanCache,
+        checkout: Option<(Arc<SolvePlan>, Workspace)>,
+    },
+}
+
+impl PlanSource<'_> {
+    /// Solves `sys` in the arena, checking the plan out on first use.
+    pub(crate) fn solve(
+        &mut self,
+        sys: &LinearSystem,
+        graph: &FactorGraph,
+        ordering: OrderingChoice,
+        par: &Parallelism,
+    ) -> Result<&Vec64, SolveError> {
+        let (plan, ws) = match self {
+            Self::Held(plan, ws) => (&**plan, &mut **ws),
+            Self::Cache { cache, checkout } => {
+                if checkout.is_none() {
+                    let tag = ordering.cache_tag();
+                    let plan = cache.get_or_build(sys.structure_fingerprint(), tag, || {
+                        SolvePlan::for_system(sys, ordering.resolve(graph).as_slice())
+                    })?;
+                    let ws = cache.checkout_workspace(&plan, tag);
+                    *checkout = Some((plan, ws));
+                }
+                let (plan, ws) = checkout.as_mut().expect("checked out above");
+                (&**plan, ws)
+            }
+        };
+        plan.solve_in_with(sys, ws, par)
+    }
+
+    /// Ends a successful run: returns the stats of the workspace's last
+    /// solve and parks a checked-out workspace for the next solve over
+    /// this topology.
+    pub(crate) fn finish(self, ordering: OrderingChoice) -> EliminationStats {
+        let steps = match self {
+            Self::Held(_, ws) => ws.stats().to_vec(),
+            Self::Cache {
+                cache,
+                checkout: Some((plan, ws)),
+            } => {
+                let steps = ws.stats().to_vec();
+                cache.store_workspace(plan.fingerprint(), ordering.cache_tag(), ws);
+                steps
+            }
+            Self::Cache { checkout: None, .. } => Vec::new(),
+        };
+        EliminationStats { steps }
     }
 }
 
@@ -408,12 +406,20 @@ mod tests {
 
     #[test]
     fn zero_iterations_when_already_converged() {
+        // The plan is built lazily: a converged graph never builds one, so
+        // it returns Ok even though no factor touches `_free`.
         let mut g = FactorGraph::new();
         let a = g.add_pose2(Pose2::identity());
+        let _free = g.add_pose2(Pose2::identity());
         g.add_factor(PriorFactor::pose2(a, Pose2::identity(), 1.0));
-        let report = GaussNewton::default().optimize(&mut g).unwrap();
+        let mut cache = PlanCache::new();
+        let report = GaussNewton::default()
+            .optimize_with_cache(&mut g, &mut cache)
+            .unwrap();
         assert_eq!(report.iterations, 0);
         assert!(report.converged);
+        assert_eq!(cache.misses(), 0);
+        assert_eq!(cache.parked_workspaces(), 0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! diagonal blocks).
 
 use crate::elimination::SolveError;
-use crate::gauss_newton::OrderingChoice;
-use crate::plan::SolvePlan;
+use crate::gauss_newton::{OrderingChoice, PlanSource};
+use crate::plan::{PlanCache, SolvePlan};
 use crate::workspace::Workspace;
 use orianna_graph::{FactorGraph, LinearFactor, LinearSystem};
 use orianna_math::{Mat, Parallelism, Vec64};
@@ -110,59 +110,16 @@ impl LevenbergMarquardt {
         &self,
         graph: &mut FactorGraph,
     ) -> Result<LevenbergMarquardtReport, SolveError> {
-        let s = &self.settings;
-        let initial_error = graph.total_error();
-        let mut error = initial_error;
-        let mut lambda = s.initial_lambda;
-        let mut converged = error <= s.abs_tol;
-        let mut iterations = 0;
-        // The linearization buffer and the symbolic plan both persist
-        // across iterations: λ changes only the *values* of the damping
-        // rows, never the damped system's structure.
-        let mut sys = LinearSystem {
-            factors: Vec::new(),
-            var_dims: Vec::new(),
-        };
-        let mut plan: Option<SolvePlan> = None;
-        // Every iteration reuses one workspace arena — damping changes
-        // values only, so the layout stays valid. Parallelism, when
-        // enabled, runs *inside* the arena path (level-scheduled, bitwise
-        // identical to serial — see workspace.rs).
-        let mut ws: Option<Workspace> = None;
-
-        while iterations < s.max_iterations && !converged && lambda <= s.max_lambda {
-            iterations += 1;
-            graph.linearize_into(&s.parallelism, &mut sys);
-            append_damping(&mut sys, lambda);
-            if plan.is_none() {
-                let ordering = s.ordering.resolve(graph);
-                plan = Some(SolvePlan::for_system(&sys, ordering.as_slice())?);
-            }
-            let plan_ref = plan.as_ref().unwrap();
-            let w = ws.get_or_insert_with(|| plan_ref.workspace());
-            let delta: &Vec64 = plan_ref.solve_in_with(&sys, w, &s.parallelism)?;
-            let candidate = graph.values().retract_all(delta);
-            let new_error = graph.total_error_with(&candidate);
-            if new_error < error {
-                *graph.values_mut() = candidate;
-                let improvement = (error - new_error) / error.max(1e-300);
-                error = new_error;
-                lambda = (lambda * s.lambda_down).max(1e-12);
-                if error <= s.abs_tol || improvement <= s.rel_tol {
-                    converged = true;
-                }
-            } else {
-                lambda *= s.lambda_up;
-            }
-        }
-
-        Ok(LevenbergMarquardtReport {
-            iterations,
-            initial_error,
-            final_error: error,
-            converged,
-            final_lambda: lambda,
-        })
+        // A one-shot cache: the plan is built lazily on the first
+        // linearization, exactly as Gauss-Newton's.
+        let cache = &mut PlanCache::new();
+        self.run(
+            graph,
+            PlanSource::Cache {
+                cache,
+                checkout: None,
+            },
+        )
     }
 
     /// Builds the [`SolvePlan`] for the *damped* system of `graph` at the
@@ -207,12 +164,24 @@ impl LevenbergMarquardt {
         plan: &SolvePlan,
         ws: &mut Workspace,
     ) -> Result<LevenbergMarquardtReport, SolveError> {
+        self.run(graph, PlanSource::Held(plan, ws))
+    }
+
+    /// The Levenberg-Marquardt iteration loop behind every entry point.
+    fn run(
+        &self,
+        graph: &mut FactorGraph,
+        mut source: PlanSource<'_>,
+    ) -> Result<LevenbergMarquardtReport, SolveError> {
         let s = &self.settings;
         let initial_error = graph.total_error();
         let mut error = initial_error;
         let mut lambda = s.initial_lambda;
         let mut converged = error <= s.abs_tol;
         let mut iterations = 0;
+        // The linearization buffer, the plan and its workspace all persist
+        // across iterations: λ changes only the *values* of the damping
+        // rows, never the damped system's structure.
         let mut sys = LinearSystem {
             factors: Vec::new(),
             var_dims: Vec::new(),
@@ -222,7 +191,7 @@ impl LevenbergMarquardt {
             iterations += 1;
             graph.linearize_into(&s.parallelism, &mut sys);
             append_damping(&mut sys, lambda);
-            let delta: &Vec64 = plan.solve_in_with(&sys, ws, &s.parallelism)?;
+            let delta = source.solve(&sys, graph, s.ordering, &s.parallelism)?;
             let candidate = graph.values().retract_all(delta);
             let new_error = graph.total_error_with(&candidate);
             if new_error < error {
@@ -421,6 +390,29 @@ mod tests {
             assert_eq!(a.y().to_bits(), b.y().to_bits());
             assert_eq!(a.theta().to_bits(), b.theta().to_bits());
         }
+    }
+
+    #[test]
+    fn zero_iterations_when_already_converged() {
+        // Same lazy-plan contract as Gauss-Newton: a converged graph never
+        // builds a plan, even with a variable no factor touches.
+        let mut g = FactorGraph::new();
+        let a = g.add_pose2(Pose2::identity());
+        let _free = g.add_pose2(Pose2::identity());
+        g.add_factor(PriorFactor::pose2(a, Pose2::identity(), 1.0));
+        let mut cache = PlanCache::new();
+        let report = LevenbergMarquardt::default()
+            .run(
+                &mut g,
+                PlanSource::Cache {
+                    cache: &mut cache,
+                    checkout: None,
+                },
+            )
+            .unwrap();
+        assert_eq!(report.iterations, 0);
+        assert!(report.converged);
+        assert_eq!(cache.misses(), 0);
     }
 
     #[test]

@@ -46,9 +46,7 @@ pub mod levenberg;
 pub mod plan;
 pub mod workspace;
 
-pub use elimination::{
-    eliminate, eliminate_with, BayesNet, Conditional, EliminationStats, SolveError,
-};
+pub use elimination::{eliminate, BayesNet, Conditional, EliminationStats, SolveError};
 pub use gauss_newton::{GaussNewton, GaussNewtonReport, GaussNewtonSettings, OrderingChoice};
 pub use incremental::IncrementalSolver;
 pub use levenberg::{LevenbergMarquardt, LevenbergMarquardtReport, LevenbergMarquardtSettings};

@@ -12,16 +12,15 @@
 //! * per-step **separator layouts** (the sorted separator variables and
 //!   therefore the column layout of the stacked matrix),
 //! * the structural `(rows × cols)` dimensions of every dense sub-problem,
-//! * the deterministic **parallel batch schedule** of
-//!   [`eliminate_with`](crate::elimination::eliminate_with) — batches are a
-//!   function of structure, never of the thread count.
+//! * the arena layout of the numeric phase ([`crate::workspace`]).
 //!
-//! The *numeric* phase ([`SolvePlan::execute`]) runs only the dense
-//! arithmetic: gather, stack, QR, split — no adjacency rebuilds, no batch
-//! formation, no separator scans. Executing a plan is **bitwise
-//! identical** to the plan-less serial path, and the batched execution is
-//! bitwise identical to the plan-less parallel path, because both follow
-//! the same gather order and run the same
+//! The *numeric* phase runs only the dense arithmetic: gather, stack, QR,
+//! split — no adjacency rebuilds, no separator scans. Production callers
+//! run it inside a reusable [`Workspace`] ([`SolvePlan::solve_in_with`],
+//! [`SolvePlan::execute_in`]); [`SolvePlan::execute`] is the allocating
+//! serial sweep the arena falls back to. Every path is **bitwise
+//! identical** to the plan-less [`eliminate`](crate::elimination::eliminate)
+//! because it follows the same gather order and runs the same
 //! [`eliminate_step`](crate::elimination) arithmetic (asserted in
 //! `tests/plan.rs` for every benchmark application).
 //!
@@ -38,19 +37,19 @@
 //!
 //! ## Determinism guarantee
 //!
-//! Plan construction is a pure function of structure; execution merges
-//! batch results in schedule order. Both are therefore deterministic in
-//! the thread count — the guarantees of `tests/parallel.rs` carry over
-//! unchanged.
+//! Plan construction is a pure function of structure. The arena's
+//! parallel levels write disjoint panels with arithmetic identical to the
+//! serial sweep, so a solve is bitwise identical at every thread count
+//! (`tests/parallel.rs`).
 
 use crate::elimination::{
-    eliminate_step, eliminate_step_with_seps, BayesNet, Conditional, EliminationStats, SolveError,
+    eliminate_step, eliminate_step_with_seps, BayesNet, EliminationStats, SolveError,
 };
 use crate::workspace::{ArenaError, Workspace, WorkspaceLayout};
 use orianna_graph::{FactorGraph, LinearFactor, LinearSystem, VarId};
-use orianna_math::par::{run_tasks, Parallelism};
+use orianna_math::par::Parallelism;
+use orianna_math::Vec64;
 use std::collections::HashMap;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// One symbolic elimination step: everything the numeric executor needs to
@@ -71,18 +70,6 @@ struct PlanStep {
     /// Reserved slot for this step's separator factor, when one is
     /// structurally possible.
     new_slot: Option<usize>,
-}
-
-/// A symbolic elimination schedule: steps plus the slot-count of its
-/// work-list. The serial and batched schedules number their separator
-/// slots independently (they eliminate in different effective orders).
-#[derive(Debug, Clone)]
-struct Schedule {
-    steps: Vec<PlanStep>,
-    /// `steps[batches[i-1]..batches[i]]` form one concurrency batch whose
-    /// gather sets are pairwise disjoint. Serial schedule: one batch.
-    batches: Vec<usize>,
-    num_slots: usize,
 }
 
 /// Symbolic work-list used while building a schedule.
@@ -177,19 +164,16 @@ impl SymbolicWorklist {
             new_slot,
         })
     }
-
-    fn num_slots(&self) -> usize {
-        self.keys.len()
-    }
 }
 
-/// Builds the serial schedule: steps strictly in `order`.
-fn build_serial(
+/// Builds the elimination schedule, steps strictly in `order`. Returns
+/// the steps and the slot count of their work-list.
+fn build_schedule(
     var_dims: &[usize],
     factor_keys: &[Vec<VarId>],
     factor_rows: &[usize],
     order: &[VarId],
-) -> Result<Schedule, SolveError> {
+) -> Result<(Vec<PlanStep>, usize), SolveError> {
     let mut wl = SymbolicWorklist::new(var_dims, factor_keys, factor_rows);
     let mut steps = Vec::with_capacity(order.len());
     for &v in order {
@@ -199,58 +183,7 @@ fn build_serial(
         }
         steps.push(wl.make_step(v, gather, var_dims)?);
     }
-    let batches = (1..=steps.len()).collect();
-    Ok(Schedule {
-        steps,
-        batches,
-        num_slots: wl.num_slots(),
-    })
-}
-
-/// Builds the batched schedule, replicating the deterministic greedy batch
-/// formation of the plan-less parallel eliminator: scan the remaining
-/// ordering, admit the head unconditionally, admit a later variable when
-/// its live slot set is non-empty and disjoint from the batch's.
-fn build_batched(
-    var_dims: &[usize],
-    factor_keys: &[Vec<VarId>],
-    factor_rows: &[usize],
-    order: &[VarId],
-) -> Result<Schedule, SolveError> {
-    let mut wl = SymbolicWorklist::new(var_dims, factor_keys, factor_rows);
-    let mut pending: Vec<VarId> = order.to_vec();
-    let mut steps = Vec::with_capacity(order.len());
-    let mut batches = Vec::new();
-    while !pending.is_empty() {
-        let mut batch: Vec<(usize, VarId, Vec<usize>)> = Vec::new();
-        let mut batch_slots: HashSet<usize> = HashSet::new();
-        for (pi, &v) in pending.iter().enumerate() {
-            let slots = wl.live_slots(v);
-            if batch.is_empty() {
-                if slots.is_empty() {
-                    return Err(SolveError::UnconstrainedVariable(v));
-                }
-            } else if slots.is_empty() || slots.iter().any(|s| batch_slots.contains(s)) {
-                continue;
-            }
-            batch_slots.extend(slots.iter().copied());
-            batch.push((pi, v, slots));
-        }
-        // Consume and reserve strictly in batch order, matching the merge
-        // order of the plan-less path.
-        for (_, v, slots) in &batch {
-            steps.push(wl.make_step(*v, slots.clone(), var_dims)?);
-        }
-        batches.push(steps.len());
-        for &(pi, _, _) in batch.iter().rev() {
-            pending.remove(pi);
-        }
-    }
-    Ok(Schedule {
-        steps,
-        batches,
-        num_slots: wl.num_slots(),
-    })
+    Ok((steps, wl.keys.len()))
 }
 
 /// The cached symbolic artifact of variable elimination (module docs).
@@ -262,11 +195,13 @@ fn build_batched(
 pub struct SolvePlan {
     fingerprint: u64,
     order: Vec<VarId>,
-    var_dims: Arc<Vec<usize>>,
+    var_dims: Vec<usize>,
     num_base_factors: usize,
-    serial: Schedule,
-    batched: Schedule,
-    /// Arena layout of the serial schedule (see [`crate::workspace`]).
+    steps: Vec<PlanStep>,
+    /// Slot count of the numeric work-list (base factors plus reserved
+    /// separator slots).
+    num_slots: usize,
+    /// Arena layout of the schedule (see [`crate::workspace`]).
     layout: WorkspaceLayout,
     /// Estimated numeric-phase flops (from the structural panel shapes),
     /// feeding [`Parallelism`]'s auto-mode cost gate.
@@ -320,10 +255,8 @@ impl SolvePlan {
                 return Err(SolveError::UnknownVariable(*v));
             }
         }
-        let serial = build_serial(&var_dims, factor_keys, factor_rows, order)?;
-        let batched = build_batched(&var_dims, factor_keys, factor_rows, order)?;
-        let step_view: Vec<_> = serial
-            .steps
+        let (steps, num_slots) = build_schedule(&var_dims, factor_keys, factor_rows, order)?;
+        let step_view: Vec<_> = steps
             .iter()
             .map(|s| {
                 (
@@ -349,8 +282,7 @@ impl SolvePlan {
         // panel's worth of gather traffic. Shapes are symbolic (row
         // bounds), so this is an upper estimate — exactly what the
         // parallel cost gate wants (DESIGN §3.2.4).
-        let flops = serial
-            .steps
+        let flops = steps
             .iter()
             .map(|s| {
                 let rows = s.rows as u64;
@@ -361,10 +293,10 @@ impl SolvePlan {
         Ok(Self {
             fingerprint,
             order: order.to_vec(),
-            var_dims: Arc::new(var_dims),
+            var_dims,
             num_base_factors: factor_keys.len(),
-            serial,
-            batched,
+            steps,
+            num_slots,
             layout,
             flops,
         })
@@ -386,9 +318,9 @@ impl SolvePlan {
     }
 
     /// Structural `(rows, cols)` of every elimination sub-problem, in
-    /// serial order — the plan-time preview of the Fig. 17 samples.
+    /// elimination order — the plan-time preview of the Fig. 17 samples.
     pub fn step_shapes(&self) -> Vec<(usize, usize)> {
-        self.serial.steps.iter().map(|s| (s.rows, s.cols)).collect()
+        self.steps.iter().map(|s| (s.rows, s.cols)).collect()
     }
 
     /// Estimated numeric-phase flops, derived from the structural panel
@@ -403,26 +335,18 @@ impl SolvePlan {
     /// Cheap shape check: does `sys` have the layout this plan was built
     /// for? (Full fingerprint equality is asserted in debug builds.)
     pub fn matches(&self, sys: &LinearSystem) -> bool {
-        sys.factors.len() == self.num_base_factors && sys.var_dims == *self.var_dims
+        sys.factors.len() == self.num_base_factors && sys.var_dims == self.var_dims
     }
 
-    /// Numeric phase: eliminates `sys` along the precomputed schedule.
-    ///
-    /// Serial parallelism (or a single-variable order) follows the serial
-    /// schedule and is bitwise identical to
-    /// [`eliminate`](crate::elimination::eliminate); otherwise the batched
-    /// schedule runs with `par.threads` workers and is bitwise identical
-    /// to [`eliminate_with`](crate::elimination::eliminate_with) for every
-    /// thread count.
+    /// Numeric phase as an allocating serial sweep: eliminates `sys` along
+    /// the precomputed schedule and returns owned conditionals. Bitwise
+    /// identical to [`eliminate`](crate::elimination::eliminate); this is
+    /// the reference the arena falls back to.
     ///
     /// # Errors
     /// [`SolveError::PlanMismatch`] when `sys`'s shape differs from the
     /// planned structure; otherwise the usual elimination errors.
-    pub fn execute(
-        &self,
-        sys: &LinearSystem,
-        par: &Parallelism,
-    ) -> Result<(BayesNet, EliminationStats), SolveError> {
+    pub fn execute(&self, sys: &LinearSystem) -> Result<(BayesNet, EliminationStats), SolveError> {
         if !self.matches(sys) {
             return Err(SolveError::PlanMismatch);
         }
@@ -431,20 +355,44 @@ impl SolvePlan {
             self.fingerprint,
             "plan/system structure fingerprints diverge"
         );
-        // Auto mode gates on the plan's estimated work: small systems run
-        // the serial schedule no matter how many threads are configured
-        // (results are bitwise identical either way — only time changes).
-        let par = par.gate(self.flops);
-        let conditionals = if par.is_parallel() && self.order.len() > 1 {
-            self.run_batched(sys, &par)?
-        } else {
-            self.run_serial(sys)?
-        };
-        let (conditionals, steps) = conditionals;
+        // Numeric work-list: base factors in their planned slots, reserved
+        // separator slots empty until their producing step fills them.
+        let mut work: Vec<Option<Arc<LinearFactor>>> = Vec::with_capacity(self.num_slots);
+        work.extend(sys.factors.iter().map(|f| Some(Arc::new(f.clone()))));
+        work.resize(self.num_slots, None);
+        let mut conditionals = Vec::with_capacity(self.steps.len());
+        let mut steps = Vec::with_capacity(self.steps.len());
+        for step in &self.steps {
+            // Slots whose separator factor shed every row hold `None` and
+            // are skipped — exactly as the plan-less path never made them.
+            let gathered: Vec<_> = step.gather.iter().filter_map(|&s| work[s].take()).collect();
+            if gathered.is_empty() {
+                return Err(SolveError::UnconstrainedVariable(step.var));
+            }
+            let (cond, new_factor, st) = if gathered.len() == step.gather.len() {
+                // Every planned slot is numerically present: the symbolic
+                // separator layout is exact, skip re-deriving it.
+                eliminate_step_with_seps(step.var, &gathered, &self.var_dims, step.seps.clone())?
+            } else {
+                // A separator factor shed all its rows upstream; fall back
+                // to deriving the layout from what was actually gathered —
+                // exactly what the plan-less path stacks.
+                eliminate_step(step.var, &gathered, &self.var_dims)?
+            };
+            conditionals.push(cond);
+            steps.push(st);
+            match step.new_slot {
+                Some(slot) => work[slot] = new_factor.map(Arc::new),
+                None => debug_assert!(
+                    new_factor.is_none(),
+                    "step produced a separator factor without a reserved slot"
+                ),
+            }
+        }
         Ok((
             BayesNet {
                 conditionals,
-                var_dims: (*self.var_dims).clone(),
+                var_dims: self.var_dims.clone(),
             },
             EliminationStats { steps },
         ))
@@ -461,14 +409,14 @@ impl SolvePlan {
 
     /// Arena-backed serial solve: eliminate **and** back-substitute
     /// entirely inside `ws`, returning a borrow of the solved Δ. Bitwise
-    /// identical to `execute(serial) + back_substitute`, but steady-state
+    /// identical to `execute + back_substitute`, but steady-state
     /// **allocation-free** (asserted by a counting-allocator test): gather
     /// is slice copies into pre-laid-out panels, QR runs in place, and the
     /// conditionals are read straight out of the arena.
     ///
     /// The one exception is the rare run where a planned separator factor
     /// sheds every row numerically — the executor then falls back to the
-    /// allocating reference path (still bitwise identical).
+    /// allocating [`SolvePlan::execute`] (still bitwise identical).
     ///
     /// # Errors
     /// [`SolveError::PlanMismatch`] when `sys` or `ws` do not belong to
@@ -477,29 +425,8 @@ impl SolvePlan {
         &self,
         sys: &LinearSystem,
         ws: &'w mut Workspace,
-    ) -> Result<&'w orianna_math::Vec64, SolveError> {
-        if !self.matches(sys) || ws.fingerprint != self.fingerprint {
-            return Err(SolveError::PlanMismatch);
-        }
-        match self.layout.eliminate_in(sys, ws) {
-            Ok(()) => {
-                self.layout.back_substitute_in(ws)?;
-                Ok(&ws.delta)
-            }
-            Err(ArenaError::Fallback) => {
-                let (conditionals, stats) = self.run_serial(sys)?;
-                let bn = BayesNet {
-                    conditionals,
-                    var_dims: (*self.var_dims).clone(),
-                };
-                let delta = bn.back_substitute()?;
-                ws.stats.clear();
-                ws.stats.extend(stats);
-                ws.delta = delta;
-                Ok(&ws.delta)
-            }
-            Err(ArenaError::Solve(e)) => Err(e),
-        }
+    ) -> Result<&'w Vec64, SolveError> {
+        self.solve_in_with(sys, ws, &Parallelism::serial())
     }
 
     /// Arena-backed solve with **within-solve parallelism**: elimination
@@ -509,9 +436,9 @@ impl SolvePlan {
     /// thin chains stay on the serial inline path. Every step writes a
     /// disjoint panel / Δ segment and performs arithmetic identical to
     /// the serial sweep, so the result is **bitwise identical to
-    /// [`SolvePlan::solve_in`] at any thread count** (proptested in
-    /// `orianna-verify`), and the steady state stays allocation-free
-    /// (per-worker scratch and the dispatch descriptor live inside `ws`).
+    /// [`SolvePlan::solve_in`] at any thread count** (`tests/parallel.rs`),
+    /// and the steady state stays allocation-free (per-worker scratch and
+    /// the dispatch descriptor live inside `ws`).
     ///
     /// With `par` serial this *is* `solve_in`.
     ///
@@ -523,36 +450,19 @@ impl SolvePlan {
         sys: &LinearSystem,
         ws: &'w mut Workspace,
         par: &Parallelism,
-    ) -> Result<&'w orianna_math::Vec64, SolveError> {
-        if !self.matches(sys) || ws.fingerprint != self.fingerprint {
-            return Err(SolveError::PlanMismatch);
+    ) -> Result<&'w Vec64, SolveError> {
+        match self.eliminate_into(sys, ws, par)? {
+            None => self.layout.back_substitute_in_with(ws, par)?,
+            Some(bn) => ws.delta = bn.back_substitute()?,
         }
-        match self.layout.eliminate_in_with(sys, ws, par) {
-            Ok(()) => {
-                self.layout.back_substitute_in_with(ws, par)?;
-                Ok(&ws.delta)
-            }
-            Err(ArenaError::Fallback) => {
-                let (conditionals, stats) = self.run_serial(sys)?;
-                let bn = BayesNet {
-                    conditionals,
-                    var_dims: (*self.var_dims).clone(),
-                };
-                let delta = bn.back_substitute()?;
-                ws.stats.clear();
-                ws.stats.extend(stats);
-                ws.delta = delta;
-                Ok(&ws.delta)
-            }
-            Err(ArenaError::Solve(e)) => Err(e),
-        }
+        Ok(&ws.delta)
     }
 
-    /// Arena-backed variant of [`SolvePlan::execute`] (serial schedule):
-    /// eliminates inside `ws` and materializes the conditionals into an
-    /// owned [`BayesNet`] for callers that keep them (the incremental
-    /// solver). The panels, scratch and stats buffers are still reused —
-    /// only the returned conditionals allocate.
+    /// Arena-backed variant of [`SolvePlan::execute`]: eliminates inside
+    /// `ws` and materializes the conditionals into an owned [`BayesNet`]
+    /// for callers that keep them (the incremental solver). The panels,
+    /// scratch and stats buffers are still reused — only the returned
+    /// conditionals allocate.
     ///
     /// # Errors
     /// Same as [`SolvePlan::solve_in`].
@@ -561,149 +471,40 @@ impl SolvePlan {
         sys: &LinearSystem,
         ws: &mut Workspace,
     ) -> Result<(BayesNet, EliminationStats), SolveError> {
+        let bn = match self.eliminate_into(sys, ws, &Parallelism::serial())? {
+            None => BayesNet {
+                conditionals: self.layout.extract_conditionals(ws),
+                var_dims: self.var_dims.clone(),
+            },
+            Some(bn) => bn,
+        };
+        let steps = ws.stats.clone();
+        Ok((bn, EliminationStats { steps }))
+    }
+
+    /// Eliminates `sys` inside `ws`, leaving the step stats in `ws`.
+    /// Returns `None` when the conditionals live in the arena, or the
+    /// owned Bayes net of the allocating [`SolvePlan::execute`] when a
+    /// planned separator factor shed every row numerically and the arena
+    /// layout no longer applies ([`ArenaError::Fallback`]).
+    fn eliminate_into(
+        &self,
+        sys: &LinearSystem,
+        ws: &mut Workspace,
+        par: &Parallelism,
+    ) -> Result<Option<BayesNet>, SolveError> {
         if !self.matches(sys) || ws.fingerprint != self.fingerprint {
             return Err(SolveError::PlanMismatch);
         }
-        match self.layout.eliminate_in(sys, ws) {
-            Ok(()) => Ok((
-                BayesNet {
-                    conditionals: self.layout.extract_conditionals(ws),
-                    var_dims: (*self.var_dims).clone(),
-                },
-                EliminationStats {
-                    steps: ws.stats.clone(),
-                },
-            )),
+        match self.layout.eliminate_in_with(sys, ws, par) {
+            Ok(()) => Ok(None),
             Err(ArenaError::Fallback) => {
-                let (conditionals, steps) = self.run_serial(sys)?;
-                ws.stats.clear();
-                ws.stats.extend(steps.iter().cloned());
-                Ok((
-                    BayesNet {
-                        conditionals,
-                        var_dims: (*self.var_dims).clone(),
-                    },
-                    EliminationStats { steps },
-                ))
+                let (bn, stats) = self.execute(sys)?;
+                ws.stats = stats.steps;
+                Ok(Some(bn))
             }
             Err(ArenaError::Solve(e)) => Err(e),
         }
-    }
-
-    /// Serial numeric sweep over the serial schedule.
-    #[allow(clippy::type_complexity)]
-    fn run_serial(
-        &self,
-        sys: &LinearSystem,
-    ) -> Result<(Vec<Conditional>, Vec<crate::elimination::EliminationStep>), SolveError> {
-        let mut work = base_worklist(sys, self.serial.num_slots);
-        let mut conditionals = Vec::with_capacity(self.serial.steps.len());
-        let mut stats = Vec::with_capacity(self.serial.steps.len());
-        for step in &self.serial.steps {
-            let gathered = gather_live(&mut work, &step.gather);
-            if gathered.is_empty() {
-                return Err(SolveError::UnconstrainedVariable(step.var));
-            }
-            let (cond, new_factor, st) = if gathered.len() == step.gather.len() {
-                // Every planned slot is numerically present: the symbolic
-                // separator layout is exact, skip re-deriving it.
-                eliminate_step_with_seps(step.var, &gathered, &self.var_dims, step.seps.clone())?
-            } else {
-                // A separator factor shed all its rows upstream; fall back
-                // to deriving the layout from what was actually gathered —
-                // exactly what the plan-less path stacks.
-                eliminate_step(step.var, &gathered, &self.var_dims)?
-            };
-            conditionals.push(cond);
-            stats.push(st);
-            store_new_factor(&mut work, step, new_factor);
-        }
-        Ok((conditionals, stats))
-    }
-
-    /// Batched numeric sweep: each batch's steps own disjoint slots, so
-    /// their dense sub-problems run concurrently; results merge in
-    /// schedule order (thread-count independent).
-    #[allow(clippy::type_complexity)]
-    fn run_batched(
-        &self,
-        sys: &LinearSystem,
-        par: &Parallelism,
-    ) -> Result<(Vec<Conditional>, Vec<crate::elimination::EliminationStep>), SolveError> {
-        type StepResult = Result<
-            (
-                Conditional,
-                Option<LinearFactor>,
-                crate::elimination::EliminationStep,
-            ),
-            SolveError,
-        >;
-        let mut work = base_worklist(sys, self.batched.num_slots);
-        let mut conditionals = Vec::with_capacity(self.batched.steps.len());
-        let mut stats = Vec::with_capacity(self.batched.steps.len());
-        let mut start = 0;
-        for &end in &self.batched.batches {
-            let batch = &self.batched.steps[start..end];
-            start = end;
-            let tasks: Vec<Box<dyn FnOnce() -> StepResult + Send>> = batch
-                .iter()
-                .map(|step| {
-                    let gathered = gather_live(&mut work, &step.gather);
-                    let exact = gathered.len() == step.gather.len();
-                    let v = step.var;
-                    let seps = step.seps.clone();
-                    let var_dims = Arc::clone(&self.var_dims);
-                    Box::new(move || {
-                        if gathered.is_empty() {
-                            return Err(SolveError::UnconstrainedVariable(v));
-                        }
-                        if exact {
-                            eliminate_step_with_seps(v, &gathered, &var_dims, seps)
-                        } else {
-                            eliminate_step(v, &gathered, &var_dims)
-                        }
-                    }) as _
-                })
-                .collect();
-            let results = run_tasks(par.threads, tasks);
-            for (step, result) in batch.iter().zip(results) {
-                let (cond, new_factor, st) = result?;
-                conditionals.push(cond);
-                stats.push(st);
-                store_new_factor(&mut work, step, new_factor);
-            }
-        }
-        Ok((conditionals, stats))
-    }
-}
-
-/// Numeric work-list: base factors in their planned slots, reserved
-/// separator slots empty until their producing step fills them.
-fn base_worklist(sys: &LinearSystem, num_slots: usize) -> Vec<Option<Arc<LinearFactor>>> {
-    let mut work: Vec<Option<Arc<LinearFactor>>> = Vec::with_capacity(num_slots);
-    work.extend(sys.factors.iter().map(|f| Some(Arc::new(f.clone()))));
-    work.resize(num_slots, None);
-    work
-}
-
-/// Takes the numerically-present factors of a gather list, preserving
-/// plan order. Slots whose separator factor shed every row hold `None`
-/// and are skipped — exactly as the plan-less path never created them.
-fn gather_live(work: &mut [Option<Arc<LinearFactor>>], gather: &[usize]) -> Vec<Arc<LinearFactor>> {
-    gather.iter().filter_map(|&s| work[s].take()).collect()
-}
-
-fn store_new_factor(
-    work: &mut [Option<Arc<LinearFactor>>],
-    step: &PlanStep,
-    new_factor: Option<LinearFactor>,
-) {
-    match (step.new_slot, new_factor) {
-        (Some(slot), nf) => work[slot] = nf.map(Arc::new),
-        (None, nf) => debug_assert!(
-            nf.is_none(),
-            "step produced a separator factor without a reserved slot"
-        ),
     }
 }
 
@@ -882,7 +683,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elimination::{eliminate, eliminate_with};
+    use crate::elimination::eliminate;
     use orianna_graph::{natural_ordering, BetweenFactor, FactorGraph, GpsFactor, PriorFactor};
     use orianna_lie::Pose2;
 
@@ -919,7 +720,7 @@ mod tests {
         let plan = SolvePlan::for_graph(&g, ordering.as_slice()).unwrap();
         let sys = g.linearize();
         let (bn_ref, st_ref) = eliminate(&sys, &ordering).unwrap();
-        let (bn, st) = plan.execute(&sys, &Parallelism::serial()).unwrap();
+        let (bn, st) = plan.execute(&sys).unwrap();
         assert_eq!(bn.conditionals.len(), bn_ref.conditionals.len());
         for (a, b) in bn.conditionals.iter().zip(&bn_ref.conditionals) {
             assert_eq!(a.var, b.var);
@@ -939,22 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_batched_is_bitwise_identical_to_eliminate_with() {
-        let g = looped_chain(10);
-        let ordering = natural_ordering(&g);
-        let sys = g.linearize();
-        let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
-        let par = Parallelism::with_threads(4);
-        let (bn_ref, st_ref) = eliminate_with(&sys, &ordering, &par).unwrap();
-        let (bn, st) = plan.execute(&sys, &par).unwrap();
-        assert_eq!(st.steps, st_ref.steps);
-        assert_eq!(
-            bn.back_substitute().unwrap().as_slice(),
-            bn_ref.back_substitute().unwrap().as_slice()
-        );
-    }
-
-    #[test]
     fn plan_survives_relinearization() {
         // Same topology, new linearization point: the plan still matches
         // and produces the fresh serial result bitwise.
@@ -963,12 +748,7 @@ mod tests {
         let plan = SolvePlan::for_graph(&g, ordering.as_slice()).unwrap();
         for _ in 0..3 {
             let sys = g.linearize();
-            let planned = plan
-                .execute(&sys, &Parallelism::serial())
-                .unwrap()
-                .0
-                .back_substitute()
-                .unwrap();
+            let planned = plan.execute(&sys).unwrap().0.back_substitute().unwrap();
             let fresh = eliminate(&sys, &ordering)
                 .unwrap()
                 .0
@@ -987,9 +767,7 @@ mod tests {
         let mut bigger = g.clone();
         let ids: Vec<_> = (0..5).map(orianna_graph::VarId).collect();
         bigger.add_factor(GpsFactor::new(ids[1], &[0.0, 1.0], 0.5));
-        let err = plan
-            .execute(&bigger.linearize(), &Parallelism::serial())
-            .unwrap_err();
+        let err = plan.execute(&bigger.linearize()).unwrap_err();
         assert_eq!(err, SolveError::PlanMismatch);
     }
 
@@ -1011,7 +789,7 @@ mod tests {
         let sys = g.linearize();
         let order: Vec<VarId> = (0..3).map(VarId).collect();
         let plan = SolvePlan::for_system(&sys, &order).unwrap();
-        let (bn, stats) = plan.execute(&sys, &Parallelism::serial()).unwrap();
+        let (bn, stats) = plan.execute(&sys).unwrap();
         assert_eq!(bn.conditionals.len(), 3);
         assert_eq!(stats.steps.len(), 3);
         for (c, v) in bn.conditionals.iter().zip(&order) {
@@ -1079,7 +857,7 @@ mod tests {
         let sys = g.linearize();
         let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
         let mut ws = plan.workspace();
-        let (bn_ref, st_ref) = plan.execute(&sys, &Parallelism::serial()).unwrap();
+        let (bn_ref, st_ref) = plan.execute(&sys).unwrap();
         let (bn, st) = plan.execute_in(&sys, &mut ws).unwrap();
         assert_eq!(st.steps, st_ref.steps);
         assert_eq!(bn.conditionals.len(), bn_ref.conditionals.len());
@@ -1102,12 +880,7 @@ mod tests {
         let order: Vec<VarId> = (0..3).map(VarId).collect();
         let plan = SolvePlan::for_system(&sys, &order).unwrap();
         let mut ws = plan.workspace();
-        let reference = plan
-            .execute(&sys, &Parallelism::serial())
-            .unwrap()
-            .0
-            .back_substitute()
-            .unwrap();
+        let reference = plan.execute(&sys).unwrap().0.back_substitute().unwrap();
         let delta = plan.solve_in(&sys, &mut ws).unwrap();
         assert_eq!(delta.as_slice(), reference.as_slice());
     }

@@ -10,10 +10,10 @@
 //! linearized at the solver's own linearization point, eliminated over
 //! the active variables in id order) to within `tol`.
 //!
-//! The batch reference runs through [`orianna_solver::SolvePlan`] with
-//! [`Parallelism::default()`], so the sweep inherits the
-//! `ORIANNA_THREADS` / `ORIANNA_NO_SIMD` CI matrix: the incremental path
-//! is checked against every parallel schedule, not just the serial one.
+//! The batch reference is the serial [`orianna_solver::SolvePlan`]
+//! sweep, bitwise equal to `eliminate`, so it is the same on every
+//! `ORIANNA_THREADS` / `ORIANNA_NO_SIMD` CI leg; only the incremental
+//! path under test follows the thread setting.
 //!
 //! Sequences are deterministic in `(GenConfig, ops_seed)`: the graph
 //! comes from [`crate::gen`], the chunk boundaries are drawn from the
@@ -21,7 +21,6 @@
 //! relinearize/marginalize decisions come from the ops RNG.
 
 use orianna_graph::{Factor, LinearFactor, LinearSystem, Values, VarId};
-use orianna_math::Parallelism;
 use orianna_solver::{IncrementalSolver, SolvePlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,9 +124,7 @@ pub fn batch_reference(solver: &IncrementalSolver) -> Result<orianna_math::Vec64
     let sys = LinearSystem { factors, var_dims };
     let order = solver.active_variables();
     let plan = SolvePlan::for_system(&sys, &order).map_err(|e| e.to_string())?;
-    let (bn, _) = plan
-        .execute(&sys, &Parallelism::default())
-        .map_err(|e| e.to_string())?;
+    let (bn, _) = plan.execute(&sys).map_err(|e| e.to_string())?;
     bn.back_substitute().map_err(|e| e.to_string())
 }
 
@@ -162,7 +159,7 @@ fn valid_boundaries(factors: &[Arc<dyn Factor>], init: &Values) -> Vec<usize> {
         };
         let order: Vec<VarId> = (0..=max_key).map(VarId).collect();
         let solvable = SolvePlan::for_system(&sys, &order)
-            .and_then(|p| p.execute(&sys, &Parallelism::serial()))
+            .and_then(|p| p.execute(&sys))
             .is_ok();
         if solvable {
             boundaries.push(k);

@@ -6,9 +6,8 @@
 //! ```
 //!
 //! The parallel path (see DESIGN.md, "Parallel execution") is gated by
-//! [`Parallelism`](orianna::math::Parallelism): linearization is bitwise
-//! identical to serial, and independent-clique elimination is
-//! thread-count-deterministic with the same Δ to < 1e-12.
+//! [`Parallelism`](orianna::math::Parallelism): linearization and the
+//! level-scheduled arena solve are both bitwise identical to serial.
 
 use orianna::graph::{BetweenFactor, FactorGraph, GpsFactor, PriorFactor};
 use orianna::lie::Pose2;

@@ -5,9 +5,10 @@
 //!
 //! * parallel linearization is **bitwise identical** to serial, for every
 //!   benchmark algorithm and every thread count;
-//! * parallel (independent-clique) elimination solves for the same Δ as
-//!   serial elimination to `< 1e-12`, and is itself bitwise deterministic
-//!   with respect to the thread count;
+//! * the level-parallel arena solve ([`SolvePlan::solve_in_with`]) is
+//!   **bitwise identical** to the reference [`eliminate`] — Δ and the
+//!   per-step statistics — for every benchmark algorithm and every thread
+//!   count, including when one workspace is reused across thread counts;
 //! * batched simulation returns exactly the reports of per-workload
 //!   serial simulation, in input order.
 
@@ -16,7 +17,7 @@ use orianna::compiler::compile;
 use orianna::graph::natural_ordering;
 use orianna::hw::{simulate, simulate_batch, HwConfig, IssuePolicy, Workload};
 use orianna::math::Parallelism;
-use orianna::solver::{eliminate, eliminate_with, GaussNewton, GaussNewtonSettings, SolveError};
+use orianna::solver::{eliminate, GaussNewton, GaussNewtonSettings, SolveError, SolvePlan};
 
 #[test]
 fn parallel_linearization_is_bitwise_identical_on_all_apps() {
@@ -53,62 +54,54 @@ fn parallel_linearization_is_bitwise_identical_on_all_apps() {
     }
 }
 
-#[test]
-fn parallel_elimination_matches_serial_on_all_apps() {
-    for app in all_apps(2024) {
+/// Solves every benchmark algorithm in one arena at each thread count of
+/// `threads` in turn and asserts Δ and the step statistics are bitwise
+/// those of [`eliminate`].
+fn assert_arena_matches_eliminate(seed: u64, threads: &[usize]) {
+    for app in all_apps(seed) {
         for algo in &app.algorithms {
             let sys = algo.graph.linearize();
             let ordering = natural_ordering(&algo.graph);
-            let reference = eliminate(&sys, &ordering)
-                .unwrap_or_else(|e| panic!("{}/{}: {e}", app.name, algo.name))
-                .0
-                .back_substitute()
-                .unwrap();
-            let (bn, stats) = eliminate_with(&sys, &ordering, &Parallelism::with_threads(4))
+            let (bn, stats) = eliminate(&sys, &ordering)
                 .unwrap_or_else(|e| panic!("{}/{}: {e}", app.name, algo.name));
-            // Every variable eliminated exactly once.
-            assert_eq!(bn.conditionals.len(), ordering.len());
-            assert_eq!(stats.steps.len(), ordering.len());
-            let delta = bn.back_substitute().unwrap();
-            let diff = (&delta - &reference).norm();
-            let scale = reference.norm().max(1.0);
-            assert!(
-                diff / scale < 1e-12,
-                "{}/{}: parallel delta deviates by {diff:e} (scale {scale:e})",
-                app.name,
-                algo.name
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_elimination_is_threadcount_deterministic() {
-    for app in all_apps(77) {
-        for algo in &app.algorithms {
-            let sys = algo.graph.linearize();
-            let ordering = natural_ordering(&algo.graph);
-            let deltas: Vec<_> = [2, 3, 8]
-                .iter()
-                .map(|&t| {
-                    eliminate_with(&sys, &ordering, &Parallelism::with_threads(t))
-                        .unwrap()
-                        .0
-                        .back_substitute()
-                        .unwrap()
-                })
-                .collect();
-            for d in &deltas[1..] {
+            let reference = bn.back_substitute().unwrap();
+            let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
+            let mut ws = plan.workspace();
+            for &t in threads {
+                let delta = plan
+                    .solve_in_with(&sys, &mut ws, &Parallelism::with_threads(t))
+                    .unwrap_or_else(|e| panic!("{}/{}: {e}", app.name, algo.name));
                 assert_eq!(
-                    d.as_slice(),
-                    deltas[0].as_slice(),
-                    "{}/{}: thread count changed the result",
+                    delta.as_slice(),
+                    reference.as_slice(),
+                    "{}/{} threads={t}",
+                    app.name,
+                    algo.name
+                );
+                assert_eq!(
+                    ws.stats(),
+                    stats.steps.as_slice(),
+                    "{}/{}",
                     app.name,
                     algo.name
                 );
             }
         }
     }
+}
+
+#[test]
+fn parallel_elimination_matches_serial_on_all_apps() {
+    for threads in [2, 3, 8] {
+        assert_arena_matches_eliminate(2024, &[threads]);
+    }
+}
+
+#[test]
+fn parallel_elimination_is_threadcount_deterministic() {
+    // One workspace serves every setting in turn: its worker scratch,
+    // sized by the widest fan-out so far, must not leak into the result.
+    assert_arena_matches_eliminate(77, &[2, 8, 3, 1, 8]);
 }
 
 #[test]
@@ -122,10 +115,10 @@ fn serial_parallelism_falls_back_to_reference_eliminate() {
         .0
         .back_substitute()
         .unwrap();
-    let gated = eliminate_with(&sys, &ordering, &Parallelism::serial())
-        .unwrap()
-        .0
-        .back_substitute()
+    let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
+    let mut ws = plan.workspace();
+    let gated = plan
+        .solve_in_with(&sys, &mut ws, &Parallelism::serial())
         .unwrap();
     assert_eq!(serial.as_slice(), gated.as_slice());
 }
@@ -135,12 +128,15 @@ fn parallel_elimination_detects_unconstrained_variables() {
     use orianna::graph::{FactorGraph, PriorFactor};
     use orianna::lie::Pose2;
     let mut g = FactorGraph::new();
-    let a = g.add_pose2(Pose2::identity());
+    let a = g.add_pose2(Pose2::new(0.3, 1.0, -1.0));
     let _b = g.add_pose2(Pose2::identity()); // no factor touches b
     g.add_factor(PriorFactor::pose2(a, Pose2::identity(), 0.1));
-    let sys = g.linearize();
-    let err =
-        eliminate_with(&sys, &natural_ordering(&g), &Parallelism::with_threads(4)).unwrap_err();
+    let err = GaussNewton::new(GaussNewtonSettings {
+        parallelism: Parallelism::with_threads(4),
+        ..Default::default()
+    })
+    .optimize(&mut g)
+    .unwrap_err();
     assert!(matches!(err, SolveError::UnconstrainedVariable(v) if v.0 == 1));
 }
 

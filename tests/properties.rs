@@ -11,7 +11,7 @@ use orianna::graph::{
 };
 use orianna::lie::{Pose2, Pose3, Rot3, SE3};
 use orianna::math::{householder_qr, least_squares, Mat, Parallelism, Vec64};
-use orianna::solver::{eliminate, eliminate_with, BayesNet, SolvePlan};
+use orianna::solver::{eliminate, BayesNet, SolvePlan};
 use proptest::prelude::*;
 
 fn small() -> impl Strategy<Value = f64> {
@@ -115,8 +115,8 @@ proptest! {
         closure_len in 2usize..5,
     ) {
         // A random pose chain with a random loop closure and sporadic GPS:
-        // parallel linearization must be bitwise serial, and parallel
-        // elimination must solve for the same Δ.
+        // parallel linearization must be bitwise serial, and the parallel
+        // arena must solve for the bitwise-same Δ as `eliminate`.
         let mut g = FactorGraph::new();
         let ids: Vec<_> = (0..8)
             .map(|i| {
@@ -154,9 +154,10 @@ proptest! {
 
         let ordering = natural_ordering(&g);
         let reference = eliminate(&serial_sys, &ordering).unwrap().0.back_substitute().unwrap();
-        let delta = eliminate_with(&par_sys, &ordering, &par).unwrap().0.back_substitute().unwrap();
-        let diff = (&delta - &reference).norm();
-        prop_assert!(diff / reference.norm().max(1.0) < 1e-12, "{diff:e}");
+        let plan = SolvePlan::for_system(&par_sys, ordering.as_slice()).unwrap();
+        let mut ws = plan.workspace();
+        let delta = plan.solve_in_with(&par_sys, &mut ws, &par).unwrap();
+        prop_assert_eq!(delta.as_slice(), reference.as_slice());
     }
 
     #[test]
@@ -197,20 +198,22 @@ proptest! {
 
         let ordering = natural_ordering(&g);
         let plan = SolvePlan::for_graph(&g, ordering.as_slice()).unwrap();
+        let mut ws = plan.workspace();
         let par = Parallelism::with_threads(4);
         for round in 0..3 {
             let sys = g.linearize();
             let (fresh, fresh_stats) = eliminate(&sys, &ordering).unwrap();
-            let (planned, stats) = plan.execute(&sys, &Parallelism::serial()).unwrap();
+            let (planned, stats) = plan.execute(&sys).unwrap();
             prop_assert!(bitwise_eq(&planned, &fresh), "serial round {round}");
-            prop_assert_eq!(stats.steps, fresh_stats.steps);
-            // The batched schedule of the same cached plan must also match
-            // a fresh parallel elimination bitwise.
-            let (planned_par, _) = plan.execute(&sys, &par).unwrap();
-            let (fresh_par, _) = eliminate_with(&sys, &ordering, &par).unwrap();
-            prop_assert!(bitwise_eq(&planned_par, &fresh_par), "batched round {round}");
+            prop_assert_eq!(&stats.steps, &fresh_stats.steps);
+            // The parallel arena, reusing one workspace across rounds,
+            // must match the fresh elimination bitwise too.
+            let delta = plan.solve_in_with(&sys, &mut ws, &par).unwrap();
+            let fresh_delta = fresh.back_substitute().unwrap();
+            prop_assert!(delta.as_slice() == fresh_delta.as_slice(), "arena round {round}");
+            prop_assert_eq!(ws.stats(), fresh_stats.steps.as_slice());
             // Relinearize at the Gauss-Newton step for the next round.
-            g.retract_all(&fresh.back_substitute().unwrap());
+            g.retract_all(&fresh_delta);
         }
     }
 
@@ -288,7 +291,7 @@ proptest! {
                 for round in 0..2 {
                     let sys = g.linearize();
                     let (fresh, _) = eliminate(&sys, &ordering).unwrap();
-                    let (planned, _) = plan.execute(&sys, &Parallelism::serial()).unwrap();
+                    let (planned, _) = plan.execute(&sys).unwrap();
                     prop_assert!(
                         bitwise_eq(&planned, &fresh),
                         "{}/{} round {round}", app.name, algo.name
