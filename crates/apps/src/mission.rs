@@ -118,7 +118,8 @@ pub fn run_mission_with(
         // the per-algorithm proxy for "followed the planned path within
         // the specified time" of Sec. 7.2.
         let residual = graph.total_error();
-        let per_row = residual / graph.linearize().total_rows().max(1) as f64;
+        let rows: usize = graph.factors().iter().map(|f| f.dim()).sum();
+        let per_row = residual / rows.max(1) as f64;
         // Thresholds sit above the typical converged residual but below
         // the tail of poorly-conditioned missions (random dynamics draws
         // can make the finite-horizon control problem hard to regulate),

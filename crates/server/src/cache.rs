@@ -58,21 +58,20 @@ impl ShardedPlanCache {
         &self.shards[(fingerprint % self.shards.len() as u64) as usize]
     }
 
-    /// Returns the plan for `(fingerprint, tag)`, building and caching it
-    /// on first use.
+    /// Returns the plan for `fingerprint`, building and caching it on
+    /// first use.
     ///
     /// # Errors
     /// Propagates plan-construction errors; nothing is cached on failure.
     pub fn plan(
         &self,
         fingerprint: u64,
-        tag: u8,
         build: impl FnOnce() -> Result<SolvePlan, SolveError>,
     ) -> Result<Arc<SolvePlan>, SolveError> {
         self.shard(fingerprint)
             .lock()
             .expect("cache shard lock")
-            .get_or_build(fingerprint, tag, build)
+            .get_or_build(fingerprint, build)
     }
 
     /// Checks out the plan plus `count` exclusive workspaces for one
@@ -85,36 +84,35 @@ impl ShardedPlanCache {
     pub fn checkout(
         &self,
         fingerprint: u64,
-        tag: u8,
         count: usize,
         build: impl FnOnce() -> Result<SolvePlan, SolveError>,
     ) -> Result<(Arc<SolvePlan>, Vec<Workspace>), SolveError> {
         let mut shard = self.shard(fingerprint).lock().expect("cache shard lock");
-        let plan = shard.get_or_build(fingerprint, tag, build)?;
+        let plan = shard.get_or_build(fingerprint, build)?;
         let workspaces = (0..count)
-            .map(|_| shard.checkout_workspace(&plan, tag))
+            .map(|_| shard.checkout_workspace(&plan))
             .collect();
         Ok((plan, workspaces))
     }
 
     /// Parks workspaces back for reuse. Pool overflow beyond the per-key
     /// cap drops arenas (counted as evictions).
-    pub fn park(&self, fingerprint: u64, tag: u8, workspaces: impl IntoIterator<Item = Workspace>) {
+    pub fn park(&self, fingerprint: u64, workspaces: impl IntoIterator<Item = Workspace>) {
         let mut shard = self.shard(fingerprint).lock().expect("cache shard lock");
         for ws in workspaces {
-            shard.store_workspace(fingerprint, tag, ws);
+            shard.store_workspace(fingerprint, ws);
         }
     }
 
-    /// Drops the plan and parked workspaces of `(fingerprint, tag)`.
+    /// Drops the plan and parked workspaces of `fingerprint`.
     /// Returns whether a plan was cached. Outstanding checkouts are
     /// unaffected; parking them back repopulates the pool.
-    pub fn invalidate(&self, fingerprint: u64, tag: u8) -> bool {
+    pub fn invalidate(&self, fingerprint: u64) -> bool {
         let dropped = self
             .shard(fingerprint)
             .lock()
             .expect("cache shard lock")
-            .invalidate(fingerprint, tag);
+            .invalidate(fingerprint);
         if dropped {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
@@ -192,7 +190,7 @@ mod tests {
         let g = chain(5);
         let fp = g.structure_fingerprint();
         let cache = ShardedPlanCache::new(4, 8);
-        let (plan, wss) = cache.checkout(fp, 0, 3, build_for(&g)).unwrap();
+        let (plan, wss) = cache.checkout(fp, 3, build_for(&g)).unwrap();
         assert_eq!(plan.fingerprint(), fp);
         assert_eq!(wss.len(), 3);
         let mut ids: Vec<u64> = wss.iter().map(|w| w.id()).collect();
@@ -202,8 +200,8 @@ mod tests {
         assert_eq!(s.plan_misses, 1);
         assert_eq!(s.workspace_builds, 3);
 
-        cache.park(fp, 0, wss);
-        let (_, wss2) = cache.checkout(fp, 0, 3, build_for(&g)).unwrap();
+        cache.park(fp, wss);
+        let (_, wss2) = cache.checkout(fp, 3, build_for(&g)).unwrap();
         let s = cache.stats();
         assert_eq!(s.plan_hits, 1);
         assert_eq!(s.workspace_reuses, 3);
@@ -217,8 +215,8 @@ mod tests {
         let fp = g.structure_fingerprint();
         for shards in [1usize, 2, 7, 16] {
             let cache = ShardedPlanCache::new(shards, 4);
-            let p1 = cache.plan(fp, 0, build_for(&g)).unwrap();
-            let p2 = cache.plan(fp, 0, build_for(&g)).unwrap();
+            let p1 = cache.plan(fp, build_for(&g)).unwrap();
+            let p2 = cache.plan(fp, build_for(&g)).unwrap();
             assert!(Arc::ptr_eq(&p1, &p2), "shards={shards}");
             assert_eq!(cache.stats().plan_misses, 1, "shards={shards}");
         }
@@ -229,18 +227,18 @@ mod tests {
         let g = chain(5);
         let fp = g.structure_fingerprint();
         let cache = ShardedPlanCache::new(2, 4);
-        let (_, wss) = cache.checkout(fp, 0, 2, build_for(&g)).unwrap();
-        cache.park(fp, 0, wss);
+        let (_, wss) = cache.checkout(fp, 2, build_for(&g)).unwrap();
+        cache.park(fp, wss);
         assert_eq!(cache.parked_workspaces(), 2);
-        assert!(cache.invalidate(fp, 0));
-        assert!(!cache.invalidate(fp, 0));
+        assert!(cache.invalidate(fp));
+        assert!(!cache.invalidate(fp));
         assert_eq!(cache.parked_workspaces(), 0);
         assert!(cache.is_empty());
         let s = cache.stats();
         assert_eq!(s.invalidations, 1);
         assert_eq!(s.workspace_evictions, 2);
         // The cache still serves after invalidation: a rebuild is a miss.
-        let _ = cache.checkout(fp, 0, 1, build_for(&g)).unwrap();
+        let _ = cache.checkout(fp, 1, build_for(&g)).unwrap();
         assert_eq!(cache.stats().plan_misses, 2);
     }
 
@@ -249,8 +247,8 @@ mod tests {
         let g = chain(4);
         let fp = g.structure_fingerprint();
         let cache = ShardedPlanCache::new(1, 2);
-        let (_, wss) = cache.checkout(fp, 0, 5, build_for(&g)).unwrap();
-        cache.park(fp, 0, wss);
+        let (_, wss) = cache.checkout(fp, 5, build_for(&g)).unwrap();
+        cache.park(fp, wss);
         assert_eq!(cache.parked_workspaces(), 2, "cap bounds the pool");
         assert_eq!(cache.stats().workspace_evictions, 3);
     }

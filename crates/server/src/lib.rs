@@ -62,6 +62,6 @@ pub use metrics::{CacheStats, LatencyHistogram, LatencySnapshot, Metrics, Metric
 pub use queue::{BoundedQueue, PushError};
 pub use server::{Request, ServerConfig, SolverServer, Ticket};
 pub use session::{
-    perturb_delta, server_gn_settings, server_lm_settings, splitmix64, values_digest, BatchFlavor,
-    Perturb, Session, SessionId, SolveOutcome,
+    perturb_delta, splitmix64, values_digest, BatchFlavor, Perturb, Session, SessionId,
+    SolveOutcome,
 };

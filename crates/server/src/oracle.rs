@@ -54,13 +54,10 @@ fn replay_op(
             let s = &sessions[session];
             match s.fingerprint() {
                 Some(fp) => {
-                    let tag = s.tag();
-                    let plan = cache.get_or_build(fp, tag, || s.build_plan())?;
-                    let mut ws = cache
-                        .take_workspace(fp, tag)
-                        .unwrap_or_else(|| plan.workspace());
+                    let plan = cache.get_or_build(fp, || s.build_plan())?;
+                    let mut ws = cache.take_workspace(fp).unwrap_or_else(|| plan.workspace());
                     let res = s.solve_with_plan(&plan, &mut ws, Some(perturb));
-                    cache.store_workspace(fp, tag, ws);
+                    cache.store_workspace(fp, ws);
                     res
                 }
                 None => s.solve_direct(Some(perturb)),

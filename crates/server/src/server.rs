@@ -331,8 +331,8 @@ impl SolverServer {
 
     /// Drops the cached plan (and parked workspaces) of a topology, e.g.
     /// after a fleet-wide model update. Returns whether a plan was cached.
-    pub fn invalidate_topology(&self, fingerprint: u64, tag: u8) -> bool {
-        self.shared.cache.invalidate(fingerprint, tag)
+    pub fn invalidate_topology(&self, fingerprint: u64) -> bool {
+        self.shared.cache.invalidate(fingerprint)
     }
 
     /// Point-in-time counters: throughput, batching, cache, latency.
@@ -378,7 +378,6 @@ fn worker_loop(shared: &Shared) {
                 let fp = session
                     .fingerprint()
                     .expect("planned work has a fingerprint");
-                let tag = session.tag();
                 let mut batch = vec![first];
                 if shared.config.max_batch > 1 {
                     batch.extend(
@@ -386,11 +385,11 @@ fn worker_loop(shared: &Shared) {
                             .queue
                             .drain_matching(shared.config.max_batch - 1, |r| {
                                 matches!(&r.work, Work::Planned { session: s, .. }
-                                if s.fingerprint() == Some(fp) && s.tag() == tag)
+                                if s.fingerprint() == Some(fp))
                             }),
                     );
                 }
-                execute_planned(shared, fp, tag, batch);
+                execute_planned(shared, fp, batch);
             }
             _ => execute_single(shared, first),
         }
@@ -399,7 +398,7 @@ fn worker_loop(shared: &Shared) {
 
 /// Runs one coalesced batch: checkout plan + one workspace per request
 /// under a single shard lock, fan out, park everything back.
-fn execute_planned(shared: &Shared, fp: u64, tag: u8, batch: Vec<QueuedRequest>) {
+fn execute_planned(shared: &Shared, fp: u64, batch: Vec<QueuedRequest>) {
     let k = batch.len();
     shared.metrics.record_batch(k as u64);
 
@@ -407,10 +406,7 @@ fn execute_planned(shared: &Shared, fp: u64, tag: u8, batch: Vec<QueuedRequest>)
         Work::Planned { session, .. } => Arc::clone(session),
         _ => unreachable!("planned batches only coalesce planned work"),
     };
-    let (plan, workspaces) = match shared
-        .cache
-        .checkout(fp, tag, k, || build_session.build_plan())
-    {
+    let (plan, workspaces) = match shared.cache.checkout(fp, k, || build_session.build_plan()) {
         Ok(out) => out,
         Err(e) => {
             // Plan construction failed (e.g. an unconstrained variable):
@@ -452,7 +448,6 @@ fn execute_planned(shared: &Shared, fp: u64, tag: u8, batch: Vec<QueuedRequest>)
 
     shared.cache.park(
         fp,
-        tag,
         ws_slots
             .into_iter()
             .map(|m| m.into_inner().expect("workspace slot")),
@@ -481,7 +476,6 @@ fn execute_single(shared: &Shared, req: QueuedRequest) {
                 session
                     .fingerprint()
                     .expect("planned work has a fingerprint"),
-                session.tag(),
                 || session.build_plan(),
             )?;
             let mut ws = plan.workspace();
@@ -703,7 +697,7 @@ mod tests {
                 perturb: Some(Perturb::new(1, 0.02)),
             })
             .unwrap();
-        assert!(server.invalidate_topology(fp, 0));
+        assert!(server.invalidate_topology(fp));
         server
             .solve_blocking(Request::Solve {
                 session: id,

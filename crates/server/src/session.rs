@@ -18,7 +18,9 @@
 //! reference execute byte-for-byte identical per-request code.
 
 use crate::error::ServerError;
-use orianna_graph::{BetweenFactor, Factor, FactorGraph, PriorFactor, Values, VarId, Variable};
+use orianna_graph::{
+    min_degree_ordering, BetweenFactor, Factor, FactorGraph, PriorFactor, Values, VarId, Variable,
+};
 use orianna_lie::Pose2;
 use orianna_math::Vec64;
 use orianna_solver::{
@@ -172,23 +174,6 @@ pub enum BatchFlavor {
     Levenberg(LevenbergMarquardtSettings),
 }
 
-/// Gauss-Newton settings as the server runs them. Historically this
-/// forced parallelism serial — the old batched executor's merge order
-/// depended on the thread count. The arena path the server now runs is
-/// bitwise-identical to serial at every thread count (parallel levels
-/// write disjoint regions through the same per-step kernel), so the
-/// caller's parallelism passes through untouched and the determinism
-/// contract holds by construction.
-pub fn server_gn_settings(s: GaussNewtonSettings) -> GaussNewtonSettings {
-    s
-}
-
-/// Levenberg-Marquardt settings as the server runs them (pass-through —
-/// see [`server_gn_settings`]).
-pub fn server_lm_settings(s: LevenbergMarquardtSettings) -> LevenbergMarquardtSettings {
-    s
-}
-
 enum Inner {
     Gn {
         graph: FactorGraph,
@@ -219,8 +204,6 @@ pub struct Session {
     /// Topology fingerprint for plan sharing; `None` for flavors served
     /// without a shared plan (LM, incremental).
     fingerprint: Option<u64>,
-    /// Plan-cache ordering tag (GN sessions).
-    tag: u8,
     inner: Mutex<Inner>,
     solves: AtomicU64,
 }
@@ -255,13 +238,11 @@ impl Session {
     ) -> Result<Self, ServerError> {
         match flavor {
             BatchFlavor::GaussNewton(settings) => {
-                let settings = server_gn_settings(settings);
                 GaussNewton::new(settings).optimize(&mut graph)?;
                 let initial = graph.values().clone();
                 Ok(Self {
                     id,
                     fingerprint: Some(graph.structure_fingerprint()),
-                    tag: settings.ordering.cache_tag(),
                     inner: Mutex::new(Inner::Gn {
                         graph,
                         initial,
@@ -271,13 +252,11 @@ impl Session {
                 })
             }
             BatchFlavor::Levenberg(settings) => {
-                let settings = server_lm_settings(settings);
                 LevenbergMarquardt::new(settings).optimize(&mut graph)?;
                 let initial = graph.values().clone();
                 Ok(Self {
                     id,
                     fingerprint: None,
-                    tag: 0,
                     inner: Mutex::new(Inner::Lm {
                         graph,
                         initial,
@@ -309,7 +288,6 @@ impl Session {
         Ok(Self {
             id,
             fingerprint: None,
-            tag: 0,
             inner: Mutex::new(Inner::Incremental {
                 solver: Box::new(solver),
                 tail,
@@ -329,11 +307,6 @@ impl Session {
     /// plan (the batching key).
     pub fn fingerprint(&self) -> Option<u64> {
         self.fingerprint
-    }
-
-    /// Plan-cache ordering tag.
-    pub fn tag(&self) -> u8 {
-        self.tag
     }
 
     /// Requests served so far.
@@ -357,11 +330,8 @@ impl Session {
     pub fn build_plan(&self) -> Result<SolvePlan, SolveError> {
         let inner = self.inner.lock().expect("session lock");
         match &*inner {
-            Inner::Gn {
-                graph, settings, ..
-            } => {
-                let ordering = settings.ordering.resolve(graph);
-                SolvePlan::for_graph(graph, ordering.as_slice())
+            Inner::Gn { graph, .. } => {
+                SolvePlan::for_graph(graph, min_degree_ordering(graph).as_slice())
             }
             _ => Err(SolveError::PlanMismatch),
         }

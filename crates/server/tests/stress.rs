@@ -78,13 +78,13 @@ fn hammered_cache_keeps_exact_workspace_accounting() {
                     // Mostly checkouts of varying batch width, with a
                     // sprinkle of invalidations racing them.
                     if draw.is_multiple_of(13) {
-                        cache.invalidate(fp, 0);
+                        cache.invalidate(fp);
                         invalidations_issued.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
                     let k = 1 + (draw >> 8) as usize % 4;
                     let (plan, workspaces) = cache
-                        .checkout(fp, 0, k, build_for(&graphs[which]))
+                        .checkout(fp, k, build_for(&graphs[which]))
                         .expect("plan builds");
                     assert_eq!(plan.fingerprint(), fp);
                     assert_eq!(workspaces.len(), k);
@@ -108,7 +108,7 @@ fn hammered_cache_keeps_exact_workspace_accounting() {
                             assert!(held.remove(&ws.id()), "workspace id vanished while held");
                         }
                     }
-                    cache.park(fp, 0, workspaces);
+                    cache.park(fp, workspaces);
                 }
             });
         }
@@ -151,14 +151,14 @@ fn invalidation_during_checkout_never_loses_outstanding_workspaces() {
     std::thread::scope(|scope| {
         let worker = scope.spawn(|| {
             for _ in 0..300 {
-                let (_, wss) = cache.checkout(fp, 0, 2, build_for(&g)).expect("plan");
+                let (_, wss) = cache.checkout(fp, 2, build_for(&g)).expect("plan");
                 std::hint::black_box(&wss);
-                cache.park(fp, 0, wss);
+                cache.park(fp, wss);
             }
         });
         let invalidator = scope.spawn(|| {
             for _ in 0..100 {
-                cache.invalidate(fp, 0);
+                cache.invalidate(fp);
                 std::thread::yield_now();
             }
         });

@@ -9,37 +9,9 @@
 use crate::elimination::{EliminationStats, SolveError};
 use crate::plan::{PlanCache, SolvePlan};
 use crate::workspace::Workspace;
-use orianna_graph::{min_degree_ordering, natural_ordering, FactorGraph, LinearSystem, Ordering};
+use orianna_graph::{min_degree_ordering, FactorGraph, LinearSystem};
 use orianna_math::{Parallelism, Vec64};
 use std::sync::Arc;
-
-/// Which elimination ordering the solver uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum OrderingChoice {
-    /// Insertion (id) order.
-    #[default]
-    Natural,
-    /// Greedy minimum-degree (fill-reducing).
-    MinDegree,
-}
-
-impl OrderingChoice {
-    /// Stable tag used to key [`PlanCache`] entries per ordering.
-    pub fn cache_tag(self) -> u8 {
-        match self {
-            OrderingChoice::Natural => 0,
-            OrderingChoice::MinDegree => 1,
-        }
-    }
-
-    /// Resolves the ordering for a graph.
-    pub fn resolve(self, graph: &FactorGraph) -> Ordering {
-        match self {
-            OrderingChoice::Natural => natural_ordering(graph),
-            OrderingChoice::MinDegree => min_degree_ordering(graph),
-        }
-    }
-}
 
 /// Settings of the Gauss-Newton driver.
 #[derive(Debug, Clone, Copy)]
@@ -50,8 +22,6 @@ pub struct GaussNewtonSettings {
     pub abs_tol: f64,
     /// Converged when the relative error improvement falls below this.
     pub rel_tol: f64,
-    /// Elimination ordering.
-    pub ordering: OrderingChoice,
     /// Maximum step-halvings per iteration before accepting the step
     /// anyway (0 disables the line search).
     pub max_step_halvings: usize,
@@ -67,7 +37,6 @@ impl Default for GaussNewtonSettings {
             max_iterations: 50,
             abs_tol: 1e-12,
             rel_tol: 1e-10,
-            ordering: OrderingChoice::Natural,
             max_step_halvings: 8,
             parallelism: Parallelism::default(),
         }
@@ -109,7 +78,10 @@ impl GaussNewton {
     /// The symbolic phase of elimination (ordering adjacency, separator
     /// layouts, arena layout) is computed once on the first iteration as a
     /// [`SolvePlan`] and reused by every later iteration — topology is
-    /// fixed during optimization, only values change.
+    /// fixed during optimization, only values change. The plan eliminates
+    /// in greedy minimum-degree order ([`min_degree_ordering`]); a caller
+    /// that needs another order passes its own plan to
+    /// [`optimize_with_plan`](GaussNewton::optimize_with_plan).
     ///
     /// # Errors
     /// Propagates [`SolveError`] from elimination (unconstrained or
@@ -180,7 +152,7 @@ impl GaussNewton {
         while iterations < s.max_iterations && !converged {
             iterations += 1;
             graph.linearize_into(&s.parallelism, &mut sys);
-            let delta = source.solve(&sys, graph, s.ordering, &s.parallelism)?;
+            let delta = source.solve(&sys, graph, &s.parallelism)?;
 
             // Step-halving line search. Trial steps only move the
             // estimates, so each candidate is scored by re-evaluating the
@@ -196,7 +168,12 @@ impl GaussNewton {
                     best = Some((e, step));
                     break;
                 }
-                if best.as_ref().is_none_or(|(be, _)| e < *be) {
+                // A NaN candidate never displaces a finite one, and any
+                // non-NaN candidate displaces a NaN.
+                if best
+                    .as_ref()
+                    .is_none_or(|(be, _)| e < *be || (be.is_nan() && !e.is_nan()))
+                {
                     best = Some((e, step));
                 }
                 scale *= 0.5;
@@ -216,7 +193,7 @@ impl GaussNewton {
             initial_error,
             final_error: error,
             converged,
-            last_stats: source.finish(s.ordering),
+            last_stats: source.finish(),
         })
     }
 }
@@ -241,18 +218,16 @@ impl PlanSource<'_> {
         &mut self,
         sys: &LinearSystem,
         graph: &FactorGraph,
-        ordering: OrderingChoice,
         par: &Parallelism,
     ) -> Result<&Vec64, SolveError> {
         let (plan, ws) = match self {
             Self::Held(plan, ws) => (&**plan, &mut **ws),
             Self::Cache { cache, checkout } => {
                 if checkout.is_none() {
-                    let tag = ordering.cache_tag();
-                    let plan = cache.get_or_build(sys.structure_fingerprint(), tag, || {
-                        SolvePlan::for_system(sys, ordering.resolve(graph).as_slice())
+                    let plan = cache.get_or_build(sys.structure_fingerprint(), || {
+                        SolvePlan::for_system(sys, min_degree_ordering(graph).as_slice())
                     })?;
-                    let ws = cache.checkout_workspace(&plan, tag);
+                    let ws = cache.checkout_workspace(&plan);
                     *checkout = Some((plan, ws));
                 }
                 let (plan, ws) = checkout.as_mut().expect("checked out above");
@@ -265,7 +240,7 @@ impl PlanSource<'_> {
     /// Ends a successful run: returns the stats of the workspace's last
     /// solve and parks a checked-out workspace for the next solve over
     /// this topology.
-    pub(crate) fn finish(self, ordering: OrderingChoice) -> EliminationStats {
+    pub(crate) fn finish(self) -> EliminationStats {
         let steps = match self {
             Self::Held(_, ws) => ws.stats().to_vec(),
             Self::Cache {
@@ -273,7 +248,7 @@ impl PlanSource<'_> {
                 checkout: Some((plan, ws)),
             } => {
                 let steps = ws.stats().to_vec();
-                cache.store_workspace(plan.fingerprint(), ordering.cache_tag(), ws);
+                cache.store_workspace(plan.fingerprint(), ws);
                 steps
             }
             Self::Cache { checkout: None, .. } => Vec::new(),
@@ -286,7 +261,8 @@ impl PlanSource<'_> {
 mod tests {
     use super::*;
     use orianna_graph::{
-        BetweenFactor, CameraFactor, CameraModel, FactorGraph, GpsFactor, PriorFactor,
+        natural_ordering, BetweenFactor, CameraFactor, CameraModel, FactorGraph, GpsFactor,
+        PriorFactor,
     };
     use orianna_lie::{Pose2, Pose3};
 
@@ -451,7 +427,7 @@ mod tests {
 
         let (mut via_plan, _) = build();
         let sys = via_plan.linearize();
-        let plan = SolvePlan::for_system(&sys, natural_ordering(&via_plan).as_slice()).unwrap();
+        let plan = SolvePlan::for_system(&sys, min_degree_ordering(&via_plan).as_slice()).unwrap();
         let mut ws = plan.workspace();
         let r2 = serial
             .optimize_with_plan(&mut via_plan, &plan, &mut ws)
@@ -470,6 +446,9 @@ mod tests {
 
     #[test]
     fn min_degree_reaches_same_solution() {
+        // `optimize` eliminates in min-degree order; a natural-order plan
+        // through `optimize_with_plan` must reach the same optimum. The
+        // loop closure makes the two orders differ.
         let build = || {
             let mut g = FactorGraph::new();
             let ids: Vec<_> = (0..5)
@@ -484,21 +463,65 @@ mod tests {
                     0.1,
                 ));
             }
+            g.add_factor(BetweenFactor::pose2(
+                ids[1],
+                ids[3],
+                Pose2::new(0.0, 2.0, 0.0),
+                0.3,
+            ));
             (g, ids)
         };
         let (mut g1, ids1) = build();
         let (mut g2, _) = build();
+        assert_ne!(
+            min_degree_ordering(&g2).as_slice(),
+            natural_ordering(&g2).as_slice()
+        );
         GaussNewton::default().optimize(&mut g1).unwrap();
-        GaussNewton::new(GaussNewtonSettings {
-            ordering: OrderingChoice::MinDegree,
-            ..Default::default()
-        })
-        .optimize(&mut g2)
-        .unwrap();
+        let plan = SolvePlan::for_graph(&g2, natural_ordering(&g2).as_slice()).unwrap();
+        let mut ws = plan.workspace();
+        GaussNewton::default()
+            .optimize_with_plan(&mut g2, &plan, &mut ws)
+            .unwrap();
         for id in ids1 {
             let p1 = g1.values().get(id).as_pose2();
             let p2 = g2.values().get(id).as_pose2();
             assert!(p1.translation_distance(p2) < 1e-8);
         }
+    }
+
+    #[test]
+    fn nan_full_step_never_beats_a_finite_halving() {
+        // Downhill at the start (r = 1 + x), finite but uphill on the half
+        // step, NaN on the full step: every candidate fails to improve, and
+        // the finite one must be kept.
+        let mut g = FactorGraph::new();
+        let x = g.add_vector(Vec64::from_slice(&[0.0]));
+        g.add_factor(orianna_graph::CustomFactor::new(
+            vec![x],
+            1,
+            1.0,
+            |vals, keys| {
+                let v = vals.get(keys[0]).as_vector()[0];
+                let r = if v > -0.25 {
+                    1.0 + v
+                } else if v > -0.75 {
+                    -4.0 * v
+                } else {
+                    f64::NAN
+                };
+                Vec64::from_slice(&[r])
+            },
+        ));
+        let report = GaussNewton::new(GaussNewtonSettings {
+            max_iterations: 1,
+            max_step_halvings: 1,
+            ..Default::default()
+        })
+        .optimize(&mut g)
+        .unwrap();
+        assert!(report.final_error.is_finite(), "{report:?}");
+        assert!(report.final_error > report.initial_error, "{report:?}");
+        assert!(g.values().get(x).as_vector()[0].is_finite());
     }
 }

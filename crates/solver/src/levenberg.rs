@@ -11,10 +11,10 @@
 //! diagonal blocks).
 
 use crate::elimination::SolveError;
-use crate::gauss_newton::{OrderingChoice, PlanSource};
+use crate::gauss_newton::PlanSource;
 use crate::plan::{PlanCache, SolvePlan};
 use crate::workspace::Workspace;
-use orianna_graph::{FactorGraph, LinearFactor, LinearSystem};
+use orianna_graph::{min_degree_ordering, FactorGraph, LinearFactor, LinearSystem};
 use orianna_math::{Mat, Parallelism, Vec64};
 
 /// Settings of the Levenberg-Marquardt driver.
@@ -34,8 +34,6 @@ pub struct LevenbergMarquardtSettings {
     pub abs_tol: f64,
     /// Converged when the relative improvement falls below this.
     pub rel_tol: f64,
-    /// Elimination ordering — the same choice Gauss-Newton offers.
-    pub ordering: OrderingChoice,
     /// Worker threads for linearization and elimination (see
     /// [`GaussNewtonSettings::parallelism`](crate::GaussNewtonSettings)).
     pub parallelism: Parallelism,
@@ -51,7 +49,6 @@ impl Default for LevenbergMarquardtSettings {
             max_lambda: 1e10,
             abs_tol: 1e-12,
             rel_tol: 1e-10,
-            ordering: OrderingChoice::Natural,
             parallelism: Parallelism::default(),
         }
     }
@@ -123,7 +120,8 @@ impl LevenbergMarquardt {
     }
 
     /// Builds the [`SolvePlan`] for the *damped* system of `graph` at the
-    /// current linearization point.
+    /// current linearization point, in the greedy minimum-degree order
+    /// that [`optimize`](LevenbergMarquardt::optimize) eliminates in.
     ///
     /// λ only scales the values of the appended `√λ·I` rows, never their
     /// sparsity, so one plan serves every iteration of every
@@ -142,8 +140,7 @@ impl LevenbergMarquardt {
         };
         graph.linearize_into(&s.parallelism, &mut sys);
         append_damping(&mut sys, s.initial_lambda);
-        let ordering = s.ordering.resolve(graph);
-        SolvePlan::for_system(&sys, ordering.as_slice())
+        SolvePlan::for_system(&sys, min_degree_ordering(graph).as_slice())
     }
 
     /// [`optimize`](LevenbergMarquardt::optimize) against an externally
@@ -191,7 +188,7 @@ impl LevenbergMarquardt {
             iterations += 1;
             graph.linearize_into(&s.parallelism, &mut sys);
             append_damping(&mut sys, lambda);
-            let delta = source.solve(&sys, graph, s.ordering, &s.parallelism)?;
+            let delta = source.solve(&sys, graph, &s.parallelism)?;
             let candidate = graph.values().retract_all(delta);
             let new_error = graph.total_error_with(&candidate);
             if new_error < error {
@@ -233,7 +230,9 @@ fn append_damping(sys: &mut LinearSystem, lambda: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orianna_graph::{BetweenFactor, CollisionFactor, PriorFactor, VectorPriorFactor};
+    use orianna_graph::{
+        natural_ordering, BetweenFactor, CollisionFactor, PriorFactor, VectorPriorFactor,
+    };
     use orianna_lie::Pose2;
 
     #[test]
@@ -296,9 +295,9 @@ mod tests {
 
     #[test]
     fn min_degree_ordering_matches_gauss_newton() {
-        // Regression: LevenbergMarquardtSettings used to ignore the
-        // ordering choice (always natural). A loopy graph where min-degree
-        // actually reorders must reach the GN optimum.
+        // `optimize` eliminates in min-degree order. On a loopy graph where
+        // that differs from natural order, it must reach the optimum of a
+        // natural-order damped plan and of Gauss-Newton.
         let build = || {
             let mut g = FactorGraph::new();
             let ids: Vec<_> = (0..6)
@@ -321,20 +320,30 @@ mod tests {
             ));
             (g, ids)
         };
+        let lm = LevenbergMarquardt::default();
         let (mut g_lm, ids) = build();
+        let (mut g_natural, _) = build();
         let (mut g_gn, _) = build();
-        let report = LevenbergMarquardt::new(LevenbergMarquardtSettings {
-            ordering: OrderingChoice::MinDegree,
-            ..Default::default()
-        })
-        .optimize(&mut g_lm)
-        .unwrap();
+        assert_ne!(
+            min_degree_ordering(&g_lm).as_slice(),
+            natural_ordering(&g_lm).as_slice()
+        );
+        let report = lm.optimize(&mut g_lm).unwrap();
         assert!(report.converged);
+
+        let mut sys = g_natural.linearize();
+        append_damping(&mut sys, lm.settings.initial_lambda);
+        let plan = SolvePlan::for_system(&sys, natural_ordering(&g_natural).as_slice()).unwrap();
+        let mut ws = plan.workspace();
+        lm.optimize_with_plan(&mut g_natural, &plan, &mut ws)
+            .unwrap();
         crate::GaussNewton::default().optimize(&mut g_gn).unwrap();
         for id in ids {
             let a = g_lm.values().get(id).as_pose2();
-            let b = g_gn.values().get(id).as_pose2();
-            assert!(a.translation_distance(b) < 1e-6);
+            for other in [&g_natural, &g_gn] {
+                let b = other.values().get(id).as_pose2();
+                assert!(a.translation_distance(b) < 1e-6);
+            }
         }
     }
 
@@ -365,10 +374,7 @@ mod tests {
             ));
             (g, ids)
         };
-        let lm = LevenbergMarquardt::new(LevenbergMarquardtSettings {
-            ordering: OrderingChoice::MinDegree,
-            ..Default::default()
-        });
+        let lm = LevenbergMarquardt::default();
 
         let (mut plain, ids) = build();
         let r1 = lm.optimize(&mut plain).unwrap();

@@ -47,7 +47,7 @@ pub mod plan;
 pub mod workspace;
 
 pub use elimination::{eliminate, BayesNet, Conditional, EliminationStats, SolveError};
-pub use gauss_newton::{GaussNewton, GaussNewtonReport, GaussNewtonSettings, OrderingChoice};
+pub use gauss_newton::{GaussNewton, GaussNewtonReport, GaussNewtonSettings};
 pub use incremental::IncrementalSolver;
 pub use levenberg::{LevenbergMarquardt, LevenbergMarquardtReport, LevenbergMarquardtSettings};
 pub use orianna_math::Parallelism;

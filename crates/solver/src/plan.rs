@@ -512,18 +512,20 @@ impl SolvePlan {
 ///
 /// Repeated-solve harnesses (the mission evaluation runs 30 randomized
 /// trials per application — same topology, different noise) build the plan
-/// on the first solve and reuse it for every later one. Keys are
-/// `(structure fingerprint, ordering tag)`, so graphs whose topology
-/// changes simply miss and build fresh plans.
+/// on the first solve and reuse it for every later one. Keys are structure
+/// fingerprints, so graphs whose topology changes simply miss and build
+/// fresh plans. A cache holds one plan per topology, so callers sharing a
+/// cache must build with the same ordering; the optimizers all use
+/// min-degree.
 #[derive(Debug, Clone)]
 pub struct PlanCache {
-    plans: HashMap<(u64, u8), Arc<SolvePlan>>,
+    plans: HashMap<u64, Arc<SolvePlan>>,
     /// Parked workspace pools, keyed like the plans they belong to.
     /// Solvers take one before iterating and store it back afterwards, so
     /// repeated solves over the same topology reuse the arena allocation;
     /// concurrent same-topology solves (a server batch) check out several
     /// at once, one per in-flight request.
-    workspaces: HashMap<(u64, u8), Vec<Workspace>>,
+    workspaces: HashMap<u64, Vec<Workspace>>,
     /// Parked workspaces kept per key; parking beyond the cap drops the
     /// arena (counted in `workspace_evictions`).
     workspace_cap: usize,
@@ -555,31 +557,28 @@ impl PlanCache {
         Self::default()
     }
 
-    /// Returns the cached plan for `(fingerprint, tag)` or builds, stores,
-    /// and returns a new one. `tag` disambiguates plans over the same
-    /// structure with different orderings (e.g. natural vs. min-degree).
+    /// Returns the cached plan for `fingerprint` or builds, stores, and
+    /// returns a new one.
     ///
     /// # Errors
     /// Propagates plan-construction errors; nothing is cached on failure.
     pub fn get_or_build(
         &mut self,
         fingerprint: u64,
-        tag: u8,
         build: impl FnOnce() -> Result<SolvePlan, SolveError>,
     ) -> Result<Arc<SolvePlan>, SolveError> {
-        if let Some(plan) = self.plans.get(&(fingerprint, tag)) {
+        if let Some(plan) = self.plans.get(&fingerprint) {
             self.hits += 1;
             return Ok(Arc::clone(plan));
         }
         self.misses += 1;
         let plan = Arc::new(build()?);
         debug_assert_eq!(plan.fingerprint(), fingerprint);
-        self.plans.insert((fingerprint, tag), Arc::clone(&plan));
+        self.plans.insert(fingerprint, Arc::clone(&plan));
         Ok(plan)
     }
 
-    /// Bounds how many workspaces may sit parked per `(fingerprint, tag)`
-    /// key; parking beyond the cap drops the arena instead (counted by
+    /// Bounds how many workspaces may sit parked per fingerprint; parking beyond the cap drops the arena instead (counted by
     /// [`PlanCache::workspace_evictions`]). Defaults to unbounded — the
     /// single-caller solvers park at most one — while pooled multi-tenant
     /// callers set a small cap so one hot topology cannot hoard memory.
@@ -589,14 +588,11 @@ impl PlanCache {
         // outstanding checkouts may still come home first.
     }
 
-    /// Takes a parked workspace for `(fingerprint, tag)`, if any. The
+    /// Takes a parked workspace for `fingerprint`, if any. The
     /// caller owns it for the duration of a solve and should park it back
     /// with [`PlanCache::store_workspace`].
-    pub fn take_workspace(&mut self, fingerprint: u64, tag: u8) -> Option<Workspace> {
-        let ws = self
-            .workspaces
-            .get_mut(&(fingerprint, tag))
-            .and_then(Vec::pop);
+    pub fn take_workspace(&mut self, fingerprint: u64) -> Option<Workspace> {
+        let ws = self.workspaces.get_mut(&fingerprint).and_then(Vec::pop);
         if ws.is_some() {
             self.workspace_reuses += 1;
         }
@@ -608,20 +604,19 @@ impl PlanCache {
     /// [`PlanCache::workspace_builds`]). The exclusive return value is the
     /// double-checkout guarantee — a parked arena is *moved* to exactly
     /// one caller and cannot be handed out again until parked back.
-    pub fn checkout_workspace(&mut self, plan: &SolvePlan, tag: u8) -> Workspace {
-        self.take_workspace(plan.fingerprint(), tag)
-            .unwrap_or_else(|| {
-                self.workspace_builds += 1;
-                plan.workspace()
-            })
+    pub fn checkout_workspace(&mut self, plan: &SolvePlan) -> Workspace {
+        self.take_workspace(plan.fingerprint()).unwrap_or_else(|| {
+            self.workspace_builds += 1;
+            plan.workspace()
+        })
     }
 
     /// Parks a workspace for reuse by the next solve over the same
     /// structure. A pool already at the workspace cap drops the arena
     /// instead and counts an eviction.
-    pub fn store_workspace(&mut self, fingerprint: u64, tag: u8, ws: Workspace) {
+    pub fn store_workspace(&mut self, fingerprint: u64, ws: Workspace) {
         debug_assert_eq!(ws.fingerprint(), fingerprint);
-        let pool = self.workspaces.entry((fingerprint, tag)).or_default();
+        let pool = self.workspaces.entry(fingerprint).or_default();
         if pool.len() < self.workspace_cap {
             pool.push(ws);
         } else {
@@ -629,14 +624,14 @@ impl PlanCache {
         }
     }
 
-    /// Drops the plan and every parked workspace of `(fingerprint, tag)`.
+    /// Drops the plan and every parked workspace of `fingerprint`.
     /// Returns whether a plan was actually cached. Outstanding
     /// checkouts are unaffected — parking them back later simply
     /// repopulates the pool for a rebuilt plan of the same structure.
-    pub fn invalidate(&mut self, fingerprint: u64, tag: u8) -> bool {
-        let dropped = self.workspaces.remove(&(fingerprint, tag));
+    pub fn invalidate(&mut self, fingerprint: u64) -> bool {
+        let dropped = self.workspaces.remove(&fingerprint);
         self.workspace_evictions += dropped.map_or(0, |pool| pool.len());
-        self.plans.remove(&(fingerprint, tag)).is_some()
+        self.plans.remove(&fingerprint).is_some()
     }
 
     /// Plans served from the cache.
@@ -809,7 +804,7 @@ mod tests {
         for g in [&g1, &g2] {
             let ordering = natural_ordering(g);
             cache
-                .get_or_build(g.structure_fingerprint(), 0, || {
+                .get_or_build(g.structure_fingerprint(), || {
                     SolvePlan::for_graph(g, ordering.as_slice())
                 })
                 .unwrap();
@@ -904,14 +899,14 @@ mod tests {
         let ordering = natural_ordering(&g);
         let mut cache = PlanCache::new();
         let plan = cache
-            .get_or_build(fp, 0, || SolvePlan::for_graph(&g, ordering.as_slice()))
+            .get_or_build(fp, || SolvePlan::for_graph(&g, ordering.as_slice()))
             .unwrap();
-        assert!(cache.take_workspace(fp, 0).is_none());
+        assert!(cache.take_workspace(fp).is_none());
         let ws = plan.workspace();
-        cache.store_workspace(fp, 0, ws);
-        let ws = cache.take_workspace(fp, 0).expect("parked workspace");
+        cache.store_workspace(fp, ws);
+        let ws = cache.take_workspace(fp).expect("parked workspace");
         assert_eq!(ws.fingerprint(), fp);
-        assert!(cache.take_workspace(fp, 0).is_none());
+        assert!(cache.take_workspace(fp).is_none());
     }
 
     #[test]
@@ -921,35 +916,35 @@ mod tests {
         let ordering = natural_ordering(&g);
         let mut cache = PlanCache::new();
         let plan = cache
-            .get_or_build(fp, 0, || SolvePlan::for_graph(&g, ordering.as_slice()))
+            .get_or_build(fp, || SolvePlan::for_graph(&g, ordering.as_slice()))
             .unwrap();
 
         // First two checkouts allocate; distinct allocations get distinct ids.
-        let a = cache.checkout_workspace(&plan, 0);
-        let b = cache.checkout_workspace(&plan, 0);
+        let a = cache.checkout_workspace(&plan);
+        let b = cache.checkout_workspace(&plan);
         assert_ne!(a.id(), b.id());
         assert_eq!(cache.workspace_builds(), 2);
         assert_eq!(cache.workspace_reuses(), 0);
 
         // Parked arenas come back (LIFO), counted as reuses.
-        cache.store_workspace(fp, 0, a);
-        cache.store_workspace(fp, 0, b);
+        cache.store_workspace(fp, a);
+        cache.store_workspace(fp, b);
         assert_eq!(cache.parked_workspaces(), 2);
-        let b2 = cache.checkout_workspace(&plan, 0);
-        let a2 = cache.checkout_workspace(&plan, 0);
+        let b2 = cache.checkout_workspace(&plan);
+        let a2 = cache.checkout_workspace(&plan);
         assert_eq!(cache.workspace_reuses(), 2);
         assert_eq!(cache.workspace_builds(), 2, "no fresh allocations");
 
         // A cap of one evicts the second park.
         cache.set_workspace_cap(1);
-        cache.store_workspace(fp, 0, a2);
-        cache.store_workspace(fp, 0, b2);
+        cache.store_workspace(fp, a2);
+        cache.store_workspace(fp, b2);
         assert_eq!(cache.parked_workspaces(), 1);
         assert_eq!(cache.workspace_evictions(), 1);
 
         // Invalidation drops the plan and the parked pool.
-        assert!(cache.invalidate(fp, 0));
-        assert!(!cache.invalidate(fp, 0), "second invalidate is a no-op");
+        assert!(cache.invalidate(fp));
+        assert!(!cache.invalidate(fp), "second invalidate is a no-op");
         assert_eq!(cache.parked_workspaces(), 0);
         assert_eq!(cache.workspace_evictions(), 2);
         assert!(cache.is_empty());

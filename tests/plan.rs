@@ -87,14 +87,14 @@ fn one_plan_serves_every_parallelism_setting_on_every_app() {
 #[test]
 fn plan_cache_amortizes_symbolic_work_across_apps() {
     // Two passes over the same applications: the second pass must be all
-    // cache hits — same topology, same ordering tag, same fingerprint.
+    // cache hits — same topology, same fingerprint.
     let mut cache = PlanCache::new();
     for pass in 0..2 {
         for app in all_apps(42) {
             for algo in &app.algorithms {
                 let sys = algo.graph.linearize();
                 let plan = cache
-                    .get_or_build(sys.structure_fingerprint(), 0, || {
+                    .get_or_build(sys.structure_fingerprint(), || {
                         SolvePlan::for_system(&sys, natural_ordering(&algo.graph).as_slice())
                     })
                     .unwrap();
