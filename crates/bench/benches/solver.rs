@@ -8,7 +8,7 @@ use orianna_graph::{
     min_degree_ordering, natural_ordering, BetweenFactor, FactorGraph, PriorFactor,
 };
 use orianna_lie::Pose2;
-use orianna_math::{par::available_threads, Parallelism};
+use orianna_math::Parallelism;
 use orianna_solver::{eliminate, GaussNewton, GaussNewtonSettings, SolvePlan};
 
 fn chain(n: usize) -> FactorGraph {
@@ -135,40 +135,6 @@ fn bench_incremental_vs_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Linearize + arena solve ([`SolvePlan::solve_in_with`]) on the largest
-/// benchmark algorithm (by factor count) across all applications, at 1,
-/// 2, 4 and all-core thread counts. One plan and one workspace serve
-/// every iteration; results are bitwise identical at every width, so the
-/// rows differ only in time. Report speedup as 1-thread time over
-/// n-thread time.
-fn bench_parallel_speedup(c: &mut Criterion) {
-    let apps = all_apps(2024);
-    let algo = apps
-        .iter()
-        .flat_map(|a| a.algorithms.iter())
-        .max_by_key(|a| a.graph.num_factors())
-        .expect("benchmark apps are non-empty");
-    let ordering = natural_ordering(&algo.graph);
-    let plan = SolvePlan::for_graph(&algo.graph, ordering.as_slice()).unwrap();
-    let mut ws = plan.workspace();
-
-    let mut group = c.benchmark_group("parallel_linearize_eliminate");
-    group.sample_size(10);
-    let mut widths = vec![1usize, 2, 4, available_threads()];
-    widths.sort_unstable();
-    widths.dedup();
-    for threads in widths {
-        let par = Parallelism::with_threads(threads);
-        group.bench_function(BenchmarkId::new("arena", threads), |b| {
-            b.iter(|| {
-                let sys = algo.graph.linearize_with(&par);
-                plan.solve_in_with(&sys, &mut ws, &par).unwrap().len()
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Batched simulation throughput: all compiled benchmark streams
 /// simulated one-by-one vs through `simulate_batch`. Near-linear scaling
 /// up to 4 workloads is expected on a ≥ 4-core host.
@@ -249,7 +215,6 @@ criterion_group!(
     bench_linearize,
     bench_app_gauss_newton,
     bench_incremental_vs_batch,
-    bench_parallel_speedup,
     bench_simulate_batch,
     bench_plan_reuse
 );

@@ -252,8 +252,7 @@ fn to_json(mode: &str, reps: usize, results: &Results, speedups: &[(String, f64)
 
 /// Solver baselines: one Gauss-Newton solve iteration (eliminate +
 /// back-substitute) per benchmark application, on the reference path, the
-/// planned path, the serial arena path, and the level-scheduled parallel
-/// arena at 2 and 4 cost-gated threads.
+/// planned path, and the arena path.
 fn bench_solver(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)>) {
     let mut results = Results::new(reps, filter);
     let mut speedups = Vec::new();
@@ -273,57 +272,10 @@ fn bench_solver(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f
             std::hint::black_box(bn.back_substitute().unwrap());
         });
 
-        // The arena rows are compared against each other, so they are
-        // measured interleaved; a requested width whose cost-gated
-        // configuration collapses to an already-recorded one (e.g. every
-        // width on a single-core host) runs identical code — the arena
-        // path is bitwise identical at any thread count — and shares
-        // that row's measurement via `Results::alias`.
         let mut ws = plan.workspace();
-        let mut arena_family: Vec<(String, Box<dyn FnMut() + '_>)> = vec![(
-            format!("solve/arena/{name}"),
-            Box::new({
-                let plan = &plan;
-                let sys = &sys;
-                move || {
-                    std::hint::black_box(plan.solve_in(sys, &mut ws).unwrap().len());
-                }
-            }),
-        )];
-        let mut aliases: Vec<(String, String)> = Vec::new();
-        let mut canonical: Vec<(Parallelism, String)> =
-            vec![(Parallelism::serial(), format!("solve/arena/{name}"))];
-        for threads in [2usize, 4] {
-            let row = format!("solve/arena_parallel{threads}/{name}");
-            let par = Parallelism::auto_with_threads(threads);
-            // A gated-but-serial config executes the same code as the
-            // serial arena row (solve_in_with delegates), so it aliases.
-            let key = if par.is_parallel() {
-                par
-            } else {
-                Parallelism::serial()
-            };
-            if let Some((_, canon)) = canonical.iter().find(|(c, _)| *c == key) {
-                aliases.push((row, canon.clone()));
-            } else {
-                canonical.push((key, row.clone()));
-                let mut wsp = plan.workspace();
-                let plan = &plan;
-                let sys = &sys;
-                arena_family.push((
-                    row,
-                    Box::new(move || {
-                        std::hint::black_box(
-                            plan.solve_in_with(sys, &mut wsp, &par).unwrap().len(),
-                        );
-                    }),
-                ));
-            }
-        }
-        results.record_interleaved(arena_family, 3);
-        for (alias, canon) in aliases {
-            results.alias(&alias, &canon);
-        }
+        results.record(&format!("solve/arena/{name}"), 3, || {
+            std::hint::black_box(plan.solve_in(&sys, &mut ws).unwrap().len());
+        });
 
         if let (Some(planless), Some(arena)) = (
             results.get_opt(&format!("solve/planless/{name}")),
@@ -333,14 +285,6 @@ fn bench_solver(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f
                 format!("arena_vs_planless/{name}"),
                 planless as f64 / arena as f64,
             ));
-        }
-        for threads in [2usize, 4] {
-            if let Some(ratio) = results.paired_speedup(
-                &format!("solve/arena/{name}"),
-                &format!("solve/arena_parallel{threads}/{name}"),
-            ) {
-                speedups.push((format!("arena_parallel{threads}_vs_arena/{name}"), ratio));
-            }
         }
     }
     bench_incremental(&mut results, &mut speedups);

@@ -5,7 +5,6 @@ use crate::linear::{LinearFactor, LinearSystem};
 use crate::values::Values;
 use crate::variable::{VarId, Variable};
 use orianna_lie::{Pose2, Pose3};
-use orianna_math::par::{run_tasks, Parallelism};
 use orianna_math::Vec64;
 use std::sync::Arc;
 
@@ -184,92 +183,29 @@ impl FactorGraph {
     /// Linearizes every factor at the current estimates, producing the
     /// block-sparse `A Δ = b` (paper Fig. 4; `b = −e`).
     pub fn linearize(&self) -> LinearSystem {
-        let lin = self
-            .factors
-            .iter()
-            .map(|f| linearize_factor(f.as_ref(), &self.values))
-            .collect();
-        let var_dims = self.values.iter().map(|(_, v)| v.dim()).collect();
-        LinearSystem {
-            factors: lin,
-            var_dims,
-        }
-    }
-
-    /// [`FactorGraph::linearize`] with per-factor parallelism.
-    ///
-    /// Every factor's Jacobian/residual depends only on the (shared,
-    /// read-only) estimates, so factors linearize independently: the
-    /// factor list is split into contiguous chunks, chunks run on worker
-    /// threads, and results merge back in factor order. Because each
-    /// factor runs the exact serial code on the exact same inputs and the
-    /// merge is ordered, the result is **bitwise identical** to
-    /// [`FactorGraph::linearize`] for every thread count (asserted by
-    /// `tests/parallel.rs`).
-    pub fn linearize_with(&self, par: &Parallelism) -> LinearSystem {
         let mut sys = LinearSystem {
             factors: Vec::new(),
             var_dims: Vec::new(),
         };
-        self.linearize_into(par, &mut sys);
+        self.linearize_into(&mut sys);
         sys
     }
 
-    /// [`FactorGraph::linearize_with`] into a caller-owned buffer.
+    /// [`FactorGraph::linearize`] into a caller-owned buffer.
     ///
     /// Iterative solvers re-linearize the same topology every iteration;
     /// reusing the `LinearSystem` spine avoids re-allocating the factor
-    /// and dimension vectors each time. The produced contents are bitwise
-    /// identical to [`FactorGraph::linearize`].
-    pub fn linearize_into(&self, par: &Parallelism, sys: &mut LinearSystem) {
+    /// and dimension vectors each time.
+    pub fn linearize_into(&self, sys: &mut LinearSystem) {
         sys.var_dims.clear();
         sys.var_dims
             .extend(self.values.iter().map(|(_, v)| v.dim()));
         sys.factors.clear();
-        // Linearizing one factor evaluates its residual and a Jacobian
-        // block per key — a few hundred flop-equivalents per residual
-        // dimension once manifold chart maps are counted. The estimate
-        // feeds the auto-mode cost gate (DESIGN §3.2.4); fixed-thread
-        // configurations keep the historic floor of 32 factors.
-        const LINEARIZE_FLOPS_PER_ROW: u64 = 256;
-        const MIN_PARALLEL_FACTORS: usize = 32;
-        let work: u64 = self
-            .factors
-            .iter()
-            .map(|f| f.dim() as u64 * LINEARIZE_FLOPS_PER_ROW)
-            .sum();
-        let par = par.gate(work);
-        if !par.is_parallel() || self.factors.len() < MIN_PARALLEL_FACTORS {
-            sys.factors.extend(
-                self.factors
-                    .iter()
-                    .map(|f| linearize_factor(f.as_ref(), &self.values)),
-            );
-            return;
-        }
-        let values = Arc::new(self.values.clone());
-        let n = self.factors.len();
-        // Over-partition relative to the thread count so uneven factor
-        // costs (camera vs. prior) still balance.
-        let chunk_len = n.div_ceil((par.threads * 4).min(n)).max(1);
-        let tasks: Vec<Box<dyn FnOnce() -> Vec<LinearFactor> + Send>> = self
-            .factors
-            .chunks(chunk_len)
-            .map(|chunk| {
-                let factors: Vec<Arc<dyn Factor>> = chunk.to_vec();
-                let values = Arc::clone(&values);
-                Box::new(move || {
-                    factors
-                        .iter()
-                        .map(|f| linearize_factor(f.as_ref(), &values))
-                        .collect()
-                }) as Box<dyn FnOnce() -> Vec<LinearFactor> + Send>
-            })
-            .collect();
-        sys.factors.reserve(n);
-        for chunk in run_tasks(par.threads, tasks) {
-            sys.factors.extend(chunk);
-        }
+        sys.factors.extend(
+            self.factors
+                .iter()
+                .map(|f| linearize_factor(f.as_ref(), &self.values)),
+        );
     }
 
     /// Hash of the graph's *structure*: variable dimensions plus each
@@ -313,8 +249,7 @@ impl FactorGraph {
     }
 }
 
-/// Linearizes one factor at `values`. Shared by the serial and parallel
-/// paths so both run byte-for-byte the same arithmetic.
+/// Linearizes one factor at `values`.
 fn linearize_factor(f: &dyn Factor, values: &Values) -> LinearFactor {
     let (jacs, err) = f.linearize(values);
     LinearFactor {
@@ -371,37 +306,6 @@ mod tests {
     fn unknown_key_rejected() {
         let mut g = FactorGraph::new();
         g.add_factor(PriorFactor::pose2(VarId(3), Pose2::identity(), 0.1));
-    }
-
-    #[test]
-    fn parallel_linearize_is_bitwise_identical() {
-        // Build a chain long enough to clear the parallel threshold.
-        let mut g = FactorGraph::new();
-        let mut prev = g.add_pose2(Pose2::identity());
-        g.add_factor(PriorFactor::pose2(prev, Pose2::identity(), 0.1));
-        for i in 1..64 {
-            let next = g.add_pose2(Pose2::new(i as f64 * 1.01, 0.02 * i as f64, 0.01));
-            g.add_factor(BetweenFactor::pose2(
-                prev,
-                next,
-                Pose2::new(1.0, 0.0, 0.0),
-                0.1,
-            ));
-            prev = next;
-        }
-        let serial = g.linearize();
-        for threads in [2, 4, 8] {
-            let par = g.linearize_with(&Parallelism::with_threads(threads));
-            assert_eq!(par.factors.len(), serial.factors.len());
-            assert_eq!(par.var_dims, serial.var_dims);
-            for (p, s) in par.factors.iter().zip(&serial.factors) {
-                assert_eq!(p.keys, s.keys);
-                assert_eq!(p.rhs.as_slice(), s.rhs.as_slice(), "rhs bitwise");
-                for (pb, sb) in p.blocks.iter().zip(&s.blocks) {
-                    assert_eq!(pb.as_slice(), sb.as_slice(), "jacobian bitwise");
-                }
-            }
-        }
     }
 
     #[test]

@@ -630,10 +630,8 @@ pub fn simulate_batch(
             .map(|w| simulate(w, config, policy))
             .collect();
     }
-    // `Workload` borrows its programs, so the 'static `run_tasks` pool
-    // cannot run these; `scoped_workers` pulls workload indices from a
-    // shared counter and results are merged by index, never by completion
-    // order.
+    // `scoped_workers` pulls workload indices from a shared counter and
+    // results are merged by index, never by completion order.
     let next = AtomicUsize::new(0);
     let per_worker = scoped_workers(par, workloads.len(), |_| {
         let mut done = Vec::new();

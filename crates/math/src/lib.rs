@@ -16,7 +16,7 @@
 //! * [`macs`] — multiply–accumulate counting, used to reproduce the paper's
 //!   Sec. 4.3 arithmetic-saving claims and to drive baseline cost models,
 //! * [`par`] — the [`Parallelism`] configuration and the shared worker
-//!   pool behind every parallel path in the workspace,
+//!   pool behind request-level fan-out (solves themselves are serial),
 //! * [`scratch`] — per-thread reusable buffers so the hot QR/matmul
 //!   kernels allocate no per-operation temporaries,
 //! * [`simd`] — runtime feature detection for the AVX f64×4 panel

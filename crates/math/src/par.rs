@@ -1,24 +1,20 @@
-//! Shared parallel-execution substrate.
+//! Shared parallel-execution substrate for request-level fan-out.
 //!
-//! Every parallel path in the workspace (per-factor linearization in
-//! `orianna-graph`, level-scheduled arena elimination in `orianna-solver`,
-//! batched simulation in `orianna-hw`) funnels through this module so the
-//! policy lives in one place:
+//! Every solve is serial: one elimination sweep, one back-substitution,
+//! one linearization pass. Parallelism runs only *across* independent
+//! requests — the server's batch fan-out in `orianna-server`, the DSE
+//! sweeps and batched simulation in `orianna-hw` — and all of it funnels
+//! through this module so the policy lives in one place:
 //!
 //! * [`Parallelism`] — the user-facing knob: how many worker threads a
-//!   parallel section may use, and whether the cost model may gate a
-//!   region back to serial ([`Parallelism::auto`]). Defaults to auto mode
-//!   with the machine's available cores; `threads <= 1` selects the serial
-//!   reference path everywhere.
-//! * [`run_tasks`] — executes a deterministic, *ordered* task list on the
-//!   worker pool and returns the results in task order. Determinism is by
-//!   construction: callers decide the task split deterministically, each
-//!   task is a pure function of its owned inputs, and results are merged
-//!   by index — never by completion order — so any thread count produces
-//!   bitwise-identical output.
-//! * [`scoped_workers`] / [`try_scoped_workers`] — the borrow-friendly
-//!   sibling: runs `n` copies of a closure that may capture references to
-//!   caller-owned data, merging outputs by worker id.
+//!   fan-out may use, and whether the cost model may gate a region back
+//!   to serial ([`Parallelism::auto`]). Defaults to auto mode with the
+//!   machine's available cores; `threads <= 1` runs every fan-out inline.
+//! * [`scoped_workers`] / [`try_scoped_workers`] — runs `n` copies of a
+//!   closure that may capture references to caller-owned data, merging
+//!   outputs by worker id. Callers hand out item indices deterministically
+//!   and merge by index — never by completion order — so any thread count
+//!   produces bitwise-identical output.
 //!
 //! Both entry points dispatch onto one lazily-started **persistent pool**
 //! of parked worker threads. A parallel region publishes a type-erased job
@@ -36,20 +32,20 @@ use std::any::Any;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 
-/// How many worker threads a parallel section may use.
+/// How many worker threads a request-level fan-out may use.
 ///
-/// `threads <= 1` disables parallel dispatch entirely: every consumer
-/// falls back to its serial reference implementation. In **auto** mode
-/// (the default) each consumer additionally gates its region through
+/// `threads <= 1` disables parallel dispatch entirely: every fan-out runs
+/// its items inline, in order. In **auto** mode (the default) each
+/// consumer additionally gates its region through
 /// [`Parallelism::effective_threads`] with an estimated amount of work,
 /// so regions too small to amortize dispatch run serially no matter how
 /// many threads are configured. Results are independent of both `threads`
 /// and the gating decision (see the determinism tests in
-/// `tests/parallel.rs`); only wall-clock time changes.
+/// `tests/parallel.rs` and `crates/verify`); only wall-clock time changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     /// Maximum concurrent worker threads (including the calling thread).
@@ -64,8 +60,8 @@ impl Default for Parallelism {
     /// override when set (and a valid positive integer), otherwise all
     /// available cores; either way the count is clamped to the cores the
     /// machine actually has — oversubscribing a small container is a pure
-    /// loss. This is the one thread knob of the workspace: the solver's
-    /// iteration loops and the hardware DSE sweeps both start from
+    /// loss. This is the one thread knob of the workspace: the server's
+    /// batch fan-out and the hardware DSE sweeps both start from
     /// `Parallelism::default()`, so a single environment variable pins
     /// every parallel section at once.
     fn default() -> Self {
@@ -84,8 +80,8 @@ fn parse_threads(raw: &str) -> Option<usize> {
 /// The `ORIANNA_THREADS` override; `None` when unset or malformed.
 ///
 /// The environment is read and parsed **once per process**:
-/// `Parallelism::default()` sits on every solve's hot path (optimizer
-/// construction, DSE sweeps, server sessions), and `std::env::var` takes a
+/// `Parallelism::default()` sits on hot paths (DSE contexts, server
+/// configuration), and `std::env::var` takes a
 /// process-wide lock plus a UTF-8 validation per call. The knob is a
 /// deployment setting, not a runtime one, so later mutations of the
 /// variable are intentionally ignored.
@@ -283,34 +279,19 @@ impl std::error::Error for ParError {}
 /// whose context lives behind `ctx`.
 type RunFn = unsafe fn(ctx: *const (), id: usize);
 
-/// Claim-cursor value of a job with no active region: any id claimed
-/// from it is far beyond every plausible worker count, so a stale pool
-/// worker that wakes up between regions bails without touching the job's
-/// context. Far below `usize::MAX` so stray `fetch_add`s never wrap.
-const IDLE_CURSOR: usize = usize::MAX / 2;
-
 /// Shared state of one parallel region, published to the pool by
 /// reference count. The raw `ctx` pointer targets stack data of the
 /// dispatching caller; it is only dereferenced by workers that claimed an
 /// id `< workers` from `next`, and the caller does not return before
 /// `pending` reaches zero, so every dereference happens while the stack
 /// frame is alive.
-///
-/// `run`/`ctx`/`workers` are atomics so a [`WorkerTeam`] can reuse one
-/// `JobShared` allocation across regions: the caller rewrites them while
-/// the job is idle (`pending == 0`, `next == IDLE_CURSOR`) and then
-/// publishes the region with one release store of `next = 1`. A worker's
-/// acquire claim on `next` therefore orders its reads of `run`/`ctx`/
-/// `workers` after the caller's writes; workers woken through the
-/// injector queue are ordered by the queue mutex as well.
 struct JobShared {
-    /// The region's entry point ([`RunFn`] bits; meaningless while idle).
-    run: AtomicUsize,
-    ctx: AtomicPtr<()>,
+    /// The region's entry point.
+    run: RunFn,
+    ctx: *const (),
     /// Total worker ids of this region (id 0 belongs to the caller).
-    workers: AtomicUsize,
-    /// Claim cursor: the next unclaimed worker id (starts at 1; parked at
-    /// [`IDLE_CURSOR`] between a reusable team's regions).
+    workers: usize,
+    /// Claim cursor: the next unclaimed worker id (starts at 1).
     next: AtomicUsize,
     /// Unfinished worker ids; the caller waits for this to hit zero.
     pending: AtomicUsize,
@@ -328,30 +309,12 @@ unsafe impl Send for JobShared {}
 unsafe impl Sync for JobShared {}
 
 impl JobShared {
-    /// A fresh job with the claim cursor parked: nothing runs until a
-    /// region is published.
-    fn idle() -> Self {
-        Self {
-            run: AtomicUsize::new(0),
-            ctx: AtomicPtr::new(std::ptr::null_mut()),
-            workers: AtomicUsize::new(0),
-            next: AtomicUsize::new(IDLE_CURSOR),
-            pending: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-            done_lock: Mutex::new(()),
-            done_cv: Condvar::new(),
-        }
-    }
-
     /// Claims and runs worker ids until the cursor is exhausted. Shared
     /// by pool workers and (for ids the pool never took) the caller.
     fn service(&self) {
         loop {
-            // Acquire pairs with the release store of `next = 1` that
-            // published the region, ordering the `run`/`ctx`/`workers`
-            // reads below after the caller's writes.
             let id = self.next.fetch_add(1, Ordering::AcqRel);
-            if id >= self.workers.load(Ordering::Acquire) {
+            if id >= self.workers {
                 return;
             }
             self.run_one(id);
@@ -360,9 +323,10 @@ impl JobShared {
 
     /// Runs one claimed worker id under a panic guard and retires it.
     fn run_one(&self, id: usize) {
-        let run: RunFn = unsafe { std::mem::transmute(self.run.load(Ordering::Acquire)) };
-        let ctx: *const () = self.ctx.load(Ordering::Acquire);
-        let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { run(ctx, id) }));
+        // SAFETY: `id` was claimed below `workers`, so the caller that
+        // owns `ctx` is still waiting on `pending` and the frame is alive
+        // (see the struct docs); `run` is the entry point built for it.
+        let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (self.run)(self.ctx, id) }));
         if let Err(payload) = outcome {
             let mut slot = self.panic.lock().expect("panic slot");
             slot.get_or_insert((id, payload));
@@ -512,9 +476,9 @@ where
         slots: slots.as_ptr(),
     };
     let job = Arc::new(JobShared {
-        run: AtomicUsize::new(run_one::<R, F> as RunFn as usize),
-        ctx: AtomicPtr::new((&ctx as *const Ctx<'_, R, F>).cast_mut().cast()),
-        workers: AtomicUsize::new(n),
+        run: run_one::<R, F>,
+        ctx: (&ctx as *const Ctx<'_, R, F>).cast(),
+        workers: n,
         next: AtomicUsize::new(1),
         pending: AtomicUsize::new(n),
         panic: Mutex::new(None),
@@ -547,10 +511,10 @@ where
 /// Runs up to `min(par.threads, workers)` copies of `f` on the persistent
 /// worker pool and returns their outputs in worker-id order.
 ///
-/// This is the borrow-friendly sibling of [`run_tasks`]: the closure may
-/// capture references to caller-owned data (no `'static` bound), which is
-/// what the hardware sweeps need — a worker borrows the decoded workload
-/// and the candidate configurations while owning its per-worker scratch.
+/// The closure may capture references to caller-owned data (no `'static`
+/// bound), which is what the hardware sweeps need — a worker borrows the
+/// decoded workload and the candidate configurations while owning its
+/// per-worker scratch.
 /// Callers distribute work themselves, typically by pulling indices from
 /// a shared `AtomicUsize`, and must merge results by item index (never by
 /// completion order) to stay deterministic.
@@ -573,213 +537,23 @@ where
     }
 }
 
-/// A reusable parallel region: one persistent [`JobShared`] allocation
-/// that dispatches closures onto the shared worker pool with **zero
-/// steady-state heap allocations**.
-///
-/// [`scoped_workers`] allocates a fresh job descriptor and result slots
-/// per region — fine for coarse regions, but the solver's per-level
-/// elimination fan-out sits inside an allocation-free hot loop (the
-/// counting-allocator test in `orianna-solver` pins it). A `WorkerTeam`
-/// amortizes the descriptor: regions after the first reuse the `Arc`, the
-/// injector queue's retained capacity, and the pool's parked threads, so
-/// the only per-region costs are atomics, a queue push, and a wakeup.
-///
-/// Unlike [`scoped_workers`] the closures return nothing: workers
-/// communicate through caller-owned state (disjoint slices indexed by a
-/// claimed item id), which is exactly the deterministic by-index merge
-/// discipline the module docs require.
-///
-/// # Region protocol
-///
-/// `run` publishes a region by rewriting the idle descriptor
-/// (`pending == 0`, cursor parked at [`IDLE_CURSOR`]) and release-storing
-/// `next = 1` as the single "go" signal; the caller executes worker 0,
-/// claims every id the pool does not take, waits for the rest, and parks
-/// the cursor again. A stale pool worker waking up between regions claims
-/// an id `>= workers` from the parked cursor and bails without touching
-/// `ctx`; one waking during a later region joins that region, which is
-/// sound because the claim's acquire pairs with the publish store.
-pub struct WorkerTeam {
-    job: Arc<JobShared>,
-}
-
-impl Default for WorkerTeam {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Cloning yields a *fresh* team: regions are serialized per team via
-/// `&mut self`, so sharing the descriptor across clones would let two
-/// owners overlap regions. A team carries no state worth copying.
-impl Clone for WorkerTeam {
-    fn clone(&self) -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for WorkerTeam {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerTeam").finish_non_exhaustive()
-    }
-}
-
-impl WorkerTeam {
-    /// Creates a team with an idle job descriptor (the one allocation).
-    pub fn new() -> Self {
-        Self {
-            job: Arc::new(JobShared::idle()),
-        }
-    }
-
-    /// Runs `f(id)` for every worker id in `0..min(threads, workers)`,
-    /// worker 0 on the calling thread. Allocation-free after the first
-    /// few regions (pool spawn and injector growth are one-time costs).
-    /// With one effective worker, `f(0)` runs inline — the serial path.
-    ///
-    /// `&mut self` serializes regions per team; a worker panic is
-    /// re-raised on the caller after the region fully retires.
-    pub fn run<F>(&mut self, threads: usize, workers: usize, f: &F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let n = threads.min(workers).max(1);
-        if n == 1 {
-            f(0);
-            return;
-        }
-        unsafe fn run_ref<F: Fn(usize)>(ctx: *const (), id: usize) {
-            let f = unsafe { &*(ctx as *const F) };
-            f(id);
-        }
-        let job = &self.job;
-        debug_assert_eq!(job.pending.load(Ordering::Acquire), 0, "region overlap");
-        // Stage the region while the cursor is parked, then publish it
-        // with the release store of `next = 1` (see JobShared docs).
-        job.run
-            .store(run_ref::<F> as RunFn as usize, Ordering::Relaxed);
-        job.ctx
-            .store((f as *const F).cast_mut().cast(), Ordering::Relaxed);
-        job.workers.store(n, Ordering::Relaxed);
-        job.pending.store(n, Ordering::Relaxed);
-        job.next.store(1, Ordering::Release);
-        dispatch(job, n - 1);
-        job.run_one(0);
-        job.service();
-        job.wait();
-        // Park the cursor before surfacing any panic so the team stays
-        // reusable either way.
-        job.next.store(IDLE_CURSOR, Ordering::Release);
-        // Drop the guard before unwinding — an `if let` on the locked
-        // temporary would hold (and poison) the mutex across the panic.
-        let panicked = job.panic.lock().expect("panic slot").take();
-        if let Some((_, payload)) = panicked {
-            resume_unwind(payload);
-        }
-    }
-}
-
-type Task<R> = Box<dyn FnOnce() -> R + Send + 'static>;
-
-/// Runs `tasks` with up to `threads` concurrent workers and returns their
-/// results **in task order**. With `threads <= 1` (or a single task) the
-/// tasks run inline on the calling thread, in order — the serial
-/// reference. A panicking task is re-raised on the caller after all
-/// remaining tasks complete.
-pub fn run_tasks<R: Send + 'static>(threads: usize, tasks: Vec<Task<R>>) -> Vec<R> {
-    let n = tasks.len();
-    if threads <= 1 || n <= 1 {
-        return tasks.into_iter().map(|t| t()).collect();
-    }
-    let queue: Mutex<VecDeque<(usize, Task<R>)>> =
-        Mutex::new(tasks.into_iter().enumerate().collect());
-    let workers = threads.min(n);
-    let per_worker = scoped_workers(&Parallelism::with_threads(workers), workers, |_| {
-        // Drain the shared queue; a panicking task is caught so the
-        // remaining tasks still complete, mirroring the historic
-        // channel-pool semantics.
-        let mut done: Vec<(usize, thread::Result<R>)> = Vec::new();
-        loop {
-            let next = queue.lock().expect("task queue").pop_front();
-            let Some((idx, task)) = next else { break };
-            done.push((idx, catch_unwind(AssertUnwindSafe(task))));
-        }
-        done
-    });
-
-    let mut slots: Vec<Option<thread::Result<R>>> = (0..n).map(|_| None).collect();
-    for (idx, outcome) in per_worker.into_iter().flatten() {
-        slots[idx] = Some(outcome);
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut panic: Option<Box<dyn Any + Send>> = None;
-    for slot in slots {
-        match slot.expect("every task reports exactly once") {
-            Ok(r) => out.push(r),
-            Err(p) => panic = Some(p),
-        }
-    }
-    if let Some(p) = panic {
-        resume_unwind(p);
-    }
-    out
-}
-
-/// Convenience: maps `items` through `f` in parallel, preserving order.
-/// `f` must be `Sync` (it is shared across workers) and the items are
-/// moved into the tasks.
-pub fn par_map<T, R, F>(par: &Parallelism, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
-{
-    if !par.is_parallel() || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let f = Arc::new(f);
-    let tasks: Vec<Box<dyn FnOnce() -> R + Send>> = items
-        .into_iter()
-        .map(|item| {
-            let f = Arc::clone(&f);
-            Box::new(move || f(item)) as Box<dyn FnOnce() -> R + Send>
-        })
-        .collect();
-    run_tasks(par.threads, tasks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn results_arrive_in_task_order() {
-        for threads in [1, 2, 4, 8] {
-            let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..37usize)
-                .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-                .collect();
-            let out = run_tasks(threads, tasks);
-            assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn tasks_actually_run_on_multiple_threads() {
-        // With enough tasks that block until a sibling joins, at least two
+    fn workers_actually_run_on_multiple_threads() {
+        // With enough items that block until a sibling joins, at least two
         // distinct threads must participate (pool has ≥ 8 workers).
-        let seen = Arc::new(Mutex::new(std::collections::HashSet::new()));
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..16)
-            .map(|_| {
-                let seen = Arc::clone(&seen);
-                Box::new(move || {
-                    seen.lock().unwrap().insert(thread::current().id());
-                    thread::sleep(std::time::Duration::from_millis(2));
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        run_tasks(4, tasks);
+        let next = AtomicUsize::new(0);
+        let seen = Mutex::new(std::collections::HashSet::new());
+        scoped_workers(&Parallelism::with_threads(4), 4, |_| {
+            while next.fetch_add(1, Ordering::Relaxed) < 16 {
+                seen.lock().unwrap().insert(thread::current().id());
+                thread::sleep(std::time::Duration::from_millis(2));
+            }
+        });
         assert!(
             seen.lock().unwrap().len() >= 2,
             "expected cross-thread execution"
@@ -814,48 +588,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn par_map_matches_serial_map() {
-        let items: Vec<u64> = (0..100).collect();
-        let serial = par_map(&Parallelism::serial(), items.clone(), |x| {
-            x.wrapping_mul(31) ^ 7
-        });
-        let parallel = par_map(&Parallelism::with_threads(4), items, |x| {
-            x.wrapping_mul(31) ^ 7
-        });
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn counts_every_task_exactly_once() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..257)
-            .map(|_| {
-                let c = Arc::clone(&counter);
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        run_tasks(8, tasks);
-        assert_eq!(counter.load(Ordering::SeqCst), 257);
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn task_panics_propagate_to_caller() {
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..4)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 2 {
-                        panic!("boom");
-                    }
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        run_tasks(4, tasks);
     }
 
     #[test]
@@ -1028,69 +760,6 @@ mod tests {
         .expect_err("inline worker panicked");
         assert!(err.to_string().contains("worker 0"));
         assert!(err.to_string().contains("inline boom"));
-    }
-
-    #[test]
-    fn worker_team_runs_every_id_across_reused_regions() {
-        let mut team = WorkerTeam::new();
-        for round in 0..5usize {
-            for n in [1usize, 2, 4, 8] {
-                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                team.run(n, n, &|id: usize| {
-                    hits[id].fetch_add(1, Ordering::Relaxed);
-                });
-                for (id, h) in hits.iter().enumerate() {
-                    assert_eq!(
-                        h.load(Ordering::Relaxed),
-                        1,
-                        "round {round} n {n} id {id} ran exactly once"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn worker_team_claim_cursor_merges_by_index() {
-        // The canonical solver usage: workers drain a shared item cursor
-        // and write disjoint slots; every item is taken exactly once.
-        let mut team = WorkerTeam::new();
-        let items = 153usize;
-        for threads in [2usize, 4, 8] {
-            let cursor = AtomicUsize::new(0);
-            let out: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
-            team.run(threads, items, &|_id: usize| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items {
-                    break;
-                }
-                out[i].fetch_add(i * 7 + 1, Ordering::Relaxed);
-            });
-            for (i, o) in out.iter().enumerate() {
-                assert_eq!(o.load(Ordering::Relaxed), i * 7 + 1, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn worker_team_survives_panicking_region() {
-        let mut team = WorkerTeam::new();
-        for round in 0..3 {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                team.run(4, 4, &|id: usize| {
-                    if id == 1 {
-                        panic!("team boom {round}");
-                    }
-                });
-            }));
-            assert!(r.is_err(), "round {round}");
-            // The very next region on the same descriptor must work.
-            let sum = AtomicUsize::new(0);
-            team.run(4, 4, &|id: usize| {
-                sum.fetch_add(id + 1, Ordering::Relaxed);
-            });
-            assert_eq!(sum.load(Ordering::Relaxed), 10);
-        }
     }
 
     #[test]

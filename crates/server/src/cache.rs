@@ -58,22 +58,6 @@ impl ShardedPlanCache {
         &self.shards[(fingerprint % self.shards.len() as u64) as usize]
     }
 
-    /// Returns the plan for `fingerprint`, building and caching it on
-    /// first use.
-    ///
-    /// # Errors
-    /// Propagates plan-construction errors; nothing is cached on failure.
-    pub fn plan(
-        &self,
-        fingerprint: u64,
-        build: impl FnOnce() -> Result<SolvePlan, SolveError>,
-    ) -> Result<Arc<SolvePlan>, SolveError> {
-        self.shard(fingerprint)
-            .lock()
-            .expect("cache shard lock")
-            .get_or_build(fingerprint, build)
-    }
-
     /// Checks out the plan plus `count` exclusive workspaces for one
     /// batch execution — a single lock acquisition on the owning shard.
     /// Parked arenas are reused first; the remainder is freshly
@@ -215,8 +199,8 @@ mod tests {
         let fp = g.structure_fingerprint();
         for shards in [1usize, 2, 7, 16] {
             let cache = ShardedPlanCache::new(shards, 4);
-            let p1 = cache.plan(fp, build_for(&g)).unwrap();
-            let p2 = cache.plan(fp, build_for(&g)).unwrap();
+            let (p1, _) = cache.checkout(fp, 0, build_for(&g)).unwrap();
+            let (p2, _) = cache.checkout(fp, 0, build_for(&g)).unwrap();
             assert!(Arc::ptr_eq(&p1, &p2), "shards={shards}");
             assert_eq!(cache.stats().plan_misses, 1, "shards={shards}");
         }

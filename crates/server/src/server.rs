@@ -469,18 +469,7 @@ fn execute_single(shared: &Shared, req: QueuedRequest) {
     let res = catch_unwind(AssertUnwindSafe(|| match &req.work {
         Work::Direct { session, perturb } => session.solve_direct(*perturb),
         Work::Extend { session, steps } => session.extend(*steps),
-        Work::Planned { session, perturb } => {
-            // Unreached today (planned work takes the batch path), kept as
-            // a correct unbatched fallback.
-            let plan = shared.cache.plan(
-                session
-                    .fingerprint()
-                    .expect("planned work has a fingerprint"),
-                || session.build_plan(),
-            )?;
-            let mut ws = plan.workspace();
-            session.solve_with_plan(&plan, &mut ws, *perturb)
-        }
+        Work::Planned { .. } => unreachable!("planned batches only coalesce planned work"),
     }))
     .unwrap_or(Err(ServerError::Poisoned));
     fulfill(shared, req, res);

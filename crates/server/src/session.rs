@@ -7,11 +7,9 @@
 //! the mutable state — and every solve entry point here is
 //! **deterministic**: batched results are bitwise-identical to
 //! sequential ones at any worker count, shard count, or batch size.
-//! The server gets its coarse parallelism from fanning out *across*
-//! sessions in a batch; *within* one solve it additionally inherits the
-//! level-scheduled parallel arena, which is bitwise-identical to the
-//! serial arena at every thread count (see `orianna_solver::workspace`),
-//! so within-solve threading never weakens the determinism contract.
+//! The server's only parallelism is fanning out *across* sessions in a
+//! batch; every solve itself is one serial arena sweep, so results never
+//! depend on how many threads the fan-out used.
 //!
 //! The sequential oracle ([`crate::oracle`]) replays traffic through
 //! these same methods with a single-threaded cache, so server and

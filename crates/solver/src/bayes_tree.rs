@@ -26,10 +26,8 @@
 use crate::elimination::{eliminate_step, Conditional, SolveError};
 use crate::workspace::{CliqueSlab, SlabPool};
 use orianna_graph::{extract_cliques, LinearFactor, VarId};
-use orianna_math::par::{Parallelism, WorkerTeam};
 use orianna_math::Vec64;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One clique: a run of frontal variables, their packed conditionals,
@@ -306,112 +304,9 @@ impl BayesTree {
         Ok(solved)
     }
 
-    /// [`back_substitute_wildfire`](BayesTree::back_substitute_wildfire)
-    /// with within-solve parallelism: the descent runs as **BFS waves**
-    /// instead of a DFS. Each wave holds cliques whose parents have all
-    /// been solved; its members write disjoint frontal Δ segments and
-    /// disjoint per-variable `changed` flags, so workers process them
-    /// concurrently through the same per-clique kernel as the serial
-    /// path. The next wave is formed serially after the barrier from the
-    /// final `changed` flags, which is exactly the information the DFS
-    /// decision point sees (every ancestor of a candidate child has
-    /// finished before its visit test in either traversal, and the flags
-    /// only ever go `false → true`). The visit set, solve count, and Δ
-    /// are therefore bitwise identical to the serial wildfire at any
-    /// thread count. Each wave is gated by the flop cost model, so small
-    /// updates never pay dispatch overhead.
-    ///
-    /// On a singular conditional the error is deterministic across
-    /// thread counts — the smallest singular frontal id in the failing
-    /// wave — but may name a different variable than the serial DFS
-    /// (which reports its first in traversal order). Δ is unspecified on
-    /// error in both paths.
-    #[allow(clippy::too_many_arguments)] // the serial signature + (par, team)
-    pub fn back_substitute_wildfire_with(
-        &self,
-        delta: &mut Vec64,
-        offsets: &[usize],
-        forced: &[bool],
-        changed_seed: &[VarId],
-        threshold: f64,
-        par: &Parallelism,
-        team: &mut WorkerTeam,
-    ) -> Result<usize, SolveError> {
-        if !par.is_parallel() {
-            return self.back_substitute_wildfire(delta, offsets, forced, changed_seed, threshold);
-        }
-        let mut changed = vec![false; self.clique_of.len()];
-        for &v in changed_seed {
-            changed[v.0] = true;
-        }
-        let mut wave: Vec<usize> = self
-            .roots
-            .iter()
-            .copied()
-            .filter(|&r| forced.get(r).copied().unwrap_or(false))
-            .collect();
-        let mut scratch: Vec<Vec<f64>> = Vec::new();
-        let mut out: Vec<f64> = Vec::new();
-        let mut solved = 0;
-        while !wave.is_empty() {
-            let flops: u64 = wave
-                .iter()
-                .map(|&s| {
-                    self.nodes[s]
-                        .as_ref()
-                        .expect("live clique")
-                        .slab
-                        .solve_flops()
-                })
-                .sum();
-            let n = par.effective_threads(flops).min(wave.len());
-            if n <= 1 {
-                for &slot in &wave {
-                    solved +=
-                        self.solve_clique(slot, delta, offsets, threshold, &mut changed, &mut out)?;
-                }
-            } else {
-                if scratch.len() < n {
-                    scratch.resize_with(n, Vec::new);
-                }
-                let shared = WildfireShared {
-                    tree: self,
-                    delta: delta.as_mut_slice().as_mut_ptr(),
-                    offsets,
-                    threshold,
-                    changed: changed.as_mut_ptr(),
-                    wave: &wave,
-                    cursor: AtomicUsize::new(0),
-                    scratch: scratch.as_mut_ptr(),
-                    solved: AtomicUsize::new(0),
-                    singular: AtomicUsize::new(usize::MAX),
-                };
-                team.run(n, wave.len(), &|id: usize| shared.service(id));
-                let s = shared.singular.load(Ordering::Relaxed);
-                if s != usize::MAX {
-                    return Err(SolveError::SingularVariable(VarId(s)));
-                }
-                solved += shared.solved.load(Ordering::Relaxed);
-            }
-            let mut next = Vec::new();
-            for &slot in &wave {
-                let node = self.nodes[slot].as_ref().expect("live clique");
-                for &ch in &node.children {
-                    let child = self.nodes[ch].as_ref().expect("live child");
-                    let visit = forced.get(ch).copied().unwrap_or(false)
-                        || child.separator.iter().any(|s| changed[s.0]);
-                    if visit {
-                        next.push(ch);
-                    }
-                }
-            }
-            wave = next;
-        }
-        Ok(solved)
-    }
-
-    /// Solves every conditional of one clique against the stacked Δ —
-    /// the shared kernel of both wildfire traversals.
+    /// Solves every conditional of one clique against the stacked Δ,
+    /// flagging the frontals whose segment moved by more than
+    /// `threshold`. Returns the number of conditionals solved.
     fn solve_clique(
         &self,
         slot: usize,
@@ -421,117 +316,28 @@ impl BayesTree {
         changed: &mut [bool],
         out: &mut Vec<f64>,
     ) -> Result<usize, SolveError> {
-        // Safety: the exclusive borrows cover every read and write.
-        unsafe {
-            self.solve_clique_raw(
-                slot,
-                delta.as_mut_slice().as_mut_ptr(),
-                offsets,
-                threshold,
-                changed.as_mut_ptr(),
-                out,
-            )
-        }
-    }
-
-    /// Raw-pointer body of [`solve_clique`](BayesTree::solve_clique).
-    ///
-    /// # Safety
-    /// The caller must guarantee exclusive access to this clique's
-    /// frontal Δ segments and `changed` flags, and that every separator
-    /// (ancestor) Δ segment is fully written and no longer mutated —
-    /// upheld by wave scheduling (each variable is frontal in exactly
-    /// one clique; ancestors complete in earlier waves).
-    unsafe fn solve_clique_raw(
-        &self,
-        slot: usize,
-        delta: *mut f64,
-        offsets: &[usize],
-        threshold: f64,
-        changed: *mut bool,
-        out: &mut Vec<f64>,
-    ) -> Result<usize, SolveError> {
         let node = self.nodes[slot].as_ref().expect("live clique");
         let mut solved = 0;
         for i in (0..node.slab.cond_count()).rev() {
             let v = node.slab.cond_var(i);
-            unsafe {
-                node.slab
-                    .solve_cond_raw(i, delta.cast_const(), offsets, out)
-            }
-            .ok_or(SolveError::SingularVariable(v))?;
+            node.slab
+                .solve_cond(i, delta, offsets, out)
+                .ok_or(SolveError::SingularVariable(v))?;
             let off = offsets[v.0];
             let mut diff = 0.0f64;
-            for (d, &x) in out.iter().enumerate() {
-                let cur = unsafe { delta.add(off + d) };
-                diff = diff.max((x - unsafe { *cur }).abs());
-                unsafe { *cur = x };
+            for (cur, &x) in delta.as_mut_slice()[off..off + out.len()]
+                .iter_mut()
+                .zip(out.iter())
+            {
+                diff = diff.max((x - *cur).abs());
+                *cur = x;
             }
             if diff > threshold {
-                unsafe { *changed.add(v.0) = true };
+                changed[v.0] = true;
             }
             solved += 1;
         }
         Ok(solved)
-    }
-}
-
-/// Shared state of one parallel wildfire wave. Workers claim cliques
-/// from `cursor`; each claimed clique's writes (its frontal Δ segments,
-/// its frontals' `changed` flags) are disjoint from every other clique's,
-/// and its reads (separator Δ) were completed by earlier waves.
-struct WildfireShared<'a> {
-    tree: &'a BayesTree,
-    delta: *mut f64,
-    offsets: &'a [usize],
-    threshold: f64,
-    changed: *mut bool,
-    wave: &'a [usize],
-    cursor: AtomicUsize,
-    scratch: *mut Vec<f64>,
-    solved: AtomicUsize,
-    /// Smallest singular frontal id seen, `usize::MAX` when none.
-    singular: AtomicUsize,
-}
-
-// Safety: all raw pointers target regions whose disjointness is
-// guaranteed by the wave construction (see field docs); `scratch` is
-// indexed by worker id, one slot per worker.
-unsafe impl Send for WildfireShared<'_> {}
-unsafe impl Sync for WildfireShared<'_> {}
-
-impl WildfireShared<'_> {
-    fn service(&self, id: usize) {
-        let out = unsafe { &mut *self.scratch.add(id) };
-        let mut local = 0;
-        loop {
-            if self.singular.load(Ordering::Relaxed) != usize::MAX {
-                break;
-            }
-            let k = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&slot) = self.wave.get(k) else { break };
-            match unsafe {
-                self.tree.solve_clique_raw(
-                    slot,
-                    self.delta,
-                    self.offsets,
-                    self.threshold,
-                    self.changed,
-                    out,
-                )
-            } {
-                Ok(n) => local += n,
-                Err(SolveError::SingularVariable(v)) => {
-                    self.singular.fetch_min(v.0, Ordering::Relaxed);
-                    break;
-                }
-                Err(_) => {
-                    self.singular.fetch_min(0, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-        self.solved.fetch_add(local, Ordering::Relaxed);
     }
 }
 

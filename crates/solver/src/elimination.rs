@@ -37,6 +37,10 @@ pub enum SolveError {
     /// A [`SolvePlan`](crate::plan::SolvePlan) was executed against a
     /// system whose structure differs from the one it was built for.
     PlanMismatch,
+    /// An accepted step's objective was NaN or infinite (e.g. a NaN
+    /// measurement); the optimizer left the estimates at their last
+    /// finite iterate instead of writing the step.
+    NonFinite,
 }
 
 impl std::fmt::Display for SolveError {
@@ -54,6 +58,7 @@ impl std::fmt::Display for SolveError {
             SolveError::PlanMismatch => {
                 write!(f, "solve plan does not match the system's structure")
             }
+            SolveError::NonFinite => write!(f, "the objective became non-finite"),
         }
     }
 }

@@ -9,8 +9,8 @@
 use crate::elimination::{EliminationStats, SolveError};
 use crate::plan::{PlanCache, SolvePlan};
 use crate::workspace::Workspace;
-use orianna_graph::{min_degree_ordering, FactorGraph, LinearSystem};
-use orianna_math::{Parallelism, Vec64};
+use orianna_graph::{min_degree_ordering, FactorGraph, LinearSystem, Values};
+use orianna_math::Vec64;
 use std::sync::Arc;
 
 /// Settings of the Gauss-Newton driver.
@@ -25,10 +25,6 @@ pub struct GaussNewtonSettings {
     /// Maximum step-halvings per iteration before accepting the step
     /// anyway (0 disables the line search).
     pub max_step_halvings: usize,
-    /// Worker threads for linearization and elimination. Defaults to the
-    /// available cores; `Parallelism::serial()` runs both serially.
-    /// Results are bitwise identical at every setting.
-    pub parallelism: Parallelism,
 }
 
 impl Default for GaussNewtonSettings {
@@ -38,7 +34,6 @@ impl Default for GaussNewtonSettings {
             abs_tol: 1e-12,
             rel_tol: 1e-10,
             max_step_halvings: 8,
-            parallelism: Parallelism::default(),
         }
     }
 }
@@ -85,7 +80,9 @@ impl GaussNewton {
     ///
     /// # Errors
     /// Propagates [`SolveError`] from elimination (unconstrained or
-    /// singular variables).
+    /// singular variables). [`SolveError::NonFinite`] when the accepted
+    /// step's objective is NaN or infinite; the graph then keeps its last
+    /// finite iterate.
     pub fn optimize(&self, graph: &mut FactorGraph) -> Result<GaussNewtonReport, SolveError> {
         self.optimize_with_cache(graph, &mut PlanCache::new())
     }
@@ -93,12 +90,10 @@ impl GaussNewton {
     /// [`optimize`](GaussNewton::optimize) against an externally
     /// checked-out plan and workspace — the multi-tenant serving path,
     /// where a sharded cache owns both and hands them to whichever worker
-    /// thread executes the request. Runs the arena path with the
-    /// settings' within-solve parallelism
-    /// ([`SolvePlan::solve_in_with`], bitwise identical to the serial
-    /// arena at any thread count), so the result is bitwise identical to
-    /// [`optimize`](GaussNewton::optimize) with serial settings over the
-    /// same graph no matter how `parallelism` is configured.
+    /// thread executes the request. Runs the same serial arena solve
+    /// ([`SolvePlan::solve_in`]), so the result is bitwise identical to
+    /// [`optimize`](GaussNewton::optimize) over the same graph whenever
+    /// the plan eliminates in the same order.
     ///
     /// # Errors
     /// Propagates [`SolveError`] from elimination; `PlanMismatch` when
@@ -151,21 +146,21 @@ impl GaussNewton {
 
         while iterations < s.max_iterations && !converged {
             iterations += 1;
-            graph.linearize_into(&s.parallelism, &mut sys);
-            let delta = source.solve(&sys, graph, &s.parallelism)?;
+            graph.linearize_into(&mut sys);
+            let delta = source.solve(&sys, graph)?;
 
             // Step-halving line search. Trial steps only move the
             // estimates, so each candidate is scored by re-evaluating the
             // objective at retracted values — the factor storage is never
-            // cloned.
+            // cloned — and the scored values of the accepted candidate
+            // become the new estimates.
             let mut scale = 1.0;
-            let mut best: Option<(f64, Vec64)> = None;
+            let mut best: Option<(f64, Values)> = None;
             for _ in 0..=s.max_step_halvings {
-                let step = delta.scale(scale);
-                let candidate = graph.values().retract_all(&step);
+                let candidate = graph.values().retract_all(&delta.scale(scale));
                 let e = graph.total_error_with(&candidate);
                 if e < error || s.max_step_halvings == 0 {
-                    best = Some((e, step));
+                    best = Some((e, candidate));
                     break;
                 }
                 // A NaN candidate never displaces a finite one, and any
@@ -174,12 +169,15 @@ impl GaussNewton {
                     .as_ref()
                     .is_none_or(|(be, _)| e < *be || (be.is_nan() && !e.is_nan()))
                 {
-                    best = Some((e, step));
+                    best = Some((e, candidate));
                 }
                 scale *= 0.5;
             }
-            let (new_error, step) = best.expect("at least one candidate evaluated");
-            graph.retract_all(&step);
+            let (new_error, candidate) = best.expect("at least one candidate evaluated");
+            if !new_error.is_finite() {
+                return Err(SolveError::NonFinite);
+            }
+            *graph.values_mut() = candidate;
 
             let improvement = (error - new_error).abs() / error.max(1e-300);
             error = new_error;
@@ -218,7 +216,6 @@ impl PlanSource<'_> {
         &mut self,
         sys: &LinearSystem,
         graph: &FactorGraph,
-        par: &Parallelism,
     ) -> Result<&Vec64, SolveError> {
         let (plan, ws) = match self {
             Self::Held(plan, ws) => (&**plan, &mut **ws),
@@ -234,7 +231,7 @@ impl PlanSource<'_> {
                 (&**plan, ws)
             }
         };
-        plan.solve_in_with(sys, ws, par)
+        plan.solve_in(sys, ws)
     }
 
     /// Ends a successful run: returns the stats of the workspace's last
@@ -417,19 +414,16 @@ mod tests {
             g.add_factor(GpsFactor::new(ids[4], &[0.0, 4.0], 0.3));
             (g, ids)
         };
-        let serial = GaussNewton::new(GaussNewtonSettings {
-            parallelism: crate::Parallelism::serial(),
-            ..Default::default()
-        });
+        let gn = GaussNewton::default();
 
         let (mut direct, ids) = build();
-        let r1 = serial.optimize(&mut direct).unwrap();
+        let r1 = gn.optimize(&mut direct).unwrap();
 
         let (mut via_plan, _) = build();
         let sys = via_plan.linearize();
         let plan = SolvePlan::for_system(&sys, min_degree_ordering(&via_plan).as_slice()).unwrap();
         let mut ws = plan.workspace();
-        let r2 = serial
+        let r2 = gn
             .optimize_with_plan(&mut via_plan, &plan, &mut ws)
             .unwrap();
 
@@ -523,5 +517,27 @@ mod tests {
         assert!(report.final_error.is_finite(), "{report:?}");
         assert!(report.final_error > report.initial_error, "{report:?}");
         assert!(g.values().get(x).as_vector()[0].is_finite());
+    }
+
+    #[test]
+    fn non_finite_objective_is_an_error_and_leaves_values_unchanged() {
+        // A NaN measurement makes every candidate's objective NaN; with
+        // the line search off the first candidate is accepted, so GN must
+        // refuse it instead of writing NaN estimates and returning `Ok`.
+        let mut g = FactorGraph::new();
+        let a = g.add_pose2(Pose2::new(0.1, 0.5, -0.25));
+        g.add_factor(PriorFactor::pose2(a, Pose2::new(0.0, f64::NAN, 0.0), 0.1));
+        let before = *g.values().get(a).as_pose2();
+        let err = GaussNewton::new(GaussNewtonSettings {
+            max_step_halvings: 0,
+            ..Default::default()
+        })
+        .optimize(&mut g)
+        .unwrap_err();
+        assert_eq!(err, SolveError::NonFinite);
+        let after = g.values().get(a).as_pose2();
+        assert_eq!(after.x().to_bits(), before.x().to_bits());
+        assert_eq!(after.y().to_bits(), before.y().to_bits());
+        assert_eq!(after.theta().to_bits(), before.theta().to_bits());
     }
 }

@@ -34,7 +34,6 @@
 use crate::bayes_tree::{eliminate_capture, BayesTree};
 use crate::elimination::{eliminate_step, SolveError};
 use orianna_graph::{Factor, LinearContainerFactor, LinearFactor, Values, VarId, Variable};
-use orianna_math::par::{Parallelism, WorkerTeam};
 use orianna_math::Vec64;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -91,11 +90,6 @@ pub struct IncrementalSolver {
     wildfire_vars: usize,
     /// Times the full-rebuild fallback ran.
     full_rebuilds: usize,
-    /// Within-solve parallelism for wildfire back-substitution (the
-    /// parallel waves are bitwise identical to the serial descent).
-    parallelism: Parallelism,
-    /// Persistent worker team for the parallel wildfire waves.
-    team: WorkerTeam,
 }
 
 impl std::fmt::Debug for IncrementalSolver {
@@ -173,15 +167,6 @@ impl IncrementalSolver {
     /// Sets the wildfire back-substitution threshold.
     pub fn set_wildfire_threshold(&mut self, t: f64) {
         self.wildfire_threshold = t;
-    }
-
-    /// Sets the within-solve parallelism used by wildfire
-    /// back-substitution. The default ([`Parallelism::default`]) honors
-    /// `ORIANNA_THREADS`; pass [`Parallelism::serial`] to force the
-    /// serial descent. Either way the solution is bitwise identical —
-    /// parallel waves write disjoint Δ segments through the same kernel.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.parallelism = par;
     }
 
     /// Sets the fluid relinearization threshold; `0.0` restores the
@@ -508,14 +493,12 @@ impl IncrementalSolver {
         for &s in &new_slots {
             forced[s] = true;
         }
-        self.wildfire_vars += self.tree.back_substitute_wildfire_with(
+        self.wildfire_vars += self.tree.back_substitute_wildfire(
             &mut self.delta,
             &self.offsets,
             &forced,
             changed_seed,
             self.wildfire_threshold,
-            &self.parallelism,
-            &mut self.team,
         )?;
         Ok(())
     }
@@ -543,14 +526,12 @@ impl IncrementalSolver {
         self.cliques_reeliminated += new_slots.len();
         self.delta = Vec64::zeros(self.lin_point.total_dim());
         let forced = vec![true; self.tree.node_slots()];
-        self.wildfire_vars += self.tree.back_substitute_wildfire_with(
+        self.wildfire_vars += self.tree.back_substitute_wildfire(
             &mut self.delta,
             &self.offsets,
             &forced,
             &[],
             0.0,
-            &self.parallelism,
-            &mut self.team,
         )?;
         Ok(())
     }

@@ -15,7 +15,7 @@ use crate::gauss_newton::PlanSource;
 use crate::plan::{PlanCache, SolvePlan};
 use crate::workspace::Workspace;
 use orianna_graph::{min_degree_ordering, FactorGraph, LinearFactor, LinearSystem};
-use orianna_math::{Mat, Parallelism, Vec64};
+use orianna_math::{Mat, Vec64};
 
 /// Settings of the Levenberg-Marquardt driver.
 #[derive(Debug, Clone, Copy)]
@@ -34,9 +34,6 @@ pub struct LevenbergMarquardtSettings {
     pub abs_tol: f64,
     /// Converged when the relative improvement falls below this.
     pub rel_tol: f64,
-    /// Worker threads for linearization and elimination (see
-    /// [`GaussNewtonSettings::parallelism`](crate::GaussNewtonSettings)).
-    pub parallelism: Parallelism,
 }
 
 impl Default for LevenbergMarquardtSettings {
@@ -49,7 +46,6 @@ impl Default for LevenbergMarquardtSettings {
             max_lambda: 1e10,
             abs_tol: 1e-12,
             rel_tol: 1e-10,
-            parallelism: Parallelism::default(),
         }
     }
 }
@@ -138,7 +134,7 @@ impl LevenbergMarquardt {
             factors: Vec::new(),
             var_dims: Vec::new(),
         };
-        graph.linearize_into(&s.parallelism, &mut sys);
+        graph.linearize_into(&mut sys);
         append_damping(&mut sys, s.initial_lambda);
         SolvePlan::for_system(&sys, min_degree_ordering(graph).as_slice())
     }
@@ -150,7 +146,7 @@ impl LevenbergMarquardt {
     /// the symbolic phase per request. The plan must come from
     /// [`plan`](LevenbergMarquardt::plan) (or any structurally identical
     /// damped system). Bitwise identical to plain `optimize` over the
-    /// same graph at any thread count.
+    /// same graph.
     ///
     /// # Errors
     /// Propagates [`SolveError`]; `PlanMismatch` when the plan or
@@ -186,9 +182,9 @@ impl LevenbergMarquardt {
 
         while iterations < s.max_iterations && !converged && lambda <= s.max_lambda {
             iterations += 1;
-            graph.linearize_into(&s.parallelism, &mut sys);
+            graph.linearize_into(&mut sys);
             append_damping(&mut sys, lambda);
-            let delta = source.solve(&sys, graph, &s.parallelism)?;
+            let delta = source.solve(&sys, graph)?;
             let candidate = graph.values().retract_all(delta);
             let new_error = graph.total_error_with(&candidate);
             if new_error < error {

@@ -50,6 +50,5 @@ pub use elimination::{eliminate, BayesNet, Conditional, EliminationStats, SolveE
 pub use gauss_newton::{GaussNewton, GaussNewtonReport, GaussNewtonSettings};
 pub use incremental::IncrementalSolver;
 pub use levenberg::{LevenbergMarquardt, LevenbergMarquardtReport, LevenbergMarquardtSettings};
-pub use orianna_math::Parallelism;
 pub use plan::{PlanCache, SolvePlan};
 pub use workspace::Workspace;

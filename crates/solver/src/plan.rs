@@ -16,7 +16,7 @@
 //!
 //! The *numeric* phase runs only the dense arithmetic: gather, stack, QR,
 //! split — no adjacency rebuilds, no separator scans. Production callers
-//! run it inside a reusable [`Workspace`] ([`SolvePlan::solve_in_with`],
+//! run it inside a reusable [`Workspace`] ([`SolvePlan::solve_in`],
 //! [`SolvePlan::execute_in`]); [`SolvePlan::execute`] is the allocating
 //! serial sweep the arena falls back to. Every path is **bitwise
 //! identical** to the plan-less [`eliminate`](crate::elimination::eliminate)
@@ -37,17 +37,15 @@
 //!
 //! ## Determinism guarantee
 //!
-//! Plan construction is a pure function of structure. The arena's
-//! parallel levels write disjoint panels with arithmetic identical to the
-//! serial sweep, so a solve is bitwise identical at every thread count
-//! (`tests/parallel.rs`).
+//! Plan construction is a pure function of structure, and every solve is
+//! one serial sweep, so a plan executed against the same system always
+//! produces the same bits (`tests/parallel.rs`, `tests/plan.rs`).
 
 use crate::elimination::{
     eliminate_step, eliminate_step_with_seps, BayesNet, EliminationStats, SolveError,
 };
 use crate::workspace::{ArenaError, Workspace, WorkspaceLayout};
 use orianna_graph::{FactorGraph, LinearFactor, LinearSystem, VarId};
-use orianna_math::par::Parallelism;
 use orianna_math::Vec64;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -204,7 +202,7 @@ pub struct SolvePlan {
     /// Arena layout of the schedule (see [`crate::workspace`]).
     layout: WorkspaceLayout,
     /// Estimated numeric-phase flops (from the structural panel shapes),
-    /// feeding [`Parallelism`]'s auto-mode cost gate.
+    /// feeding the server's fan-out cost gate.
     flops: u64,
 }
 
@@ -281,7 +279,7 @@ impl SolvePlan {
         // 2 · rows · width · min(width, rows) multiply–adds, plus one
         // panel's worth of gather traffic. Shapes are symbolic (row
         // bounds), so this is an upper estimate — exactly what the
-        // parallel cost gate wants (DESIGN §3.2.4).
+        // fan-out cost gate wants (DESIGN §3.2.4).
         let flops = steps
             .iter()
             .map(|s| {
@@ -324,10 +322,11 @@ impl SolvePlan {
     }
 
     /// Estimated numeric-phase flops, derived from the structural panel
-    /// shapes at build time. This is the work figure the auto-mode cost
-    /// gate compares against its threshold
-    /// ([`Parallelism::effective_threads`]); it is an upper estimate
-    /// because the shapes are structural row bounds.
+    /// shapes at build time. The server scales it by the batch size to
+    /// gate its request fan-out
+    /// ([`Parallelism::effective_threads`](orianna_math::Parallelism::effective_threads));
+    /// it is an upper estimate because the shapes are structural row
+    /// bounds.
     pub fn estimated_flops(&self) -> u64 {
         self.flops
     }
@@ -426,33 +425,8 @@ impl SolvePlan {
         sys: &LinearSystem,
         ws: &'w mut Workspace,
     ) -> Result<&'w Vec64, SolveError> {
-        self.solve_in_with(sys, ws, &Parallelism::serial())
-    }
-
-    /// Arena-backed solve with **within-solve parallelism**: elimination
-    /// runs the layout's dependency levels (independent elimination-tree
-    /// subtrees) concurrently, back-substitution the reverse levels —
-    /// each gated per level by the flop cost model, so small graphs and
-    /// thin chains stay on the serial inline path. Every step writes a
-    /// disjoint panel / Δ segment and performs arithmetic identical to
-    /// the serial sweep, so the result is **bitwise identical to
-    /// [`SolvePlan::solve_in`] at any thread count** (`tests/parallel.rs`),
-    /// and the steady state stays allocation-free (per-worker scratch and
-    /// the dispatch descriptor live inside `ws`).
-    ///
-    /// With `par` serial this *is* `solve_in`.
-    ///
-    /// # Errors
-    /// Same as [`SolvePlan::solve_in`] — failures re-run the serial sweep
-    /// so the reported error matches the reference path.
-    pub fn solve_in_with<'w>(
-        &self,
-        sys: &LinearSystem,
-        ws: &'w mut Workspace,
-        par: &Parallelism,
-    ) -> Result<&'w Vec64, SolveError> {
-        match self.eliminate_into(sys, ws, par)? {
-            None => self.layout.back_substitute_in_with(ws, par)?,
+        match self.eliminate_into(sys, ws)? {
+            None => self.layout.back_substitute_in(ws)?,
             Some(bn) => ws.delta = bn.back_substitute()?,
         }
         Ok(&ws.delta)
@@ -471,7 +445,7 @@ impl SolvePlan {
         sys: &LinearSystem,
         ws: &mut Workspace,
     ) -> Result<(BayesNet, EliminationStats), SolveError> {
-        let bn = match self.eliminate_into(sys, ws, &Parallelism::serial())? {
+        let bn = match self.eliminate_into(sys, ws)? {
             None => BayesNet {
                 conditionals: self.layout.extract_conditionals(ws),
                 var_dims: self.var_dims.clone(),
@@ -491,12 +465,11 @@ impl SolvePlan {
         &self,
         sys: &LinearSystem,
         ws: &mut Workspace,
-        par: &Parallelism,
     ) -> Result<Option<BayesNet>, SolveError> {
         if !self.matches(sys) || ws.fingerprint != self.fingerprint {
             return Err(SolveError::PlanMismatch);
         }
-        match self.layout.eliminate_in_with(sys, ws, par) {
+        match self.layout.eliminate_in(sys, ws) {
             Ok(()) => Ok(None),
             Err(ArenaError::Fallback) => {
                 let (bn, stats) = self.execute(sys)?;

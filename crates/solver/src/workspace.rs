@@ -33,9 +33,7 @@
 
 use crate::elimination::{Conditional, EliminationStep, SolveError};
 use orianna_graph::{LinearSystem, VarId};
-use orianna_math::par::{Parallelism, WorkerTeam};
 use orianna_math::{macs, panel, Mat, Vec64};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// One separator column group of a panel: where its block lives in the
 /// panel and where its Δ segment lives in the stacked delta vector.
@@ -97,67 +95,6 @@ pub(crate) struct PanelLayout {
     pub sep_cols: Vec<SepCol>,
 }
 
-/// Step indices grouped into dependency levels: level `l` occupies
-/// `steps[bounds[l]..bounds[l + 1]]`, with ascending step indices inside
-/// a level. Every step of a level depends only on steps of strictly
-/// earlier levels, so one level's steps can execute concurrently with
-/// disjoint writes — the elimination-tree parallelism of the paper's
-/// accelerator, recovered in software (DESIGN §3.2.6).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LevelSet {
-    steps: Vec<usize>,
-    bounds: Vec<usize>,
-    /// Estimated flop-equivalents per level — the cost-gate input that
-    /// keeps thin levels (chains) on the serial inline path.
-    flops: Vec<u64>,
-}
-
-impl LevelSet {
-    /// Groups step `j` into level `level_of[j]`, ascending within levels.
-    fn group(level_of: &[usize], flop_of: impl Fn(usize) -> u64) -> Self {
-        let depth = level_of.iter().max().map_or(0, |m| m + 1);
-        let mut counts = vec![0usize; depth];
-        for &l in level_of {
-            counts[l] += 1;
-        }
-        let mut bounds = Vec::with_capacity(depth + 1);
-        let mut acc = 0usize;
-        bounds.push(0);
-        for c in &counts {
-            acc += c;
-            bounds.push(acc);
-        }
-        let mut cursor = bounds.clone();
-        let mut steps = vec![0usize; level_of.len()];
-        let mut flops = vec![0u64; depth];
-        for (j, &l) in level_of.iter().enumerate() {
-            steps[cursor[l]] = j;
-            cursor[l] += 1;
-            flops[l] += flop_of(j);
-        }
-        Self {
-            steps,
-            bounds,
-            flops,
-        }
-    }
-
-    /// Number of levels.
-    pub(crate) fn depth(&self) -> usize {
-        self.flops.len()
-    }
-
-    /// Step indices of level `l`.
-    pub(crate) fn steps_of(&self, l: usize) -> &[usize] {
-        &self.steps[self.bounds[l]..self.bounds[l + 1]]
-    }
-
-    /// Estimated flop-equivalents of level `l`.
-    pub(crate) fn flops_of(&self, l: usize) -> u64 {
-        self.flops[l]
-    }
-}
-
 /// The full arena layout of a plan's serial schedule.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkspaceLayout {
@@ -170,13 +107,6 @@ pub(crate) struct WorkspaceLayout {
     pub max_dv: usize,
     /// Length of the stacked Δ vector.
     pub delta_len: usize,
-    /// Elimination dependency levels: step `j` sits one level above the
-    /// deepest producer panel it gathers ([`GatherSrc::Step`] edges).
-    pub(crate) elim_levels: LevelSet,
-    /// Back-substitution dependency levels: step `j` sits one level above
-    /// the deepest panel producing one of its separator Δ segments (roots
-    /// at level 0), so levels run in *reverse* elimination direction.
-    pub(crate) solve_levels: LevelSet,
 }
 
 /// Why the arena executor could not complete a run.
@@ -292,55 +222,12 @@ impl WorkspaceLayout {
             max_rows = max_rows.max(rows);
             max_dv = max_dv.max(dv);
         }
-        // Elimination levels: `GatherSrc::Step` entries are the exact
-        // dependency edges (producers always have smaller indices), so a
-        // step's level is one above its deepest producer and base-only
-        // steps (etree leaves) share level 0.
-        let mut elim_level = vec![0usize; panels.len()];
-        for j in 0..panels.len() {
-            let mut l = 0usize;
-            for src in &panels[j].srcs {
-                if let GatherSrc::Step { step, .. } = src {
-                    l = l.max(elim_level[*step] + 1);
-                }
-            }
-            elim_level[j] = l;
-        }
-        let elim_levels = LevelSet::group(&elim_level, |j| {
-            let (r, w) = (panels[j].rows as u64, panels[j].width as u64);
-            2 * r * w * w.min(r) + r * w
-        });
-        // Back-substitution levels: step `j` reads the Δ segments of its
-        // separator variables, each produced by a later panel (separators
-        // are eliminated after the frontal). Roots (no in-order
-        // separator) form level 0; levels then walk down the tree.
-        let mut panel_of_var = vec![usize::MAX; var_dims.len()];
-        for (j, pl) in panels.iter().enumerate() {
-            panel_of_var[pl.var.0] = j;
-        }
-        let mut solve_level = vec![0usize; panels.len()];
-        for j in (0..panels.len()).rev() {
-            let mut l = 0usize;
-            for sc in &panels[j].sep_cols {
-                let p = panel_of_var[sc.var.0];
-                if p != usize::MAX {
-                    l = l.max(solve_level[p] + 1);
-                }
-            }
-            solve_level[j] = l;
-        }
-        let solve_levels = LevelSet::group(&solve_level, |j| {
-            let (dv, w) = (panels[j].dv as u64, panels[j].width as u64);
-            dv * (w + dv)
-        });
         Self {
             panels,
             arena_len: offset,
             max_rows,
             max_dv,
             delta_len,
-            elim_levels,
-            solve_levels,
         }
     }
 
@@ -355,8 +242,6 @@ impl WorkspaceLayout {
             live_rows: vec![0; self.panels.len()],
             delta: Vec64::zeros(self.delta_len),
             stats: Vec::with_capacity(self.panels.len()),
-            par_scratch: Vec::new(),
-            team: WorkerTeam::new(),
         }
     }
 
@@ -373,236 +258,141 @@ impl WorkspaceLayout {
         ws: &mut Workspace,
     ) -> Result<(), ArenaError> {
         ws.reset_stats(self.panels.len());
-        let arena = ws.arena.as_mut_ptr();
-        let live = ws.live_rows.as_mut_ptr();
-        let stats = ws.stats.as_mut_ptr();
         for i in 0..self.panels.len() {
-            // Safety: the serial sweep has exclusive access to the whole
-            // workspace, and every producer (smaller index) is complete.
-            unsafe { self.eliminate_step_raw(sys, arena, live, stats, i, &mut ws.vbuf)? };
+            self.eliminate_panel(sys, ws, i)?;
         }
         Ok(())
     }
 
-    /// Executes one elimination step against raw workspace storage:
-    /// gathers the panel, records its stat, triangularizes in place, and
-    /// compacts the kept separator rows.
-    ///
-    /// # Safety
-    /// `arena`, `live_rows` and `stats` must point to buffers of
-    /// `arena_len` / `panels.len()` / `panels.len()` elements. The caller
-    /// must guarantee that step `i`'s own panel region, `live_rows[i]`
-    /// and `stats[i]` are accessed by no one else for the duration of the
-    /// call, and that every producer panel of step `i` (plus its
-    /// `live_rows` entry) is fully written and not concurrently mutated —
-    /// the level schedule ([`WorkspaceLayout::elim_levels`]) provides
-    /// exactly this.
-    unsafe fn eliminate_step_raw(
-        &self,
-        sys: &LinearSystem,
-        arena: *mut f64,
-        live_rows: *mut usize,
-        stats: *mut EliminationStep,
-        i: usize,
-        vbuf: &mut [f64],
-    ) -> Result<(), ArenaError> {
-        unsafe {
-            let pl = &self.panels[i];
-            let panel_buf =
-                std::slice::from_raw_parts_mut(arena.add(pl.offset), pl.rows * pl.width);
-            panel_buf.fill(0.0);
-
-            // Gather: stack sources in plan order, bitwise the rows the
-            // plan-less path stacks via `Mat::set_block`.
-            let mut row = 0usize;
-            let mut gathered = 0usize;
-            for src in &pl.srcs {
-                match src {
-                    GatherSrc::Base {
-                        factor,
-                        rows,
-                        copies,
-                    } => {
-                        let f = &sys.factors[*factor];
-                        for &(bi, dst_col, w) in copies {
-                            let blk = &f.blocks[bi];
-                            for r in 0..*rows {
-                                panel_buf[(row + r) * pl.width + dst_col
-                                    ..(row + r) * pl.width + dst_col + w]
-                                    .copy_from_slice(blk.row(r));
-                            }
-                        }
-                        for r in 0..*rows {
-                            panel_buf[(row + r) * pl.width + pl.width - 1] = f.rhs[r];
-                        }
-                        row += rows;
-                        gathered += 1;
-                    }
-                    GatherSrc::Step { step, segs } => {
-                        let live = *live_rows.add(*step);
-                        if live == 0 {
-                            // The producer shed every row: the plan-less
-                            // path would re-derive a smaller separator
-                            // layout here. Bail to the reference path.
-                            return Err(ArenaError::Fallback);
-                        }
-                        // Producer panels never overlap this step's
-                        // panel, so the shared view is disjoint from
-                        // `panel_buf`.
-                        let pp = &self.panels[*step];
-                        let src_panel = std::slice::from_raw_parts(
-                            arena.add(pp.offset).cast_const(),
-                            pp.rows * pp.width,
-                        );
-                        for r in 0..live {
-                            let srow = (pp.dv + r) * pp.width;
-                            let drow = (row + r) * pl.width;
-                            for &(sc, dc, w) in segs {
-                                panel_buf[drow + dc..drow + dc + w]
-                                    .copy_from_slice(&src_panel[srow + sc..srow + sc + w]);
-                            }
-                        }
-                        row += live;
-                        gathered += 1;
-                    }
-                }
-            }
-
-            // Size/density record, identical to the reference's
-            // `abar.block(0, 0, rows, cols).density(1e-14)`.
-            let cols = pl.width - 1;
-            let mut nnz = 0usize;
-            for r in 0..row {
-                nnz += panel_buf[r * pl.width..r * pl.width + cols]
-                    .iter()
-                    .filter(|x| x.abs() > 1e-14)
-                    .count();
-            }
-            let cells = row * cols;
-            *stats.add(i) = EliminationStep {
-                var: pl.var,
-                rows: row,
-                cols,
-                density: if cells == 0 {
-                    0.0
-                } else {
-                    nnz as f64 / cells as f64
-                },
-                gathered,
-            };
-
-            if row < pl.dv {
-                return Err(ArenaError::Solve(SolveError::SingularVariable(pl.var)));
-            }
-
-            // In-place R-only triangularization: bitwise identical to
-            // `householder_qr(&abar).r` on the same stacked rows.
-            panel::triangularize(
-                &mut panel_buf[..row * pl.width],
-                row,
-                pl.width,
-                &mut vbuf[..row.max(1)],
-            );
-
-            for d in 0..pl.dv {
-                if panel_buf[d * pl.width + d].abs() < 1e-12 {
-                    return Err(ArenaError::Solve(SolveError::SingularVariable(pl.var)));
-                }
-            }
-
-            // Separator factor: keep the numerically non-trivial rows of
-            // `dv..min(row, cols + 1)` and compact them to start at `dv`.
-            let mut kept = 0usize;
-            if !pl.sep_cols.is_empty() {
-                let last = row.min(pl.width);
-                for r in pl.dv..last {
-                    let base = r * pl.width;
-                    let nonzero = panel_buf[base + pl.dv..base + pl.width]
-                        .iter()
-                        .any(|x| x.abs() > 1e-12);
-                    if nonzero {
-                        let dst = (pl.dv + kept) * pl.width;
-                        if dst != base {
-                            panel_buf.copy_within(base..base + pl.width, dst);
-                        }
-                        kept += 1;
-                    }
-                }
-            }
-            *live_rows.add(i) = kept;
-        }
-        Ok(())
-    }
-
-    /// Level-parallel elimination sweep: each dependency level's steps
-    /// run concurrently on a claim cursor over the level slice, every
-    /// worker writing only its claimed step's panel / `live_rows` /
-    /// `stats` slot plus its own scratch. Writes are disjoint by
-    /// construction and each step performs arithmetic identical to
-    /// [`WorkspaceLayout::eliminate_in`] on inputs completed in earlier
-    /// levels, so results are **bitwise identical to the serial sweep at
-    /// any thread count**. Levels too thin or too cheap for the cost gate
-    /// run inline on the caller. Allocation-free in steady state (worker
-    /// scratch and the dispatch descriptor persist inside `ws`).
-    ///
-    /// Errors (singular variables, the all-rows-shed [`ArenaError::
-    /// Fallback`]) are data-dependent, not schedule-dependent, but a
-    /// parallel sweep can *observe* a different failing step first; to
-    /// keep error reporting bitwise-faithful too, any failure re-runs the
-    /// serial sweep from scratch and returns its verdict.
-    pub(crate) fn eliminate_in_with(
+    /// Executes elimination step `i` inside the arena: gathers the panel,
+    /// records its stat, triangularizes in place, and compacts the kept
+    /// separator rows. Every producer panel (smaller index, so lower
+    /// arena offset) must already be complete.
+    fn eliminate_panel(
         &self,
         sys: &LinearSystem,
         ws: &mut Workspace,
-        par: &Parallelism,
+        i: usize,
     ) -> Result<(), ArenaError> {
-        if !par.is_parallel() || self.panels.len() <= 1 {
-            return self.eliminate_in(sys, ws);
-        }
-        ws.reset_stats(self.panels.len());
-        let failed = AtomicBool::new(false);
-        for l in 0..self.elim_levels.depth() {
-            let steps = self.elim_levels.steps_of(l);
-            let n = par
-                .effective_threads(self.elim_levels.flops_of(l))
-                .min(steps.len());
-            if n <= 1 {
-                let arena = ws.arena.as_mut_ptr();
-                let live = ws.live_rows.as_mut_ptr();
-                let stats = ws.stats.as_mut_ptr();
-                for &j in steps {
-                    // Safety: inline on the caller with exclusive access;
-                    // producers finished in earlier levels.
-                    let r = unsafe {
-                        self.eliminate_step_raw(sys, arena, live, stats, j, &mut ws.vbuf)
-                    };
-                    if r.is_err() {
-                        failed.store(true, Ordering::Relaxed);
-                        break;
+        let pl = &self.panels[i];
+        // Producers sit below this panel's offset, so splitting there
+        // gives a shared view of every producer beside the panel itself.
+        let (producers, rest) = ws.arena.split_at_mut(pl.offset);
+        let panel_buf = &mut rest[..pl.rows * pl.width];
+        panel_buf.fill(0.0);
+
+        // Gather: stack sources in plan order, bitwise the rows the
+        // plan-less path stacks via `Mat::set_block`.
+        let mut row = 0usize;
+        let mut gathered = 0usize;
+        for src in &pl.srcs {
+            match src {
+                GatherSrc::Base {
+                    factor,
+                    rows,
+                    copies,
+                } => {
+                    let f = &sys.factors[*factor];
+                    for &(bi, dst_col, w) in copies {
+                        let blk = &f.blocks[bi];
+                        for r in 0..*rows {
+                            panel_buf[(row + r) * pl.width + dst_col
+                                ..(row + r) * pl.width + dst_col + w]
+                                .copy_from_slice(blk.row(r));
+                        }
                     }
+                    for r in 0..*rows {
+                        panel_buf[(row + r) * pl.width + pl.width - 1] = f.rhs[r];
+                    }
+                    row += rows;
+                    gathered += 1;
                 }
-            } else {
-                ws.ensure_par_scratch(n, self.max_rows, self.max_dv);
-                let shared = ElimShared {
-                    layout: self,
-                    sys,
-                    arena: ws.arena.as_mut_ptr(),
-                    live: ws.live_rows.as_mut_ptr(),
-                    stats: ws.stats.as_mut_ptr(),
-                    scratch: ws.par_scratch.as_mut_ptr(),
-                    steps,
-                    cursor: AtomicUsize::new(0),
-                    failed: &failed,
-                };
-                ws.team
-                    .run(n, steps.len(), &|id: usize| shared.service_elim(id));
-            }
-            if failed.load(Ordering::Relaxed) {
-                // Re-derive the serial error (or, in principle, a clean
-                // result) on the reference path.
-                return self.eliminate_in(sys, ws);
+                GatherSrc::Step { step, segs } => {
+                    let live = ws.live_rows[*step];
+                    if live == 0 {
+                        // The producer shed every row: the plan-less
+                        // path would re-derive a smaller separator
+                        // layout here. Bail to the reference path.
+                        return Err(ArenaError::Fallback);
+                    }
+                    let pp = &self.panels[*step];
+                    let src_panel = &producers[pp.offset..pp.offset + pp.rows * pp.width];
+                    for r in 0..live {
+                        let srow = (pp.dv + r) * pp.width;
+                        let drow = (row + r) * pl.width;
+                        for &(sc, dc, w) in segs {
+                            panel_buf[drow + dc..drow + dc + w]
+                                .copy_from_slice(&src_panel[srow + sc..srow + sc + w]);
+                        }
+                    }
+                    row += live;
+                    gathered += 1;
+                }
             }
         }
+
+        // Size/density record, identical to the reference's
+        // `abar.block(0, 0, rows, cols).density(1e-14)`.
+        let cols = pl.width - 1;
+        let mut nnz = 0usize;
+        for r in 0..row {
+            nnz += panel_buf[r * pl.width..r * pl.width + cols]
+                .iter()
+                .filter(|x| x.abs() > 1e-14)
+                .count();
+        }
+        let cells = row * cols;
+        ws.stats[i] = EliminationStep {
+            var: pl.var,
+            rows: row,
+            cols,
+            density: if cells == 0 {
+                0.0
+            } else {
+                nnz as f64 / cells as f64
+            },
+            gathered,
+        };
+
+        if row < pl.dv {
+            return Err(ArenaError::Solve(SolveError::SingularVariable(pl.var)));
+        }
+
+        // In-place R-only triangularization: bitwise identical to
+        // `householder_qr(&abar).r` on the same stacked rows.
+        panel::triangularize(
+            &mut panel_buf[..row * pl.width],
+            row,
+            pl.width,
+            &mut ws.vbuf[..row.max(1)],
+        );
+
+        for d in 0..pl.dv {
+            if panel_buf[d * pl.width + d].abs() < 1e-12 {
+                return Err(ArenaError::Solve(SolveError::SingularVariable(pl.var)));
+            }
+        }
+
+        // Separator factor: keep the numerically non-trivial rows of
+        // `dv..min(row, cols + 1)` and compact them to start at `dv`.
+        let mut kept = 0usize;
+        if !pl.sep_cols.is_empty() {
+            let last = row.min(pl.width);
+            for r in pl.dv..last {
+                let base = r * pl.width;
+                let nonzero = panel_buf[base + pl.dv..base + pl.width]
+                    .iter()
+                    .any(|x| x.abs() > 1e-12);
+                if nonzero {
+                    let dst = (pl.dv + kept) * pl.width;
+                    if dst != base {
+                        panel_buf.copy_within(base..base + pl.width, dst);
+                    }
+                    kept += 1;
+                }
+            }
+        }
+        ws.live_rows[i] = kept;
         Ok(())
     }
 
@@ -611,127 +401,63 @@ impl WorkspaceLayout {
     /// accounting, same singularity threshold). Allocation-free; fills
     /// `ws.delta`.
     pub(crate) fn back_substitute_in(&self, ws: &mut Workspace) -> Result<(), SolveError> {
-        ws.delta.as_mut_slice().fill(0.0);
-        let delta = ws.delta.as_mut_slice().as_mut_ptr();
+        let delta = ws.delta.as_mut_slice();
+        delta.fill(0.0);
         for i in (0..self.panels.len()).rev() {
-            // Safety: the serial sweep has exclusive access; parents
-            // (later panels) already wrote their Δ segments.
-            unsafe { self.solve_step_raw(&ws.arena, delta, i, &mut ws.rhs_buf)? };
+            // Parents (later panels) already wrote their Δ segments.
+            self.solve_panel(&ws.arena, delta, i, &mut ws.rhs_buf)?;
         }
         Ok(())
     }
 
-    /// Solves one panel's Δ segment out of the arena: `rb` accumulates
+    /// Solves panel `i`'s Δ segment out of the arena: `rb` accumulates
     /// `rhs − Σ Sⱼ Δ_parent`, the dv×dv triangular block solves in place,
-    /// and the result lands in `delta[var_offset..var_offset + dv]`.
-    ///
-    /// # Safety
-    /// `delta` must point to a buffer of `delta_len` elements. The caller
-    /// must guarantee that step `i`'s own Δ segment is written by no one
-    /// else and that every separator segment it reads (produced by a
-    /// later panel — an earlier [`WorkspaceLayout::solve_levels`] level)
-    /// is fully written and not concurrently mutated.
-    unsafe fn solve_step_raw(
+    /// and the result is copied into `delta[var_offset..var_offset + dv]`
+    /// last.
+    fn solve_panel(
         &self,
         arena: &[f64],
-        delta: *mut f64,
+        delta: &mut [f64],
         i: usize,
         rhs_buf: &mut [f64],
     ) -> Result<(), SolveError> {
-        unsafe {
-            let pl = &self.panels[i];
-            let panel_buf = &arena[pl.offset..pl.offset + pl.rows * pl.width];
-            let rb = &mut rhs_buf[..pl.dv];
+        let pl = &self.panels[i];
+        let panel_buf = &arena[pl.offset..pl.offset + pl.rows * pl.width];
+        let rb = &mut rhs_buf[..pl.dv];
+        for (d, r) in rb.iter_mut().enumerate() {
+            *r = panel_buf[d * pl.width + pl.width - 1];
+        }
+        // rhs − Σ Sⱼ Δ_parent, one parent at a time like the reference.
+        for sc in &pl.sep_cols {
+            let dp = &delta[sc.delta_off..sc.delta_off + sc.width];
             for (d, r) in rb.iter_mut().enumerate() {
-                *r = panel_buf[d * pl.width + pl.width - 1];
-            }
-            // rhs − Σ Sⱼ Δ_parent, one parent at a time like the reference.
-            for sc in &pl.sep_cols {
-                let dp = std::slice::from_raw_parts(delta.add(sc.delta_off).cast_const(), sc.width);
-                for (d, r) in rb.iter_mut().enumerate() {
-                    let srow = d * pl.width + sc.col;
-                    let mut acc = 0.0;
-                    for (c, dv_c) in dp.iter().enumerate() {
-                        acc += panel_buf[srow + c] * dv_c;
-                    }
-                    *r -= acc;
+                let srow = d * pl.width + sc.col;
+                let mut acc = 0.0;
+                for (c, dv_c) in dp.iter().enumerate() {
+                    acc += panel_buf[srow + c] * dv_c;
                 }
-                // `mul_vec` records dv·w MACs and the subtraction dv more.
-                macs::record(pl.dv * sc.width + pl.dv);
+                *r -= acc;
             }
-            // Triangular solve of the dv×dv diagonal block, mirroring
-            // `triangular::back_substitute` (rb doubles as x: entry j > i
-            // already holds Δⱼ when row i reads it).
-            for i in (0..pl.dv).rev() {
-                let mut acc = rb[i];
-                let prow = i * pl.width;
-                for j in i + 1..pl.dv {
-                    acc -= panel_buf[prow + j] * rb[j];
-                }
-                macs::record(pl.dv - i);
-                let d = panel_buf[prow + i];
-                if d.abs() < 1e-13 {
-                    return Err(SolveError::SingularVariable(pl.var));
-                }
-                rb[i] = acc / d;
-            }
-            std::slice::from_raw_parts_mut(delta.add(pl.var_offset), pl.dv).copy_from_slice(rb);
+            // `mul_vec` records dv·w MACs and the subtraction dv more.
+            macs::record(pl.dv * sc.width + pl.dv);
         }
-        Ok(())
-    }
-
-    /// Level-parallel wildfire-style back-substitution: levels walk from
-    /// the etree roots downward, each level's panels solving their
-    /// disjoint Δ segments concurrently from segments completed in
-    /// earlier levels — bitwise identical to
-    /// [`WorkspaceLayout::back_substitute_in`] at any thread count (same
-    /// per-panel arithmetic, disjoint writes). Cost-gated per level; on
-    /// any singular diagonal the serial sweep re-runs so the reported
-    /// error matches the reference path.
-    pub(crate) fn back_substitute_in_with(
-        &self,
-        ws: &mut Workspace,
-        par: &Parallelism,
-    ) -> Result<(), SolveError> {
-        if !par.is_parallel() || self.panels.len() <= 1 {
-            return self.back_substitute_in(ws);
-        }
-        ws.delta.as_mut_slice().fill(0.0);
-        let failed = AtomicBool::new(false);
-        for l in 0..self.solve_levels.depth() {
-            let steps = self.solve_levels.steps_of(l);
-            let n = par
-                .effective_threads(self.solve_levels.flops_of(l))
-                .min(steps.len());
-            if n <= 1 {
-                let delta = ws.delta.as_mut_slice().as_mut_ptr();
-                for &j in steps {
-                    // Safety: inline on the caller with exclusive access;
-                    // parent segments finished in earlier levels.
-                    let r = unsafe { self.solve_step_raw(&ws.arena, delta, j, &mut ws.rhs_buf) };
-                    if r.is_err() {
-                        failed.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            } else {
-                ws.ensure_par_scratch(n, self.max_rows, self.max_dv);
-                let shared = SolveShared {
-                    layout: self,
-                    arena: &ws.arena,
-                    delta: ws.delta.as_mut_slice().as_mut_ptr(),
-                    scratch: ws.par_scratch.as_mut_ptr(),
-                    steps,
-                    cursor: AtomicUsize::new(0),
-                    failed: &failed,
-                };
-                ws.team
-                    .run(n, steps.len(), &|id: usize| shared.service_solve(id));
+        // Triangular solve of the dv×dv diagonal block, mirroring
+        // `triangular::back_substitute` (rb doubles as x: entry j > i
+        // already holds Δⱼ when row i reads it).
+        for i in (0..pl.dv).rev() {
+            let mut acc = rb[i];
+            let prow = i * pl.width;
+            for j in i + 1..pl.dv {
+                acc -= panel_buf[prow + j] * rb[j];
             }
-            if failed.load(Ordering::Relaxed) {
-                return self.back_substitute_in(ws);
+            macs::record(pl.dv - i);
+            let d = panel_buf[prow + i];
+            if d.abs() < 1e-13 {
+                return Err(SolveError::SingularVariable(pl.var));
             }
+            rb[i] = acc / d;
         }
+        delta[pl.var_offset..pl.var_offset + pl.dv].copy_from_slice(rb);
         Ok(())
     }
 
@@ -776,113 +502,6 @@ impl WorkspaceLayout {
     }
 }
 
-/// Shared context of one parallel elimination level: workers claim
-/// positions in `steps` from `cursor` and run
-/// [`WorkspaceLayout::eliminate_step_raw`] with their own scratch slot.
-struct ElimShared<'a> {
-    layout: &'a WorkspaceLayout,
-    sys: &'a LinearSystem,
-    arena: *mut f64,
-    live: *mut usize,
-    stats: *mut EliminationStep,
-    scratch: *mut ParScratch,
-    steps: &'a [usize],
-    cursor: AtomicUsize,
-    failed: &'a AtomicBool,
-}
-
-// Safety: the raw pointers target one `Workspace` whose regions are
-// written disjointly — worker `id` touches only `scratch[id]` and the
-// panel/`live`/`stats` slots of steps it claimed from the cursor, and
-// reads only producer state completed in earlier levels.
-unsafe impl Send for ElimShared<'_> {}
-unsafe impl Sync for ElimShared<'_> {}
-
-impl ElimShared<'_> {
-    fn service_elim(&self, id: usize) {
-        // Safety: worker ids are unique within a region, so this is the
-        // only `&mut` to scratch slot `id`.
-        let scratch = unsafe { &mut *self.scratch.add(id) };
-        loop {
-            if self.failed.load(Ordering::Relaxed) {
-                return;
-            }
-            let k = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&j) = self.steps.get(k) else { return };
-            // Safety: the cursor hands step `j` to exactly one worker;
-            // producers completed in earlier levels (the team barrier
-            // between levels orders their writes before our reads).
-            let r = unsafe {
-                self.layout.eliminate_step_raw(
-                    self.sys,
-                    self.arena,
-                    self.live,
-                    self.stats,
-                    j,
-                    &mut scratch.vbuf,
-                )
-            };
-            if r.is_err() {
-                // Leave the failing panel's garbage in place: the caller
-                // re-runs the serial sweep, which rewrites every panel.
-                self.failed.store(true, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
-}
-
-/// Shared context of one parallel back-substitution level; mirrors
-/// [`ElimShared`] for [`WorkspaceLayout::solve_step_raw`].
-struct SolveShared<'a> {
-    layout: &'a WorkspaceLayout,
-    arena: &'a [f64],
-    delta: *mut f64,
-    scratch: *mut ParScratch,
-    steps: &'a [usize],
-    cursor: AtomicUsize,
-    failed: &'a AtomicBool,
-}
-
-// Safety: as for `ElimShared` — per-step Δ segments are disjoint and
-// parent segments were completed in earlier levels.
-unsafe impl Send for SolveShared<'_> {}
-unsafe impl Sync for SolveShared<'_> {}
-
-impl SolveShared<'_> {
-    fn service_solve(&self, id: usize) {
-        // Safety: worker ids are unique within a region.
-        let scratch = unsafe { &mut *self.scratch.add(id) };
-        loop {
-            if self.failed.load(Ordering::Relaxed) {
-                return;
-            }
-            let k = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&j) = self.steps.get(k) else { return };
-            // Safety: step `j` is claimed by exactly one worker and its
-            // parent Δ segments were written in earlier levels.
-            let r = unsafe {
-                self.layout
-                    .solve_step_raw(self.arena, self.delta, j, &mut scratch.rhs)
-            };
-            if r.is_err() {
-                self.failed.store(true, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
-}
-
-/// Per-worker scratch of the parallel arena paths: a Householder vector
-/// for elimination and an RHS accumulator for back-substitution. Sized
-/// once (first parallel region of a layout) and reused forever after —
-/// the steady-state sweeps allocate nothing.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ParScratch {
-    vbuf: Vec<f64>,
-    rhs: Vec<f64>,
-}
-
 /// Hands out process-unique workspace ids. Pool-accounting code (the
 /// server's sharded cache, the concurrency stress tests) uses the id to
 /// prove a parked arena is never checked out twice concurrently — two
@@ -913,11 +532,6 @@ pub struct Workspace {
     pub(crate) delta: Vec64,
     /// Per-step size/density records of the latest run.
     pub(crate) stats: Vec<EliminationStep>,
-    /// Per-worker scratch of the parallel arena paths (grown on first
-    /// parallel use, empty on serial-only workspaces).
-    pub(crate) par_scratch: Vec<ParScratch>,
-    /// Reusable dispatch descriptor of the parallel arena paths.
-    pub(crate) team: WorkerTeam,
 }
 
 impl Clone for Workspace {
@@ -934,10 +548,6 @@ impl Clone for Workspace {
             live_rows: self.live_rows.clone(),
             delta: self.delta.clone(),
             stats: self.stats.clone(),
-            // Scratch and the dispatch descriptor are lazily rebuilt —
-            // they carry no numeric state.
-            par_scratch: Vec::new(),
-            team: WorkerTeam::new(),
         }
     }
 }
@@ -987,23 +597,6 @@ impl Workspace {
                 gathered: 0,
             },
         );
-    }
-
-    /// Grows the per-worker scratch pool to at least `workers` slots with
-    /// buffers sized for the layout. No-op (and allocation-free) once
-    /// large enough.
-    pub(crate) fn ensure_par_scratch(&mut self, workers: usize, max_rows: usize, max_dv: usize) {
-        if self.par_scratch.len() < workers {
-            self.par_scratch.resize_with(workers, ParScratch::default);
-        }
-        for s in &mut self.par_scratch[..workers] {
-            if s.vbuf.len() < max_rows.max(1) {
-                s.vbuf.resize(max_rows.max(1), 0.0);
-            }
-            if s.rhs.len() < max_dv {
-                s.rhs.resize(max_dv, 0.0);
-            }
-        }
     }
 }
 
@@ -1144,52 +737,16 @@ impl CliqueSlab {
         self.conds[i].var
     }
 
-    /// Estimated flops of solving every conditional in the slab — the
-    /// per-wave cost input to the parallel wildfire's dispatch gate.
-    pub(crate) fn solve_flops(&self) -> u64 {
-        self.conds
-            .iter()
-            .map(|c| {
-                let dv = c.dv as u64;
-                let pw: u64 = c.parents.iter().map(|&(_, _, w)| w as u64).sum();
-                dv * (dv + pw)
-            })
-            .sum()
-    }
-
     /// Solves conditional `i` for its frontal segment given the current
     /// stacked Δ (parents must already hold their solved values):
     /// `out = R⁻¹ (d − Σ Sⱼ Δ_parent(j))`. Mirrors
     /// [`BayesNet::back_substitute`](crate::elimination::BayesNet::back_substitute)
     /// term for term on the packed storage. Returns `None` on a
     /// numerically singular diagonal.
-    #[cfg(test)]
     pub(crate) fn solve_cond(
         &self,
         i: usize,
         delta: &Vec64,
-        offsets: &[usize],
-        out: &mut Vec<f64>,
-    ) -> Option<()> {
-        // Safety: a shared reference covers every index the raw variant
-        // reads.
-        unsafe { self.solve_cond_raw(i, delta.as_slice().as_ptr(), offsets, out) }
-    }
-
-    /// [`solve_cond`](CliqueSlab::solve_cond) over a raw Δ pointer, for
-    /// the parallel wildfire where sibling cliques concurrently write
-    /// *disjoint* frontal segments of the same Δ vector and a shared
-    /// `&Vec64` would alias those writes.
-    ///
-    /// # Safety
-    /// `delta` must be valid for reads at every parent segment of
-    /// conditional `i`, and no thread may concurrently write those
-    /// segments (guaranteed by wave scheduling: parents finished in
-    /// earlier waves; same-wave cliques only write their own frontals).
-    pub(crate) unsafe fn solve_cond_raw(
-        &self,
-        i: usize,
-        delta: *const f64,
         offsets: &[usize],
         out: &mut Vec<f64>,
     ) -> Option<()> {
@@ -1198,11 +755,12 @@ impl CliqueSlab {
         out.extend_from_slice(&self.buf[c.rhs_off..c.rhs_off + c.dv]);
         for &(p, off, w) in &c.parents {
             let po = offsets[p.0];
+            let dp = &delta.as_slice()[po..po + w];
             for (d, o) in out.iter_mut().enumerate() {
                 let row = &self.buf[off + d * w..off + d * w + w];
                 let mut acc = 0.0;
-                for (col, &s) in row.iter().enumerate() {
-                    acc += s * unsafe { *delta.add(po + col) };
+                for (&s, &x) in row.iter().zip(dp) {
+                    acc += s * x;
                 }
                 *o -= acc;
             }

@@ -4,10 +4,9 @@
 //! within 1e-9 of a full batch re-elimination of the same cached problem
 //! after **every** operation.
 //!
-//! The batch reference executes through `SolvePlan` under
-//! `Parallelism::default()`, so running this suite across the
-//! `ORIANNA_THREADS` / `ORIANNA_NO_SIMD` CI matrix checks the
-//! incremental path against every parallel schedule.
+//! The batch reference executes through the serial `SolvePlan` arena,
+//! so running this suite across the `ORIANNA_NO_SIMD` CI matrix checks
+//! the incremental path against both panel-kernel dispatches.
 
 use orianna_graph::{BetweenFactor, Factor, PriorFactor, VarId, Variable};
 use orianna_lie::Pose2;

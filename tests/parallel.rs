@@ -1,63 +1,26 @@
-//! Parallel-vs-serial equivalence for the linearize → eliminate →
-//! simulate hot path.
+//! Serial-solve equivalence and request-level fan-out.
 //!
 //! The guarantees under test (see DESIGN.md, "Parallel execution"):
 //!
-//! * parallel linearization is **bitwise identical** to serial, for every
-//!   benchmark algorithm and every thread count;
-//! * the level-parallel arena solve ([`SolvePlan::solve_in_with`]) is
-//!   **bitwise identical** to the reference [`eliminate`] — Δ and the
-//!   per-step statistics — for every benchmark algorithm and every thread
-//!   count, including when one workspace is reused across thread counts;
-//! * batched simulation returns exactly the reports of per-workload
-//!   serial simulation, in input order.
+//! * the arena solve ([`SolvePlan::solve_in`]) is **bitwise identical**
+//!   to the reference [`eliminate`] — Δ and the per-step statistics — for
+//!   every benchmark algorithm, including when one workspace is reused
+//!   across solves;
+//! * batched simulation, which fans independent workloads out across
+//!   worker threads, returns exactly the reports of per-workload serial
+//!   simulation, in input order.
 
 use orianna::apps::all_apps;
 use orianna::compiler::compile;
 use orianna::graph::natural_ordering;
 use orianna::hw::{simulate, simulate_batch, HwConfig, IssuePolicy, Workload};
 use orianna::math::Parallelism;
-use orianna::solver::{eliminate, GaussNewton, GaussNewtonSettings, SolveError, SolvePlan};
+use orianna::solver::{eliminate, GaussNewton, SolveError, SolvePlan};
 
-#[test]
-fn parallel_linearization_is_bitwise_identical_on_all_apps() {
-    for app in all_apps(2024) {
-        for algo in &app.algorithms {
-            let serial = algo.graph.linearize();
-            for threads in [2, 4, 8] {
-                let par = algo
-                    .graph
-                    .linearize_with(&Parallelism::with_threads(threads));
-                assert_eq!(par.var_dims, serial.var_dims);
-                assert_eq!(par.factors.len(), serial.factors.len());
-                for (p, s) in par.factors.iter().zip(&serial.factors) {
-                    assert_eq!(p.keys, s.keys, "{}/{}", app.name, algo.name);
-                    assert_eq!(
-                        p.rhs.as_slice(),
-                        s.rhs.as_slice(),
-                        "{}/{} rhs not bitwise identical",
-                        app.name,
-                        algo.name
-                    );
-                    for (pb, sb) in p.blocks.iter().zip(&s.blocks) {
-                        assert_eq!(
-                            pb.as_slice(),
-                            sb.as_slice(),
-                            "{}/{} jacobian not bitwise identical",
-                            app.name,
-                            algo.name
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Solves every benchmark algorithm in one arena at each thread count of
-/// `threads` in turn and asserts Δ and the step statistics are bitwise
-/// those of [`eliminate`].
-fn assert_arena_matches_eliminate(seed: u64, threads: &[usize]) {
+/// Solves every benchmark algorithm `solves` times in one arena and
+/// asserts Δ and the step statistics are bitwise those of [`eliminate`]
+/// after every solve.
+fn assert_arena_matches_eliminate(seed: u64, solves: usize) {
     for app in all_apps(seed) {
         for algo in &app.algorithms {
             let sys = algo.graph.linearize();
@@ -67,14 +30,14 @@ fn assert_arena_matches_eliminate(seed: u64, threads: &[usize]) {
             let reference = bn.back_substitute().unwrap();
             let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
             let mut ws = plan.workspace();
-            for &t in threads {
+            for k in 0..solves {
                 let delta = plan
-                    .solve_in_with(&sys, &mut ws, &Parallelism::with_threads(t))
+                    .solve_in(&sys, &mut ws)
                     .unwrap_or_else(|e| panic!("{}/{}: {e}", app.name, algo.name));
                 assert_eq!(
                     delta.as_slice(),
                     reference.as_slice(),
-                    "{}/{} threads={t}",
+                    "{}/{} solve {k}",
                     app.name,
                     algo.name
                 );
@@ -92,16 +55,14 @@ fn assert_arena_matches_eliminate(seed: u64, threads: &[usize]) {
 
 #[test]
 fn parallel_elimination_matches_serial_on_all_apps() {
-    for threads in [2, 3, 8] {
-        assert_arena_matches_eliminate(2024, &[threads]);
-    }
+    assert_arena_matches_eliminate(2024, 3);
 }
 
 #[test]
 fn parallel_elimination_is_threadcount_deterministic() {
-    // One workspace serves every setting in turn: its worker scratch,
-    // sized by the widest fan-out so far, must not leak into the result.
-    assert_arena_matches_eliminate(77, &[2, 8, 3, 1, 8]);
+    // One workspace serves five solves in turn: the panels, live-row
+    // counts and stats left by one solve must not leak into the next.
+    assert_arena_matches_eliminate(77, 5);
 }
 
 #[test]
@@ -117,10 +78,8 @@ fn serial_parallelism_falls_back_to_reference_eliminate() {
         .unwrap();
     let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
     let mut ws = plan.workspace();
-    let gated = plan
-        .solve_in_with(&sys, &mut ws, &Parallelism::serial())
-        .unwrap();
-    assert_eq!(serial.as_slice(), gated.as_slice());
+    let arena = plan.solve_in(&sys, &mut ws).unwrap();
+    assert_eq!(serial.as_slice(), arena.as_slice());
 }
 
 #[test]
@@ -131,46 +90,8 @@ fn parallel_elimination_detects_unconstrained_variables() {
     let a = g.add_pose2(Pose2::new(0.3, 1.0, -1.0));
     let _b = g.add_pose2(Pose2::identity()); // no factor touches b
     g.add_factor(PriorFactor::pose2(a, Pose2::identity(), 0.1));
-    let err = GaussNewton::new(GaussNewtonSettings {
-        parallelism: Parallelism::with_threads(4),
-        ..Default::default()
-    })
-    .optimize(&mut g)
-    .unwrap_err();
+    let err = GaussNewton::default().optimize(&mut g).unwrap_err();
     assert!(matches!(err, SolveError::UnconstrainedVariable(v) if v.0 == 1));
-}
-
-#[test]
-fn parallel_gauss_newton_reaches_the_serial_optimum() {
-    for app in all_apps(909) {
-        for algo in &app.algorithms {
-            let mut serial = algo.graph.clone();
-            let mut parallel = algo.graph.clone();
-            let rs = GaussNewton::new(GaussNewtonSettings {
-                max_iterations: 15,
-                parallelism: Parallelism::serial(),
-                ..Default::default()
-            })
-            .optimize(&mut serial)
-            .unwrap_or_else(|e| panic!("{}/{}: {e}", app.name, algo.name));
-            let rp = GaussNewton::new(GaussNewtonSettings {
-                max_iterations: 15,
-                parallelism: Parallelism::with_threads(4),
-                ..Default::default()
-            })
-            .optimize(&mut parallel)
-            .unwrap_or_else(|e| panic!("{}/{}: {e}", app.name, algo.name));
-            let denom = rs.final_error.max(1e-9);
-            assert!(
-                (rs.final_error - rp.final_error).abs() / denom < 1e-6,
-                "{}/{}: serial {} vs parallel {}",
-                app.name,
-                algo.name,
-                rs.final_error,
-                rp.final_error
-            );
-        }
-    }
 }
 
 #[test]

@@ -5,16 +5,14 @@
 //! only on graph *structure* — resolved ordering, gather lists, separator
 //! layouts, stacked-matrix shapes, and the arena layout. Executing the
 //! plan must therefore be indistinguishable from the plan-less path, on
-//! every benchmark application and under every `Parallelism` setting:
+//! every benchmark application:
 //!
 //! * plan execution is **bitwise identical** to [`eliminate`];
-//! * one plan instance serves *all* parallelism settings — the arena's
-//!   level fan-out is chosen at solve time, not build time, and is bitwise
-//!   identical to the serial sweep.
+//! * one plan instance and one workspace serve repeated arena solves,
+//!   each bitwise identical to [`eliminate`] — Δ and step statistics.
 
 use orianna::apps::all_apps;
 use orianna::graph::natural_ordering;
-use orianna::math::Parallelism;
 use orianna::solver::{eliminate, BayesNet, PlanCache, SolvePlan};
 
 fn conditionals_bitwise_eq(a: &BayesNet, b: &BayesNet) -> bool {
@@ -66,16 +64,22 @@ fn one_plan_serves_every_parallelism_setting_on_every_app() {
             let ordering = natural_ordering(&algo.graph);
             let plan = SolvePlan::for_graph(&algo.graph, ordering.as_slice()).unwrap();
             let sys = algo.graph.linearize();
-            let serial_delta = plan.execute(&sys).unwrap().0.back_substitute().unwrap();
-            for threads in [2, 4, 8] {
-                let mut ws = plan.workspace();
-                let delta = plan
-                    .solve_in_with(&sys, &mut ws, &Parallelism::with_threads(threads))
-                    .unwrap();
+            let (bn, stats) = eliminate(&sys, &ordering).unwrap();
+            let reference = bn.back_substitute().unwrap();
+            let mut ws = plan.workspace();
+            for k in 0..3 {
+                let delta = plan.solve_in(&sys, &mut ws).unwrap();
                 assert_eq!(
                     delta.as_slice(),
-                    serial_delta.as_slice(),
-                    "{}/{} threads={threads}",
+                    reference.as_slice(),
+                    "{}/{} solve {k}",
+                    app.name,
+                    algo.name
+                );
+                assert_eq!(
+                    ws.stats(),
+                    stats.steps.as_slice(),
+                    "{}/{}",
                     app.name,
                     algo.name
                 );

@@ -10,7 +10,7 @@ use orianna::graph::{
     VectorPriorFactor,
 };
 use orianna::lie::{Pose2, Pose3, Rot3, SE3};
-use orianna::math::{householder_qr, least_squares, Mat, Parallelism, Vec64};
+use orianna::math::{householder_qr, least_squares, Mat, Vec64};
 use orianna::solver::{eliminate, BayesNet, SolvePlan};
 use proptest::prelude::*;
 
@@ -115,8 +115,8 @@ proptest! {
         closure_len in 2usize..5,
     ) {
         // A random pose chain with a random loop closure and sporadic GPS:
-        // parallel linearization must be bitwise serial, and the parallel
-        // arena must solve for the bitwise-same Δ as `eliminate`.
+        // repeated arena solves in one workspace must produce the
+        // bitwise-same Δ and step statistics as `eliminate`.
         let mut g = FactorGraph::new();
         let ids: Vec<_> = (0..8)
             .map(|i| {
@@ -142,22 +142,17 @@ proptest! {
             g.add_factor(GpsFactor::new(ids[i], &[0.0, i as f64], 0.3));
         }
 
-        let par = Parallelism::with_threads(4);
-        let serial_sys = g.linearize();
-        let par_sys = g.linearize_with(&par);
-        for (p, s) in par_sys.factors.iter().zip(&serial_sys.factors) {
-            prop_assert_eq!(p.rhs.as_slice(), s.rhs.as_slice());
-            for (pb, sb) in p.blocks.iter().zip(&s.blocks) {
-                prop_assert_eq!(pb.as_slice(), sb.as_slice());
-            }
-        }
-
+        let sys = g.linearize();
         let ordering = natural_ordering(&g);
-        let reference = eliminate(&serial_sys, &ordering).unwrap().0.back_substitute().unwrap();
-        let plan = SolvePlan::for_system(&par_sys, ordering.as_slice()).unwrap();
+        let (bn, stats) = eliminate(&sys, &ordering).unwrap();
+        let reference = bn.back_substitute().unwrap();
+        let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
         let mut ws = plan.workspace();
-        let delta = plan.solve_in_with(&par_sys, &mut ws, &par).unwrap();
-        prop_assert_eq!(delta.as_slice(), reference.as_slice());
+        for _ in 0..2 {
+            let delta = plan.solve_in(&sys, &mut ws).unwrap();
+            prop_assert_eq!(delta.as_slice(), reference.as_slice());
+            prop_assert_eq!(ws.stats(), stats.steps.as_slice());
+        }
     }
 
     #[test]
@@ -199,16 +194,15 @@ proptest! {
         let ordering = natural_ordering(&g);
         let plan = SolvePlan::for_graph(&g, ordering.as_slice()).unwrap();
         let mut ws = plan.workspace();
-        let par = Parallelism::with_threads(4);
         for round in 0..3 {
             let sys = g.linearize();
             let (fresh, fresh_stats) = eliminate(&sys, &ordering).unwrap();
             let (planned, stats) = plan.execute(&sys).unwrap();
             prop_assert!(bitwise_eq(&planned, &fresh), "serial round {round}");
             prop_assert_eq!(&stats.steps, &fresh_stats.steps);
-            // The parallel arena, reusing one workspace across rounds,
-            // must match the fresh elimination bitwise too.
-            let delta = plan.solve_in_with(&sys, &mut ws, &par).unwrap();
+            // The arena, reusing one workspace across rounds, must match
+            // the fresh elimination bitwise too.
+            let delta = plan.solve_in(&sys, &mut ws).unwrap();
             let fresh_delta = fresh.back_substitute().unwrap();
             prop_assert!(delta.as_slice() == fresh_delta.as_slice(), "arena round {round}");
             prop_assert_eq!(ws.stats(), fresh_stats.steps.as_slice());
