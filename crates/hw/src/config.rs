@@ -3,15 +3,20 @@
 
 use crate::templates::{unit_resources, Resources};
 use orianna_compiler::UnitClass;
-use std::collections::BTreeMap;
 
 /// Operating frequency of the paper's prototype (Sec. 7.1).
 pub const CLOCK_MHZ: f64 = 167.0;
 
 /// A generated accelerator configuration: unit counts per class.
+///
+/// A plain value: the counts live in a fixed array indexed by
+/// [`UnitClass::index`], so building, copying and comparing a candidate
+/// never touches the heap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HwConfig {
-    counts: BTreeMap<UnitClass, usize>,
+    /// Unit count per class, in [`UnitClass::ALL`] order; every entry is
+    /// at least 1.
+    counts: [usize; UnitClass::COUNT],
     /// Clock frequency in MHz.
     pub clock_mhz: f64,
 }
@@ -27,14 +32,7 @@ impl HwConfig {
     /// "at first, only one computation unit is instantiated for each
     /// matrix operation block").
     pub fn minimal() -> Self {
-        let mut counts = BTreeMap::new();
-        for c in UnitClass::ALL {
-            counts.insert(c, 1);
-        }
-        Self {
-            counts,
-            clock_mhz: CLOCK_MHZ,
-        }
+        Self::from_counts([1; UnitClass::COUNT])
     }
 
     /// Builds a configuration from explicit counts (classes not mentioned
@@ -42,40 +40,60 @@ impl HwConfig {
     pub fn with_counts(pairs: &[(UnitClass, usize)]) -> Self {
         let mut cfg = Self::minimal();
         for (c, n) in pairs {
-            cfg.counts.insert(*c, (*n).max(1));
+            cfg.set_count(*c, *n);
         }
         cfg
     }
 
+    /// A configuration at the default clock from a per-class count array
+    /// in [`UnitClass::ALL`] order (every entry at least 1).
+    pub(crate) fn from_counts(counts: [usize; UnitClass::COUNT]) -> Self {
+        debug_assert!(counts.iter().all(|&n| n >= 1));
+        Self {
+            counts,
+            clock_mhz: CLOCK_MHZ,
+        }
+    }
+
+    /// Sets the unit count of a class (at least one unit).
+    pub(crate) fn set_count(&mut self, class: UnitClass, n: usize) {
+        self.counts[class.index()] = n.max(1);
+    }
+
     /// Unit count of a class.
     pub fn count(&self, class: UnitClass) -> usize {
-        *self.counts.get(&class).unwrap_or(&1)
+        self.counts[class.index()]
+    }
+
+    /// Per-class unit counts, in [`UnitClass::ALL`] order.
+    pub(crate) fn counts(&self) -> &[usize; UnitClass::COUNT] {
+        &self.counts
     }
 
     /// Adds one unit of a class, returning the new configuration.
     pub fn plus_one(&self, class: UnitClass) -> HwConfig {
         let mut c = self.clone();
-        *c.counts.entry(class).or_insert(1) += 1;
+        c.counts[class.index()] += 1;
         c
     }
 
     /// Total unit count.
     pub fn total_units(&self) -> usize {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
     /// Total resource consumption of the configuration.
     pub fn resources(&self) -> Resources {
         let mut total = Resources::default();
-        for (c, n) in &self.counts {
-            total = total.plus(&unit_resources(*c).times(*n as u64));
+        for (c, n) in self.iter() {
+            total = total.plus(&unit_resources(c).times(n as u64));
         }
         total
     }
 
-    /// Iterator over `(class, count)` pairs in stable order.
+    /// Iterator over `(class, count)` pairs in [`UnitClass::ALL`] order.
     pub fn iter(&self) -> impl Iterator<Item = (UnitClass, usize)> + '_ {
-        self.counts.iter().map(|(c, n)| (*c, *n))
+        UnitClass::ALL.into_iter().zip(self.counts)
     }
 }
 

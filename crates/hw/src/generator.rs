@@ -14,6 +14,7 @@
 //! objective.
 
 use crate::config::HwConfig;
+use crate::search::{canon_key, CanonKey};
 use crate::sim::{
     simulate_decoded_with, with_sim_scratch, DecodedWorkload, IssuePolicy, SimReport, SimScratch,
     Workload,
@@ -52,11 +53,12 @@ pub(crate) fn score(report: &SimReport, objective: Objective) -> f64 {
     }
 }
 
-/// Memoization key: the configuration's full unit mix, clock, and policy.
-type SimKey = (Vec<(UnitClass, usize)>, u64, IssuePolicy);
+/// Memoization key: the configuration's canonical key (unit mix and
+/// clock) and the issue policy.
+type SimKey = (CanonKey, IssuePolicy);
 
 fn sim_key(config: &HwConfig, policy: IssuePolicy) -> SimKey {
-    (config.iter().collect(), config.clock_mhz.to_bits(), policy)
+    (canon_key(config), policy)
 }
 
 /// How [`DseContext::sweep`] treats candidates it can prove irrelevant.
@@ -458,7 +460,7 @@ impl DseContext {
         frontier.retain(|q| !pt.dominates(q));
         // Deterministic resting order regardless of insertion order: the
         // full coordinate vector, then the unit mix.
-        let key = |p: &ParetoPoint| (p.coords(), p.config.iter().collect::<Vec<_>>());
+        let key = |p: &ParetoPoint| (p.coords(), *p.config.counts());
         let k = key(&pt);
         match frontier.binary_search_by(|q| key(q).cmp(&k)) {
             Ok(_) => {} // same config re-scored — already present

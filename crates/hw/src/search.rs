@@ -69,14 +69,22 @@ impl SplitMix64 {
     }
 }
 
-/// Canonical identity of a configuration: the full unit mix in stable
-/// class order plus the clock bits. Two configurations compare equal
-/// under this key iff the simulator cannot distinguish them.
-pub type CanonKey = (Vec<(UnitClass, usize)>, u64);
+/// Canonical identity of a configuration: the per-class count array in
+/// [`UnitClass::ALL`] order plus the clock bits. Two configurations
+/// compare equal under this key iff the simulator cannot distinguish
+/// them. A plain `Copy` value, ordered lexicographically.
+pub type CanonKey = ([usize; UnitClass::COUNT], u64);
 
 /// The canonical key of a configuration (dedup identity).
 pub fn canon_key(config: &HwConfig) -> CanonKey {
-    (config.iter().collect(), config.clock_mhz.to_bits())
+    (*config.counts(), config.clock_mhz.to_bits())
+}
+
+/// The configuration a canonical key identifies.
+fn config_of((counts, clock_bits): CanonKey) -> HwConfig {
+    let mut config = HwConfig::from_counts(counts);
+    config.clock_mhz = f64::from_bits(clock_bits);
+    config
 }
 
 /// FNV-1a hash of the canonical key — the compact trial-log fingerprint.
@@ -151,20 +159,43 @@ impl SearchSpace {
     /// The `index`-th configuration in mixed-radix order over
     /// [`UnitClass::ALL`] (`index < self.size()`).
     pub fn config_at(&self, mut index: u128) -> HwConfig {
-        let mut counts = [(UnitClass::MatMul, 1usize); UnitClass::COUNT];
-        for (i, class) in UnitClass::ALL.iter().enumerate() {
-            let m = self.max[i] as u128;
-            counts[i] = (*class, (index % m) as usize + 1);
-            index /= m;
+        let mut counts = [1usize; UnitClass::COUNT];
+        for (n, &m) in counts.iter_mut().zip(&self.max) {
+            *n = (index % m as u128) as usize + 1;
+            index /= m as u128;
         }
-        HwConfig::with_counts(&counts)
+        HwConfig::from_counts(counts)
     }
 
     /// Every configuration, in [`Self::config_at`] order. Panics when the
     /// space does not fit in memory — callers guard on [`Self::size`].
     pub fn enumerate(&self) -> Vec<HwConfig> {
         let n = usize::try_from(self.size()).expect("space too large to enumerate");
-        (0..n).map(|i| self.config_at(i as u128)).collect()
+        let mut out = Vec::with_capacity(n);
+        self.for_each_config(|c| out.push(c));
+        out
+    }
+
+    /// Visits every configuration in [`Self::config_at`] order by
+    /// stepping a count array as an odometer (the first class is the
+    /// fastest digit).
+    fn for_each_config(&self, mut visit: impl FnMut(HwConfig)) {
+        let mut counts = [1usize; UnitClass::COUNT];
+        loop {
+            visit(HwConfig::from_counts(counts));
+            let mut digit = 0;
+            loop {
+                if digit == UnitClass::COUNT {
+                    return;
+                }
+                if counts[digit] < self.max[digit] {
+                    counts[digit] += 1;
+                    break;
+                }
+                counts[digit] = 1;
+                digit += 1;
+            }
+        }
     }
 
     /// A uniformly drawn configuration.
@@ -184,11 +215,7 @@ impl SearchSpace {
             let n = config.count(class);
             if n > 1 {
                 let mut c = config.clone();
-                let pairs: Vec<(UnitClass, usize)> = c
-                    .iter()
-                    .map(|(cl, k)| (cl, if cl == class { n - 1 } else { k }))
-                    .collect();
-                c = HwConfig::with_counts(&pairs);
+                c.set_count(class, n - 1);
                 out.push(c);
             }
             if n < self.max[class.index()] {
@@ -462,19 +489,23 @@ impl WorkloadSet {
     /// max and non-negative weighted sums of admissible bounds stay
     /// admissible, so a candidate whose aggregate bound meets the
     /// incumbent can be gated without simulation.
+    ///
+    /// Folds in place, in workload order, exactly as [`Self::aggregate`]
+    /// folds a per-workload slice, so the result is bitwise the same.
     pub fn bound_score(&self, config: &HwConfig) -> f64 {
-        let per: Vec<f64> = self
-            .entries
-            .iter()
-            .map(|(_, ctx)| {
-                let lb = ctx.decoded().lower_bound_cycles(config);
-                match self.objective {
-                    Objective::Latency => lb as f64,
-                    Objective::Energy => ctx.decoded().energy_mj_at(config, lb),
-                }
-            })
-            .collect();
-        self.aggregate(&per)
+        let mut acc = 0.0;
+        for ((_, ctx), w) in self.entries.iter().zip(&self.weights) {
+            let lb = ctx.decoded().lower_bound_cycles(config);
+            let s = match self.objective {
+                Objective::Latency => lb as f64,
+                Objective::Energy => ctx.decoded().energy_mj_at(config, lb),
+            };
+            acc = match self.combine {
+                Combine::Max => f64::max(acc, s),
+                Combine::WeightedSum => acc + w * s,
+            };
+        }
+        acc
     }
 
     /// Evaluates every configuration in every workload through the
@@ -583,11 +614,7 @@ impl EvolutionProposer {
             } else {
                 n.saturating_sub(1).max(1)
             };
-            let pairs: Vec<(UnitClass, usize)> = child
-                .iter()
-                .map(|(cl, k)| (cl, if cl == class { next } else { k }))
-                .collect();
-            child = HwConfig::with_counts(&pairs);
+            child.set_count(class, next);
         }
         child
     }
@@ -707,29 +734,62 @@ impl Proposer for BoundGuidedProposer {
         "bound-guided"
     }
 
+    /// Ranks every in-budget pool candidate by `(bound bits, key)` and
+    /// returns the first `n` that are unseen, skipping repeats. Only the
+    /// head of the ranking is sorted: at most `seen.len()` ranked keys
+    /// are seen, so the first `n + seen.len()` entries hold the answer
+    /// unless pool repeats crowd it out, in which case the head grows.
+    /// Keys are unique per candidate, so this picks exactly what a full
+    /// sort of the filtered, deduplicated pool would.
     fn propose(&mut self, n: usize, ctx: &ProposerCtx<'_>) -> Vec<HwConfig> {
-        let pool: Vec<HwConfig> = if ctx.space.size() <= self.enum_cap {
-            ctx.space.enumerate()
-        } else {
-            (0..n.saturating_mul(self.oversample))
-                .map(|_| ctx.space.random(&mut self.rng))
-                .collect()
-        };
-        let mut fresh: Vec<(u64, CanonKey, HwConfig)> = Vec::new();
-        let mut batch: HashSet<CanonKey> = HashSet::new();
-        for c in pool {
-            let key = canon_key(&c);
-            if ctx.seen.contains(&key) || batch.contains(&key) {
-                continue;
-            }
-            if !c.resources().fits(ctx.budget) {
-                continue;
-            }
-            batch.insert(key.clone());
-            fresh.push(((ctx.bound)(&c).to_bits(), key, c));
+        if n == 0 {
+            return Vec::new();
         }
-        fresh.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        fresh.into_iter().take(n).map(|(_, _, c)| c).collect()
+        let enumerable = ctx.space.size() <= self.enum_cap;
+        let pool_len = if enumerable {
+            ctx.space.size() as usize
+        } else {
+            n.saturating_mul(self.oversample)
+        };
+        let mut ranked: Vec<(u64, CanonKey)> = Vec::with_capacity(pool_len);
+        let mut rank = |c: HwConfig| {
+            if c.resources().fits(ctx.budget) {
+                ranked.push(((ctx.bound)(&c).to_bits(), canon_key(&c)));
+            }
+        };
+        if enumerable {
+            ctx.space.for_each_config(&mut rank);
+        } else {
+            for _ in 0..pool_len {
+                rank(ctx.space.random(&mut self.rng));
+            }
+        }
+        let mut head = n.saturating_add(ctx.seen.len()).min(ranked.len());
+        let mut out = Vec::with_capacity(n);
+        loop {
+            if head < ranked.len() {
+                ranked.select_nth_unstable(head);
+            }
+            ranked[..head].sort_unstable();
+            out.clear();
+            let mut prev = None;
+            for &(_, key) in &ranked[..head] {
+                if out.len() == n {
+                    break;
+                }
+                if prev == Some(key) {
+                    continue;
+                }
+                prev = Some(key);
+                if !ctx.seen.contains(&key) {
+                    out.push(config_of(key));
+                }
+            }
+            if out.len() == n || head == ranked.len() {
+                return out;
+            }
+            head = (2 * head).min(ranked.len());
+        }
     }
 }
 
@@ -1071,7 +1131,7 @@ pub fn search(
             with_key.sort_by(|a, b| (&a.1, a.0.id).cmp(&(&b.1, b.0.id)));
             let mut taken: HashSet<CanonKey> = HashSet::new();
             for (t, k) in with_key {
-                if !taken.insert(k.5.clone()) {
+                if !taken.insert(k.5) {
                     continue;
                 }
                 tops.push(t.config.clone());
@@ -1191,11 +1251,9 @@ pub fn search(
                     .clone();
                 let line: Vec<HwConfig> = (1..=space.max_of(class))
                     .map(|k| {
-                        let pairs: Vec<(UnitClass, usize)> = center
-                            .iter()
-                            .map(|(cl, n)| (cl, if cl == class { k } else { n }))
-                            .collect();
-                        HwConfig::with_counts(&pairs)
+                        let mut c = center.clone();
+                        c.set_count(class, k);
+                        c
                     })
                     .filter(|c| {
                         let key = canon_key(c);

@@ -1,0 +1,134 @@
+//! Steady-state heap-allocation check for design-space candidates.
+//!
+//! This file is its own integration-test binary on purpose: it installs a
+//! counting `#[global_allocator]`, which must not be shared with other
+//! tests. The single test builds its inputs first, then asserts that
+//! building, pricing, keying and bounding a candidate, and answering a
+//! simulation from the memo, perform **zero** heap allocations (the memo
+//! hit is allowed exactly the allocations of cloning the report it
+//! returns).
+
+use orianna_compiler::{compile, UnitClass};
+use orianna_graph::{natural_ordering, BetweenFactor, FactorGraph, PriorFactor};
+use orianna_hw::{
+    canon_key, Combine, DseContext, HwConfig, IssuePolicy, Objective, Workload, WorkloadSet,
+};
+use orianna_lie::Pose2;
+use orianna_math::Parallelism;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static ENABLED: AtomicBool = AtomicBool::new(false);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if ENABLED.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if ENABLED.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if ENABLED.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations performed by `f`.
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    ALLOCS.store(0, Ordering::SeqCst);
+    ENABLED.store(true, Ordering::SeqCst);
+    let out = f();
+    ENABLED.store(false, Ordering::SeqCst);
+    (ALLOCS.load(Ordering::SeqCst), out)
+}
+
+fn chain_program(poses: usize) -> orianna_compiler::Program {
+    let mut g = FactorGraph::new();
+    let ids: Vec<_> = (0..poses)
+        .map(|i| g.add_pose2(Pose2::new(0.0, i as f64, 0.1)))
+        .collect();
+    g.add_factor(PriorFactor::pose2(ids[0], Pose2::identity(), 0.1));
+    for w in ids.windows(2) {
+        g.add_factor(BetweenFactor::pose2(
+            w[0],
+            w[1],
+            Pose2::new(0.0, 1.0, 0.0),
+            0.2,
+        ));
+    }
+    compile(&g, &natural_ordering(&g)).expect("chain compiles")
+}
+
+#[test]
+fn candidates_are_allocation_free_in_steady_state() {
+    let programs = [chain_program(4), chain_program(9)];
+    let mut set = WorkloadSet::new(Objective::Energy, Combine::WeightedSum);
+    for (i, prog) in programs.iter().enumerate() {
+        set.push_weighted(
+            "chain",
+            DseContext::with_parallelism(&Workload::single("chain", prog), Parallelism::serial()),
+            1.0 + i as f64,
+        );
+    }
+    let pairs = [
+        (UnitClass::Qr, 3),
+        (UnitClass::MatMul, 2),
+        (UnitClass::Memory, 4),
+    ];
+    let config = HwConfig::with_counts(&pairs);
+    let warm = set
+        .context_mut(0)
+        .simulate(&config, IssuePolicy::OutOfOrder);
+
+    let (n, _) = count_allocs(|| {
+        for class in UnitClass::ALL {
+            let c = black_box(HwConfig::with_counts(black_box(&pairs))).plus_one(class);
+            black_box(c.resources());
+        }
+    });
+    assert_eq!(n, 0, "with_counts/plus_one/resources allocated {n} times");
+
+    let (n, _) = count_allocs(|| {
+        for class in UnitClass::ALL {
+            black_box(canon_key(&black_box(config.plus_one(class))));
+        }
+    });
+    assert_eq!(n, 0, "canon_key allocated {n} times");
+
+    let (n, bound) = count_allocs(|| black_box(set.bound_score(black_box(&config))));
+    assert_eq!(n, 0, "bound_score allocated {n} times");
+    assert!(bound > 0.0);
+
+    // A memo hit may allocate only what cloning the stored report does.
+    let (clone_allocs, _) = count_allocs(|| black_box(warm.clone()));
+    let ctx = set.context_mut(0);
+    let hits = ctx.cache_hits();
+    let (n, hit) = count_allocs(|| ctx.simulate(black_box(&config), IssuePolicy::OutOfOrder));
+    assert_eq!(ctx.cache_hits(), hits + 1, "the lookup was not a memo hit");
+    assert_eq!(
+        n, clone_allocs,
+        "memo hit allocated {n} times; cloning its report takes {clone_allocs}"
+    );
+    assert_eq!(hit.cycles, warm.cycles);
+}

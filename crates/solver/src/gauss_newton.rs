@@ -128,11 +128,23 @@ impl GaussNewton {
         )
     }
 
-    /// The Gauss-Newton iteration loop behind every entry point.
+    /// Runs [`Self::iterate`] and parks the plan source's workspace
+    /// whether the loop succeeded or failed.
     fn run(
         &self,
         graph: &mut FactorGraph,
         mut source: PlanSource<'_>,
+    ) -> Result<GaussNewtonReport, SolveError> {
+        let report = self.iterate(graph, &mut source);
+        source.park();
+        report
+    }
+
+    /// The Gauss-Newton iteration loop behind every entry point.
+    fn iterate(
+        &self,
+        graph: &mut FactorGraph,
+        source: &mut PlanSource<'_>,
     ) -> Result<GaussNewtonReport, SolveError> {
         let s = &self.settings;
         let initial_error = graph.total_error();
@@ -191,7 +203,7 @@ impl GaussNewton {
             initial_error,
             final_error: error,
             converged,
-            last_stats: source.finish(),
+            last_stats: source.stats(),
         })
     }
 }
@@ -203,7 +215,7 @@ pub(crate) enum PlanSource<'a> {
     /// Checked out of `cache` on the first linearization — lazily, so an
     /// already-converged graph never pays the symbolic phase (and keeps
     /// returning `Ok` even when structurally unsolvable) — and parked
-    /// back by [`PlanSource::finish`].
+    /// back by [`PlanSource::park`].
     Cache {
         cache: &'a mut PlanCache,
         checkout: Option<(Arc<SolvePlan>, Workspace)>,
@@ -234,23 +246,29 @@ impl PlanSource<'_> {
         plan.solve_in(sys, ws)
     }
 
-    /// Ends a successful run: returns the stats of the workspace's last
-    /// solve and parks a checked-out workspace for the next solve over
-    /// this topology.
-    pub(crate) fn finish(self) -> EliminationStats {
+    /// Stats of the workspace's last solve (empty before the first).
+    pub(crate) fn stats(&self) -> EliminationStats {
         let steps = match self {
             Self::Held(_, ws) => ws.stats().to_vec(),
             Self::Cache {
-                cache,
-                checkout: Some((plan, ws)),
-            } => {
-                let steps = ws.stats().to_vec();
-                cache.store_workspace(plan.fingerprint(), ws);
-                steps
-            }
+                checkout: Some((_, ws)),
+                ..
+            } => ws.stats().to_vec(),
             Self::Cache { checkout: None, .. } => Vec::new(),
         };
         EliminationStats { steps }
+    }
+
+    /// Ends a run, successful or not: parks a checked-out workspace for
+    /// the next solve over this topology.
+    pub(crate) fn park(self) {
+        if let Self::Cache {
+            cache,
+            checkout: Some((plan, ws)),
+        } = self
+        {
+            cache.store_workspace(plan.fingerprint(), ws);
+        }
     }
 }
 
@@ -539,5 +557,36 @@ mod tests {
         assert_eq!(after.x().to_bits(), before.x().to_bits());
         assert_eq!(after.y().to_bits(), before.y().to_bits());
         assert_eq!(after.theta().to_bits(), before.theta().to_bits());
+    }
+
+    #[test]
+    fn failed_cached_solve_parks_its_workspace() {
+        // A solve that ends in an error must still park the workspace it
+        // checked out, so the next solve over the same topology reuses it
+        // instead of building a second arena.
+        let pose_with_prior = |y: f64| {
+            let mut g = FactorGraph::new();
+            let a = g.add_pose2(Pose2::new(0.1, 0.5, -0.25));
+            g.add_factor(PriorFactor::pose2(a, Pose2::new(0.0, y, 0.0), 0.1));
+            g
+        };
+        let gn = GaussNewton::new(GaussNewtonSettings {
+            max_step_halvings: 0,
+            ..Default::default()
+        });
+        let mut cache = PlanCache::new();
+        let err = gn
+            .optimize_with_cache(&mut pose_with_prior(f64::NAN), &mut cache)
+            .unwrap_err();
+        assert_eq!(err, SolveError::NonFinite);
+        assert_eq!(cache.workspace_builds(), 1);
+        assert_eq!(cache.parked_workspaces(), 1);
+
+        let report = gn
+            .optimize_with_cache(&mut pose_with_prior(0.0), &mut cache)
+            .unwrap();
+        assert!(report.converged);
+        assert_eq!(cache.workspace_builds(), 1, "the parked arena was reused");
+        assert_eq!(cache.parked_workspaces(), 1);
     }
 }

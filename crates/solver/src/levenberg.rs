@@ -160,14 +160,34 @@ impl LevenbergMarquardt {
         self.run(graph, PlanSource::Held(plan, ws))
     }
 
-    /// The Levenberg-Marquardt iteration loop behind every entry point.
+    /// Runs [`Self::iterate`] and parks the plan source's workspace
+    /// whether the loop succeeded or failed.
     fn run(
         &self,
         graph: &mut FactorGraph,
         mut source: PlanSource<'_>,
     ) -> Result<LevenbergMarquardtReport, SolveError> {
+        let report = self.iterate(graph, &mut source);
+        source.park();
+        report
+    }
+
+    /// The Levenberg-Marquardt iteration loop behind every entry point.
+    ///
+    /// A non-finite starting objective is [`SolveError::NonFinite`]: no
+    /// step can compare below NaN, so damping would only climb to
+    /// `max_lambda`. Accepted steps are always finite (`new_error <
+    /// error` fails for NaN), so the check is needed only here.
+    fn iterate(
+        &self,
+        graph: &mut FactorGraph,
+        source: &mut PlanSource<'_>,
+    ) -> Result<LevenbergMarquardtReport, SolveError> {
         let s = &self.settings;
         let initial_error = graph.total_error();
+        if !initial_error.is_finite() {
+            return Err(SolveError::NonFinite);
+        }
         let mut error = initial_error;
         let mut lambda = s.initial_lambda;
         let mut converged = error <= s.abs_tol;
@@ -428,5 +448,22 @@ mod tests {
             .optimize(&mut g)
             .unwrap();
         assert!(report.converged);
+    }
+
+    #[test]
+    fn non_finite_objective_is_an_error_and_leaves_values_unchanged() {
+        // A NaN measurement makes the objective NaN from the start: no
+        // step can compare below it, so LM must report the error instead
+        // of damping up to `max_lambda` and returning `Ok` with NaN.
+        let mut g = FactorGraph::new();
+        let a = g.add_pose2(Pose2::new(0.1, 0.5, -0.25));
+        g.add_factor(PriorFactor::pose2(a, Pose2::new(0.0, f64::NAN, 0.0), 0.1));
+        let before = *g.values().get(a).as_pose2();
+        let err = LevenbergMarquardt::default().optimize(&mut g).unwrap_err();
+        assert_eq!(err, SolveError::NonFinite);
+        let after = g.values().get(a).as_pose2();
+        assert_eq!(after.x().to_bits(), before.x().to_bits());
+        assert_eq!(after.y().to_bits(), before.y().to_bits());
+        assert_eq!(after.theta().to_bits(), before.theta().to_bits());
     }
 }
