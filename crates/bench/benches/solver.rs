@@ -177,11 +177,10 @@ fn bench_simulate_batch(c: &mut Criterion) {
 }
 
 /// Symbolic/numeric split amortization (DESIGN.md §3.2.2): per benchmark
-/// application, compare a plan-less serial elimination ("planless")
-/// against executing a prebuilt [`SolvePlan`] ("planned"), and measure the
+/// application, compare the reference elimination ("planless") against
+/// the arena solve of a prebuilt [`SolvePlan`] ("arena"), and measure the
 /// one-time symbolic analysis itself ("plan_build"). Reused across solver
-/// iterations, the planned path should approach the pure numeric cost —
-/// the plan build amortizes to ~zero.
+/// iterations, the plan build amortizes to ~zero.
 fn bench_plan_reuse(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_reuse");
     group.sample_size(20);
@@ -192,9 +191,6 @@ fn bench_plan_reuse(c: &mut Criterion) {
         let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
         group.bench_function(BenchmarkId::new("planless", app.name), |b| {
             b.iter(|| eliminate(&sys, &ordering).unwrap())
-        });
-        group.bench_function(BenchmarkId::new("planned", app.name), |b| {
-            b.iter(|| plan.execute(&sys).unwrap())
         });
         // The arena path: same schedule executed against a reusable flat
         // workspace — no per-step matrix allocation, R-only Householder.

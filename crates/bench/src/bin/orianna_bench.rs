@@ -4,7 +4,7 @@
 //! artifact; this binary measures the hot numeric paths with plain
 //! `Instant` medians and writes two hand-rolled JSON files —
 //! `BENCH_solver.json` (elimination/back-substitution: planless vs
-//! planned vs arena) and `BENCH_sim.json` (scoreboard: fresh scratch vs
+//! arena) and `BENCH_sim.json` (scoreboard: fresh scratch vs
 //! reused [`SimScratch`] over a 200-config DSE sweep) — suitable for
 //! committing as a baseline and uploading from CI.
 //!
@@ -251,8 +251,8 @@ fn to_json(mode: &str, reps: usize, results: &Results, speedups: &[(String, f64)
 }
 
 /// Solver baselines: one Gauss-Newton solve iteration (eliminate +
-/// back-substitute) per benchmark application, on the reference path, the
-/// planned path, and the arena path.
+/// back-substitute) per benchmark application, on the reference path and
+/// the arena path.
 fn bench_solver(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)>) {
     let mut results = Results::new(reps, filter);
     let mut speedups = Vec::new();
@@ -265,10 +265,6 @@ fn bench_solver(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f
 
         results.record(&format!("solve/planless/{name}"), 3, || {
             let (bn, _) = eliminate(&sys, &ordering).unwrap();
-            std::hint::black_box(bn.back_substitute().unwrap());
-        });
-        results.record(&format!("solve/planned/{name}"), 3, || {
-            let (bn, _) = plan.execute(&sys).unwrap();
             std::hint::black_box(bn.back_substitute().unwrap());
         });
 

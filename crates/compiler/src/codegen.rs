@@ -10,15 +10,17 @@
 //! 3. whitens and packs the results into per-factor RHS and Jacobian
 //!    registers.
 //!
-//! A final graph-level pass walks the elimination ordering and emits the
-//! `QRD`/`BSUB` instructions of the solving phase (Fig. 5/6), with data
-//! dependences expressed through registers so the hardware scheduler can
-//! reorder independent eliminations (Sec. 6.3).
+//! A final graph-level pass walks the symbolic elimination schedule of
+//! `orianna-graph` — the one the software solver's `SolvePlan` lays its
+//! arena out from — and emits the `QRD`/`BSUB` instructions of the
+//! solving phase (Fig. 5/6), with data dependences expressed through
+//! registers so the hardware scheduler can reorder independent
+//! eliminations (Sec. 6.3).
 
 use crate::lower::{lower_factor, LowerError};
 use crate::modfg::{ModFg, NodeId, NodeOp, ShapeError, ValKind};
 use crate::program::{GatherFactor, Instruction, Op, Phase, Program, ProgramError, Reg, VarComp};
-use orianna_graph::{FactorGraph, Ordering, VarId, Variable};
+use orianna_graph::{EliminationSchedule, FactorGraph, Ordering, VarId, Variable};
 use orianna_math::Mat;
 use std::collections::HashMap;
 
@@ -990,93 +992,49 @@ impl<'g> Codegen<'g> {
     }
 
     /// Emits the solving-phase instructions: QRD per variable in
-    /// elimination order (Fig. 5) and BSUB in reverse (Fig. 6).
+    /// elimination order (Fig. 5) and BSUB in reverse (Fig. 6), walking
+    /// the same [`EliminationSchedule`] the software solver plans with.
+    /// A gathered slot below the base-factor count reads that factor's
+    /// registers; any other slot is the QRD of the step that reserved it.
     fn emit_elimination(&mut self, ordering: &Ordering) -> Result<(), CompileError> {
-        #[derive(Clone)]
-        enum SymSrc {
-            Orig(usize),
-            New(usize), // Qrd instruction id
-        }
-        struct SymFactor {
-            keys: Vec<VarId>,
-            rows: usize,
-            src: SymSrc,
-            live: bool,
-        }
-        let var_dims = self.prog.var_dims.clone();
-        let mut work: Vec<SymFactor> = self
-            .graph
-            .factors()
-            .iter()
-            .enumerate()
-            .map(|(fi, f)| SymFactor {
-                keys: f.keys().to_vec(),
-                rows: f.dim(),
-                src: SymSrc::Orig(fi),
-                live: true,
-            })
-            .collect();
-        let mut qrd_of_var: HashMap<VarId, usize> = HashMap::new();
-        let mut seps_of_var: HashMap<VarId, Vec<VarId>> = HashMap::new();
-        let mut elim_order: Vec<VarId> = Vec::new();
-
-        for &v in ordering.as_slice() {
-            let gathered: Vec<usize> = work
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.live && f.keys.contains(&v))
-                .map(|(i, _)| i)
-                .collect();
-            if gathered.is_empty() {
-                return Err(CompileError::Unconstrained(v));
-            }
-            let mut seps: Vec<VarId> = Vec::new();
-            let mut rows = 0;
-            for &gi in &gathered {
-                rows += work[gi].rows;
-                for k in &work[gi].keys {
-                    if *k != v && !seps.contains(k) {
-                        seps.push(*k);
-                    }
-                }
-            }
-            seps.sort();
-            let dv = var_dims[v.0];
-            let sep_cols: usize = seps.iter().map(|s| var_dims[s.0]).sum();
-
+        let mut schedule = EliminationSchedule::for_graph(self.graph);
+        schedule
+            .eliminate_all(ordering.as_slice())
+            .map_err(|e| CompileError::Unconstrained(e.0))?;
+        let var_dims = schedule.var_dims();
+        // QRD instruction of each step, in elimination order.
+        let mut qrds: Vec<usize> = Vec::with_capacity(schedule.steps().len());
+        for step in schedule.steps() {
+            let dv = var_dims[step.var.0];
             let mut gather: Vec<GatherFactor> = Vec::new();
             let mut new_deps: Vec<usize> = Vec::new();
             let mut srcs: Vec<Reg> = Vec::new();
-            for &gi in &gathered {
-                work[gi].live = false;
-                match work[gi].src {
-                    SymSrc::Orig(fi) => {
-                        let key_regs: Vec<(VarId, Reg)> = self.prog.factor_jacobians[fi].clone();
-                        let rhs_reg = self.prog.factor_rhs[fi];
-                        for (_, r) in &key_regs {
-                            srcs.push(*r);
-                        }
+            for &slot in &step.gather {
+                match schedule.producer(slot) {
+                    None => {
+                        let key_regs: Vec<(VarId, Reg)> = self.prog.factor_jacobians[slot].clone();
+                        let rhs_reg = self.prog.factor_rhs[slot];
+                        srcs.extend(key_regs.iter().map(|(_, r)| *r));
                         srcs.push(rhs_reg);
                         gather.push(GatherFactor {
                             key_regs,
                             rhs_reg,
-                            rows: work[gi].rows,
+                            rows: schedule.slot_rows(slot),
                         });
                     }
-                    SymSrc::New(qid) => {
-                        new_deps.push(qid);
-                        srcs.push(self.prog.instrs[qid].dst);
+                    Some(p) => {
+                        new_deps.push(qrds[p]);
+                        srcs.push(self.prog.instrs[qrds[p]].dst);
                     }
                 }
             }
-
             let op = Op::Qrd {
-                frontal: v,
+                frontal: step.var,
                 frontal_dim: dv,
-                seps: seps.iter().map(|s| (*s, var_dims[s.0])).collect(),
+                seps: step.seps.iter().map(|s| (*s, var_dims[s.0])).collect(),
                 gather,
                 new_factor_deps: new_deps,
-                rows,
+                rows: step.rows,
             };
             let dst = self.prog.fresh_reg();
             let qid = self.prog.push_unchecked(Instruction {
@@ -1087,43 +1045,32 @@ impl<'g> Codegen<'g> {
                 level: 0,
                 factor: None,
                 phase: Phase::Eliminate,
-                dims: (rows, dv + sep_cols + 1),
+                dims: (step.rows, step.cols + 1),
             });
-            qrd_of_var.insert(v, qid);
-            seps_of_var.insert(v, seps.clone());
-            elim_order.push(v);
-            self.prog.elimination.push((v, qid));
-
-            // New factor on separators.
-            if !seps.is_empty() {
-                let new_rows = rows.saturating_sub(dv).min(sep_cols + 1);
-                if new_rows > 0 {
-                    work.push(SymFactor {
-                        keys: seps,
-                        rows: new_rows,
-                        src: SymSrc::New(qid),
-                        live: true,
-                    });
-                }
-            }
+            qrds.push(qid);
+            self.prog.elimination.push((step.var, qid));
         }
 
         // Back-substitution in reverse elimination order.
-        let mut bsub_of_var: HashMap<VarId, usize> = HashMap::new();
-        for &v in elim_order.iter().rev() {
-            let parents = seps_of_var[&v].clone();
-            let mut srcs = vec![self.prog.instrs[qrd_of_var[&v]].dst];
+        let mut bsub_of_var: Vec<Option<usize>> = vec![None; var_dims.len()];
+        for (step, &qid) in schedule.steps().iter().zip(&qrds).rev() {
+            let parents = step.seps.clone();
+            let mut srcs = vec![self.prog.instrs[qid].dst];
             for p in &parents {
-                srcs.push(self.prog.instrs[bsub_of_var[p]].dst);
+                let bid = bsub_of_var[p.0].expect("separators are eliminated later");
+                srcs.push(self.prog.instrs[bid].dst);
             }
-            let dv = var_dims[v.0];
+            let dv = var_dims[step.var.0];
             // The back-substitution row length includes the parent blocks,
             // which drives the unit's latency model.
             let parent_width: usize = parents.iter().map(|p| var_dims[p.0]).sum();
             let dst = self.prog.fresh_reg();
             let bid = self.prog.push_unchecked(Instruction {
                 id: 0,
-                op: Op::Bsub { var: v, parents },
+                op: Op::Bsub {
+                    var: step.var,
+                    parents,
+                },
                 dst,
                 srcs,
                 level: 0,
@@ -1131,8 +1078,8 @@ impl<'g> Codegen<'g> {
                 phase: Phase::BackSub,
                 dims: (dv, 1 + parent_width),
             });
-            bsub_of_var.insert(v, bid);
-            self.prog.back_subs.push((v, bid));
+            bsub_of_var[step.var.0] = Some(bid);
+            self.prog.back_subs.push((step.var, bid));
         }
         Ok(())
     }

@@ -64,7 +64,8 @@ pub use factors::{
 pub use graph::{FactorGraph, GraphError};
 pub use linear::{LinearFactor, LinearSystem};
 pub use ordering::{
-    extract_cliques, min_degree_ordering, natural_ordering, Ordering, SymbolicClique,
+    extract_cliques, min_degree_ordering, natural_ordering, EliminationSchedule, Ordering,
+    ScheduleStep, SymbolicClique, UnconstrainedVariable,
 };
 pub use values::Values;
 pub use variable::{VarId, Variable};

@@ -5,6 +5,13 @@
 //! the dense partial-QR problems the accelerator solves. We provide the
 //! natural (insertion) order and a greedy minimum-degree heuristic — the
 //! standard fill-reducing choice for square-root smoothing-and-mapping.
+//!
+//! Given an order, [`EliminationSchedule`] is the symbolic elimination:
+//! which factors each step gathers, its separators and its dense shape.
+//! The solver's `SolvePlan` lays its arena out from it and the compiler
+//! emits its `QRD`/`BSUB` stream from it, so the two cannot disagree on
+//! structure. [`extract_cliques`] groups a finished pass into
+//! the Bayes tree of the incremental solver.
 
 use crate::graph::FactorGraph;
 use crate::variable::VarId;
@@ -173,6 +180,194 @@ pub fn extract_cliques(conds: &[(VarId, Vec<VarId>)]) -> Vec<SymbolicClique> {
         }
     }
     cliques
+}
+
+/// Symbolic elimination failure: the variable had no live factor at its
+/// step, so nothing determines it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnconstrainedVariable(pub VarId);
+
+impl std::fmt::Display for UnconstrainedVariable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "variable {} is not constrained by any factor", self.0)
+    }
+}
+
+impl std::error::Error for UnconstrainedVariable {}
+
+/// One symbolic elimination step (paper Fig. 5): everything that depends
+/// only on structure about the dense sub-problem of one variable.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScheduleStep {
+    /// The frontal variable this step eliminates.
+    pub var: VarId,
+    /// Work-list slots gathered, ascending (base factors, then separator
+    /// factors in the order earlier steps produced them).
+    pub gather: Vec<usize>,
+    /// Sorted separator variables: the column layout after the frontal.
+    pub seps: Vec<VarId>,
+    /// Structural stacked row count (an upper bound: separator factors may
+    /// shed numerically-zero rows at run time).
+    pub rows: usize,
+    /// Frontal + separator columns (excluding the RHS).
+    pub cols: usize,
+    /// Slot reserved for this step's separator factor, when one is
+    /// structurally possible.
+    pub new_slot: Option<usize>,
+}
+
+/// The symbolic elimination of one structure along an order: the steps
+/// the software solver's arena and the compiler's `QRD`/`BSUB` stream are
+/// both laid out from.
+///
+/// The work-list holds the base factors in slots `0..num_base_factors()`;
+/// each step that leaves a separator factor reserves the next slot.
+#[derive(Debug, Clone)]
+pub struct EliminationSchedule {
+    var_dims: Vec<usize>,
+    num_base: usize,
+    steps: Vec<ScheduleStep>,
+    /// Keys and structural row count of every slot.
+    slot_keys: Vec<Vec<VarId>>,
+    slot_rows: Vec<usize>,
+    /// Producing step of each reserved slot (indexed `slot - num_base`).
+    producers: Vec<usize>,
+    /// Slots not yet consumed by a step.
+    live: Vec<bool>,
+    /// Per-variable adjacency over slots, ascending.
+    adj: Vec<Vec<usize>>,
+}
+
+impl EliminationSchedule {
+    /// Starts a schedule over `factors` — `(keys, rows)` per base factor —
+    /// with nothing eliminated yet.
+    pub fn new(
+        var_dims: Vec<usize>,
+        factors: impl IntoIterator<Item = (Vec<VarId>, usize)>,
+    ) -> Self {
+        let (slot_keys, slot_rows): (Vec<Vec<VarId>>, Vec<usize>) = factors.into_iter().unzip();
+        let mut adj = vec![Vec::new(); var_dims.len()];
+        for (slot, keys) in slot_keys.iter().enumerate() {
+            for k in keys {
+                adj[k.0].push(slot);
+            }
+        }
+        Self {
+            var_dims,
+            num_base: slot_keys.len(),
+            steps: Vec::new(),
+            live: vec![true; slot_keys.len()],
+            slot_keys,
+            slot_rows,
+            producers: Vec::new(),
+            adj,
+        }
+    }
+
+    /// [`EliminationSchedule::new`] over a graph's factors.
+    pub fn for_graph(graph: &FactorGraph) -> Self {
+        Self::new(
+            graph.values().iter().map(|(_, v)| v.dim()).collect(),
+            graph.factors().iter().map(|f| (f.keys().to_vec(), f.dim())),
+        )
+    }
+
+    /// Eliminates `v`: gathers its live slots, derives the separator
+    /// layout and row count, and reserves a slot for the separator factor
+    /// when the triangularized remainder keeps a row. A step with fewer
+    /// rows than `v`'s dimension is recorded as is; only the numeric
+    /// phase can tell how singular it is.
+    ///
+    /// # Errors
+    /// [`UnconstrainedVariable`] when no live slot touches `v`.
+    pub fn eliminate(&mut self, v: VarId) -> Result<&ScheduleStep, UnconstrainedVariable> {
+        let gather: Vec<usize> = self.adj[v.0]
+            .iter()
+            .copied()
+            .filter(|&s| self.live[s])
+            .collect();
+        if gather.is_empty() {
+            return Err(UnconstrainedVariable(v));
+        }
+        // Separators: first-seen over the gathered keys, then sorted.
+        let mut seps: Vec<VarId> = Vec::new();
+        let mut rows = 0;
+        for &s in &gather {
+            self.live[s] = false;
+            rows += self.slot_rows[s];
+            for k in &self.slot_keys[s] {
+                if *k != v && !seps.contains(k) {
+                    seps.push(*k);
+                }
+            }
+        }
+        seps.sort();
+        let dv = self.var_dims[v.0];
+        let cols = dv + seps.iter().map(|s| self.var_dims[s.0]).sum::<usize>();
+        // QR leaves at most `cols + 1` rows; the first `dv` form the
+        // conditional, the rest the separator factor.
+        let new_slot = (!seps.is_empty() && rows.min(cols + 1) > dv).then(|| {
+            let slot = self.slot_keys.len();
+            for k in &seps {
+                self.adj[k.0].push(slot);
+            }
+            self.slot_keys.push(seps.clone());
+            self.slot_rows.push(rows.min(cols + 1) - dv);
+            self.live.push(true);
+            self.producers.push(self.steps.len());
+            slot
+        });
+        self.steps.push(ScheduleStep {
+            var: v,
+            gather,
+            seps,
+            rows,
+            cols,
+            new_slot,
+        });
+        Ok(self.steps.last().expect("just pushed"))
+    }
+
+    /// Eliminates every variable of `order` in turn.
+    ///
+    /// # Errors
+    /// The first [`UnconstrainedVariable`].
+    pub fn eliminate_all(&mut self, order: &[VarId]) -> Result<(), UnconstrainedVariable> {
+        for &v in order {
+            self.eliminate(v)?;
+        }
+        Ok(())
+    }
+
+    /// The steps so far, in elimination order.
+    pub fn steps(&self) -> &[ScheduleStep] {
+        &self.steps
+    }
+
+    /// Tangent dimension per variable id.
+    pub fn var_dims(&self) -> &[usize] {
+        &self.var_dims
+    }
+
+    /// Number of base factors (slots below it are base factors).
+    pub fn num_base_factors(&self) -> usize {
+        self.num_base
+    }
+
+    /// Keys of a slot (a separator slot's keys are its producer's seps).
+    pub fn slot_keys(&self, slot: usize) -> &[VarId] {
+        &self.slot_keys[slot]
+    }
+
+    /// Structural row count of a slot.
+    pub fn slot_rows(&self, slot: usize) -> usize {
+        self.slot_rows[slot]
+    }
+
+    /// Index of the step that reserved `slot`, or `None` for a base factor.
+    pub fn producer(&self, slot: usize) -> Option<usize> {
+        slot.checked_sub(self.num_base).map(|i| self.producers[i])
+    }
 }
 
 #[cfg(test)]

@@ -513,14 +513,17 @@ impl WorkloadSet {
     /// `result[config][workload]`. Thread-count independent; re-proposed
     /// configurations are memo hits, never re-simulations.
     pub fn evaluate(&mut self, configs: &[HwConfig]) -> Vec<Vec<SimReport>> {
-        let per_ctx: Vec<Vec<SimReport>> = self
-            .entries
-            .iter_mut()
-            .map(|(_, ctx)| ctx.simulate_many(configs))
+        let mut out: Vec<Vec<SimReport>> = configs
+            .iter()
+            .map(|_| Vec::with_capacity(self.entries.len()))
             .collect();
-        (0..configs.len())
-            .map(|i| per_ctx.iter().map(|v| v[i].clone()).collect())
-            .collect()
+        // Transpose by moving each context's reports into their rows.
+        for (_, ctx) in &mut self.entries {
+            for (row, report) in out.iter_mut().zip(ctx.simulate_many(configs)) {
+                row.push(report);
+            }
+        }
+        out
     }
 
     /// Fresh scoreboard walks across all contexts.

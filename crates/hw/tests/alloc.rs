@@ -6,7 +6,8 @@
 //! building, pricing, keying and bounding a candidate, and answering a
 //! simulation from the memo, perform **zero** heap allocations (the memo
 //! hit is allowed exactly the allocations of cloning the report it
-//! returns).
+//! returns, and a memoized `evaluate` batch only those of its
+//! `simulate_many` calls and the vectors it transposes them into).
 
 use orianna_compiler::{compile, UnitClass};
 use orianna_graph::{natural_ordering, BetweenFactor, FactorGraph, PriorFactor};
@@ -131,4 +132,27 @@ fn candidates_are_allocation_free_in_steady_state() {
         "memo hit allocated {n} times; cloning its report takes {clone_allocs}"
     );
     assert_eq!(hit.cycles, warm.cycles);
+
+    // An `evaluate` batch whose every config is memoized may allocate only
+    // what its per-context `simulate_many` calls do, plus the transposed
+    // vectors (one row per config and the outer one): the reports are
+    // moved into place, never cloned again.
+    let batch = [config.clone(), config.plus_one(UnitClass::Qr)];
+    set.evaluate(&batch);
+    let mut per_ctx = 0;
+    for i in 0..programs.len() {
+        let ctx = set.context_mut(i);
+        let (n, _) = count_allocs(|| black_box(ctx.simulate_many(black_box(&batch))));
+        per_ctx += n;
+    }
+    let sims = set.simulations();
+    let (n, reports) = count_allocs(|| set.evaluate(black_box(&batch)));
+    assert_eq!(set.simulations(), sims, "every config was memoized");
+    assert_eq!(reports.len(), batch.len());
+    let transposed = batch.len() + 1;
+    assert!(
+        n <= per_ctx + transposed,
+        "memoized evaluate allocated {n} times; simulate_many takes {per_ctx}, \
+         the transposed vectors {transposed}"
+    );
 }

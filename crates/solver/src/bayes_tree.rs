@@ -11,10 +11,12 @@
 //!   [`CliqueSlab`](crate::workspace::CliqueSlab) — re-eliminating one
 //!   part of the tree never touches the slabs of the rest;
 //! * each non-root clique caches its **message** — the separator factor
-//!   its last frontal's elimination step handed to the parent. When a
-//!   later update detaches the clique's parent, the message stands in
-//!   for the whole untouched subtree during re-elimination, exactly as
-//!   in iSAM2's "orphan" reattachment;
+//!   its last frontal's elimination step handed to the parent, as
+//!   returned per step by the reference sweep of
+//!   [`eliminate`](crate::elimination::eliminate), which every
+//!   re-elimination runs. When a later update detaches the clique's
+//!   parent, the message stands in for the whole untouched subtree
+//!   during re-elimination, exactly as in iSAM2's "orphan" reattachment;
 //! * back-substitution descends from the roots and stops at cliques
 //!   whose separator deltas moved less than a **wildfire threshold**,
 //!   so a small update touches a small part of Δ.
@@ -23,7 +25,7 @@
 //! variables are affected, when to fall back to a full rebuild) lives in
 //! [`crate::incremental`].
 
-use crate::elimination::{eliminate_step, Conditional, SolveError};
+use crate::elimination::{Conditional, SolveError};
 use crate::workspace::{CliqueSlab, SlabPool};
 use orianna_graph::{extract_cliques, LinearFactor, VarId};
 use orianna_math::Vec64;
@@ -341,58 +343,10 @@ impl BayesTree {
     }
 }
 
-/// Per-step separator factors (clique messages) captured by
-/// [`eliminate_capture`]: `None` where a step shed every remainder row.
-pub(crate) type CapturedMsgs = Vec<Option<Arc<LinearFactor>>>;
-
-/// [`crate::elimination::eliminate`] restricted to `order`, capturing the
-/// separator factor each step produces (the clique messages). Every key
-/// of `factors` must lie in `order` — the affected-closure construction
-/// guarantees it. Runs the shared [`eliminate_step`] kernel, so
-/// incremental and batch elimination perform identical per-variable
-/// arithmetic.
-pub(crate) fn eliminate_capture(
-    factors: Vec<Arc<LinearFactor>>,
-    order: &[VarId],
-    var_dims: &[usize],
-) -> Result<(Vec<Conditional>, CapturedMsgs), SolveError> {
-    let mut work: Vec<Option<Arc<LinearFactor>>> = factors.into_iter().map(Some).collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); var_dims.len()];
-    for (fi, f) in work.iter().enumerate() {
-        for k in &f.as_ref().expect("fresh worklist").keys {
-            adj[k.0].push(fi);
-        }
-    }
-    let mut conditionals = Vec::with_capacity(order.len());
-    let mut msgs = Vec::with_capacity(order.len());
-    for &v in order {
-        let gathered: Vec<Arc<LinearFactor>> =
-            adj[v.0].iter().filter_map(|&fi| work[fi].take()).collect();
-        if gathered.is_empty() {
-            return Err(SolveError::UnconstrainedVariable(v));
-        }
-        let (cond, new_factor, _step) = eliminate_step(v, &gathered, var_dims)?;
-        conditionals.push(cond);
-        match new_factor {
-            Some(nf) => {
-                let nf = Arc::new(nf);
-                let fi = work.len();
-                for k in &nf.keys {
-                    adj[k.0].push(fi);
-                }
-                work.push(Some(nf.clone()));
-                msgs.push(Some(nf));
-            }
-            None => msgs.push(None),
-        }
-    }
-    Ok((conditionals, msgs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elimination::eliminate;
+    use crate::elimination::{eliminate, sweep};
     use orianna_graph::{natural_ordering, BetweenFactor, FactorGraph, PriorFactor};
     use orianna_lie::Pose2;
 
@@ -417,10 +371,10 @@ mod tests {
         let sys = g.linearize();
         let order: Vec<VarId> = (0..g.num_variables()).map(VarId).collect();
         let factors: Vec<Arc<LinearFactor>> = sys.factors.iter().cloned().map(Arc::new).collect();
-        let (conds, msgs) = eliminate_capture(factors, &order, &sys.var_dims).unwrap();
+        let out = sweep(factors, &order, &sys.var_dims).unwrap();
         let mut tree = BayesTree::default();
         tree.ensure_var_capacity(g.num_variables());
-        let slots = tree.attach(conds, msgs, &[]);
+        let slots = tree.attach(out.conditionals, out.messages, &[]);
         let offsets = sys.offsets();
         let mut delta = Vec64::zeros(sys.total_cols());
         let forced = vec![true; tree.node_slots()];
@@ -429,7 +383,7 @@ mod tests {
         (tree, delta, slots)
     }
 
-    /// Capturing elimination + packed wildfire back-substitution over the
+    /// The reference sweep + packed wildfire back-substitution over the
     /// whole tree reproduces the batch solution bitwise (same kernel,
     /// same gather order, same solve order per conditional).
     #[test]
@@ -510,9 +464,9 @@ mod tests {
                 work.push(m);
             }
         }
-        let (conds, msgs) = eliminate_capture(work, &reelim, &sys.var_dims).unwrap();
+        let out = sweep(work, &reelim, &sys.var_dims).unwrap();
         tree.detach(&marked);
-        let new_slots = tree.attach(conds, msgs, &orphans);
+        let new_slots = tree.attach(out.conditionals, out.messages, &orphans);
         let mut forced = vec![false; tree.node_slots()];
         for &s in &new_slots {
             forced[s] = true;

@@ -14,9 +14,11 @@
 //! upper-triangular system (a Bayes net); back-substitution in reverse
 //! order recovers Δ (Fig. 6).
 //!
-//! [`eliminate`] is the plan-less reference oracle. Production solves run
-//! a cached [`SolvePlan`](crate::plan::SolvePlan) inside a reusable
-//! workspace arena, bitwise identical to it.
+//! [`eliminate`] is the reference oracle; its sweep is the one serial
+//! numeric elimination of the crate, also run by the arena's fallback and
+//! the incremental solver. Production solves run a cached
+//! [`SolvePlan`](crate::plan::SolvePlan) inside a reusable workspace
+//! arena, bitwise identical to it.
 
 use orianna_graph::{LinearFactor, LinearSystem, Ordering, VarId};
 use orianna_math::{householder_qr, Mat, Vec64};
@@ -229,9 +231,8 @@ impl EliminationStats {
 
 /// Eliminates one variable given its gathered live adjacent factors: the
 /// single dense sub-problem of paper Fig. 5. Pure function of its inputs —
-/// the reference sweep ([`eliminate`]), the plan executor and the
-/// incremental solver all call it, so every path runs identical
-/// arithmetic.
+/// the reference [`sweep`] and the incremental solver's marginalization
+/// both call it, so every path runs identical arithmetic.
 ///
 /// Returns the conditional, the new separator factor (when any non-trivial
 /// rows remain) and the size/density record for this step.
@@ -253,36 +254,6 @@ pub(crate) fn eliminate_step(
         }
     }
     seps.sort();
-    eliminate_step_with_seps(v, gathered, var_dims, seps)
-}
-
-/// [`eliminate_step`] with the separator layout supplied by the caller.
-/// The plan executor ([`crate::plan::SolvePlan::execute`]) derives `seps`
-/// symbolically once and passes it here every iteration, skipping the
-/// per-step separator scan. `seps` must equal the sorted separators of
-/// `gathered` (debug-asserted).
-pub(crate) fn eliminate_step_with_seps(
-    v: VarId,
-    gathered: &[Arc<LinearFactor>],
-    var_dims: &[usize],
-    seps: Vec<VarId>,
-) -> Result<(Conditional, Option<LinearFactor>, EliminationStep), SolveError> {
-    if gathered.is_empty() {
-        return Err(SolveError::UnconstrainedVariable(v));
-    }
-    #[cfg(debug_assertions)]
-    {
-        let mut expect: Vec<VarId> = Vec::new();
-        for f in gathered {
-            for k in &f.keys {
-                if *k != v && !expect.contains(k) {
-                    expect.push(*k);
-                }
-            }
-        }
-        expect.sort();
-        debug_assert_eq!(seps, expect, "separator layout mismatch for {v}");
-    }
     let dv = var_dims[v.0];
     let sep_cols: usize = seps.iter().map(|s| var_dims[s.0]).sum();
     let total_rows: usize = gathered.iter().map(|f| f.rows()).sum();
@@ -402,36 +373,64 @@ pub(crate) fn eliminate_step_with_seps(
     Ok((conditional, new_factor, step))
 }
 
-/// Live factor work-list: `None` = consumed by an earlier elimination.
-type WorkList = Vec<Option<Arc<LinearFactor>>>;
+/// What one serial elimination sweep produces, per step in order.
+pub(crate) struct Sweep {
+    /// The conditional of each step.
+    pub conditionals: Vec<Conditional>,
+    /// The separator factor each step left for later steps (the clique
+    /// message); `None` where it had no separators or shed every row.
+    pub messages: Vec<Option<Arc<LinearFactor>>>,
+    /// The size/density record of each step.
+    pub stats: Vec<EliminationStep>,
+}
 
-fn build_worklist(system: &LinearSystem) -> (WorkList, Vec<Vec<usize>>) {
-    let work: WorkList = system
-        .factors
-        .iter()
-        .cloned()
-        .map(|f| Some(Arc::new(f)))
-        .collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); system.var_dims.len()];
-    for (fi, f) in system.factors.iter().enumerate() {
+/// The reference elimination sweep: eliminates `order` one variable at a
+/// time, gathering each variable's live factors in work-list order.
+/// [`eliminate`], the arena's fallback and the incremental solver all run
+/// it; `order` may be a subset of the variables (a plan's partial order,
+/// the incremental solver's affected window).
+///
+/// # Errors
+/// Returns an error when a variable is unconstrained or singular.
+pub(crate) fn sweep(
+    factors: Vec<Arc<LinearFactor>>,
+    order: &[VarId],
+    var_dims: &[usize],
+) -> Result<Sweep, SolveError> {
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); var_dims.len()];
+    for (fi, f) in factors.iter().enumerate() {
         for k in &f.keys {
             adj[k.0].push(fi);
         }
     }
-    (work, adj)
-}
-
-fn push_new_factor(work: &mut WorkList, adj: &mut [Vec<usize>], nf: LinearFactor) {
-    let fi = work.len();
-    for k in &nf.keys {
-        adj[k.0].push(fi);
+    let mut work: Vec<Option<Arc<LinearFactor>>> = factors.into_iter().map(Some).collect();
+    let mut out = Sweep {
+        conditionals: Vec::with_capacity(order.len()),
+        messages: Vec::with_capacity(order.len()),
+        stats: Vec::with_capacity(order.len()),
+    };
+    for &v in order {
+        let gathered: Vec<Arc<LinearFactor>> =
+            adj[v.0].iter().filter_map(|&fi| work[fi].take()).collect();
+        let (conditional, new_factor, step) = eliminate_step(v, &gathered, var_dims)?;
+        let message = new_factor.map(Arc::new);
+        if let Some(nf) = &message {
+            for k in &nf.keys {
+                adj[k.0].push(work.len());
+            }
+            work.push(Some(Arc::clone(nf)));
+        }
+        out.conditionals.push(conditional);
+        out.messages.push(message);
+        out.stats.push(step);
     }
-    work.push(Some(Arc::new(nf)));
+    Ok(out)
 }
 
 /// Eliminates every variable of `system` in `ordering`, producing the
 /// Bayes net and the per-step statistics. This is the reference oracle
-/// every planned path ([`crate::plan`]) is bitwise identical to.
+/// the arena ([`crate::plan::SolvePlan::solve_in`]) is bitwise identical
+/// to.
 ///
 /// # Errors
 /// Returns an error when a variable is unconstrained or singular.
@@ -444,39 +443,14 @@ pub fn eliminate(
         system.var_dims.len(),
         "ordering must cover every variable"
     );
-    let var_dims = system.var_dims.clone();
-    let (mut work, mut adj) = build_worklist(system);
-    let mut conditionals = Vec::with_capacity(ordering.len());
-    let mut stats = EliminationStats::default();
-
-    for &v in ordering.as_slice() {
-        // Gather live adjacent factors.
-        let factor_ids: Vec<usize> = adj[v.0]
-            .iter()
-            .copied()
-            .filter(|&fi| work[fi].is_some())
-            .collect();
-        if factor_ids.is_empty() {
-            return Err(SolveError::UnconstrainedVariable(v));
-        }
-        let gathered: Vec<Arc<LinearFactor>> = factor_ids
-            .iter()
-            .map(|&fi| work[fi].take().unwrap())
-            .collect();
-        let (conditional, new_factor, step) = eliminate_step(v, &gathered, &var_dims)?;
-        stats.steps.push(step);
-        conditionals.push(conditional);
-        if let Some(nf) = new_factor {
-            push_new_factor(&mut work, &mut adj, nf);
-        }
-    }
-
+    let factors = system.factors.iter().cloned().map(Arc::new).collect();
+    let out = sweep(factors, ordering.as_slice(), &system.var_dims)?;
     Ok((
         BayesNet {
-            conditionals,
-            var_dims,
+            conditionals: out.conditionals,
+            var_dims: system.var_dims.clone(),
         },
-        stats,
+        EliminationStats { steps: out.stats },
     ))
 }
 

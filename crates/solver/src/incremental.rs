@@ -31,8 +31,8 @@
 //! the incremental solution equals the batch elimination of the same
 //! linearized factors at the same linearization points, to ≤1e-9.
 
-use crate::bayes_tree::{eliminate_capture, BayesTree};
-use crate::elimination::{eliminate_step, SolveError};
+use crate::bayes_tree::BayesTree;
+use crate::elimination::{eliminate_step, sweep, SolveError};
 use orianna_graph::{Factor, LinearContainerFactor, LinearFactor, Values, VarId, Variable};
 use orianna_math::Vec64;
 use std::collections::HashSet;
@@ -207,10 +207,12 @@ impl IncrementalSolver {
     ///
     /// # Errors
     /// Returns [`SolveError::UnknownVariable`] when a new factor
-    /// references a variable that was never added or was marginalized
-    /// (checked before any state changes, so a failed update leaves the
-    /// solver intact), and the usual errors when a variable stays
-    /// unconstrained or an elimination block is singular.
+    /// references a variable that was never added or was marginalized,
+    /// and [`SolveError::NonFinite`] when a new factor linearizes to a
+    /// NaN or infinite block or right-hand side (both checked before any
+    /// state changes, so a failed update leaves the solver intact), and
+    /// the usual errors when a variable stays unconstrained or an
+    /// elimination block is singular.
     pub fn update(&mut self, new_factors: Vec<Arc<dyn Factor>>) -> Result<(), SolveError> {
         for f in &new_factors {
             for k in f.keys() {
@@ -218,6 +220,17 @@ impl IncrementalSolver {
                     return Err(SolveError::UnknownVariable(*k));
                 }
             }
+        }
+        let linear: Vec<LinearFactor> = new_factors
+            .iter()
+            .map(|f| linearize(f.as_ref(), &self.lin_point))
+            .collect();
+        let finite = |x: &f64| x.is_finite();
+        if !linear.iter().all(|l| {
+            l.rhs.as_slice().iter().all(finite)
+                && l.blocks.iter().all(|b| b.as_slice().iter().all(finite))
+        }) {
+            return Err(SolveError::NonFinite);
         }
         let mut affected: HashSet<VarId> =
             new_factors.iter().flat_map(|f| f.keys().to_vec()).collect();
@@ -228,8 +241,8 @@ impl IncrementalSolver {
                 affected.insert(v);
             }
         }
-        for f in new_factors {
-            self.push_factor(f);
+        for (f, lin) in new_factors.into_iter().zip(linear) {
+            self.push_factor(f, lin);
         }
         if affected.is_empty() {
             return Ok(());
@@ -386,22 +399,16 @@ impl IncrementalSolver {
         self.marginalized.len()
     }
 
-    /// Linearizes `f` at the current linearization point and registers it
-    /// under its home variable (smallest key).
-    fn push_factor(&mut self, f: Arc<dyn Factor>) {
-        let (jacs, err) = f.linearize(&self.lin_point);
-        let lin = Arc::new(LinearFactor {
-            keys: f.keys().to_vec(),
-            blocks: jacs,
-            rhs: -&err,
-        });
+    /// Registers `f`, linearized at the current linearization point as
+    /// `lin`, under its home variable (smallest key).
+    fn push_factor(&mut self, f: Arc<dyn Factor>, lin: LinearFactor) {
         let idx = self.entries.len();
         if let Some(home) = f.keys().iter().min() {
             self.home[home.0].push(idx);
         }
         self.entries.push(Some(FactorEntry {
             nonlinear: f,
-            linear: lin,
+            linear: Arc::new(lin),
         }));
         self.live_factors += 1;
     }
@@ -412,12 +419,7 @@ impl IncrementalSolver {
         let lin_point = &self.lin_point;
         for e in self.entries.iter_mut().flatten() {
             if pick(e.nonlinear.keys()) {
-                let (jacs, err) = e.nonlinear.linearize(lin_point);
-                e.linear = Arc::new(LinearFactor {
-                    keys: e.nonlinear.keys().to_vec(),
-                    blocks: jacs,
-                    rhs: -&err,
-                });
+                e.linear = Arc::new(linearize(e.nonlinear.as_ref(), lin_point));
             }
         }
     }
@@ -485,9 +487,9 @@ impl IncrementalSolver {
             }
         }
         // Eliminate first (pure); mutate the tree only on success.
-        let (conds, msgs) = eliminate_capture(work, &reelim, &self.var_dims)?;
+        let out = sweep(work, &reelim, &self.var_dims)?;
         self.tree.detach(&marked);
-        let new_slots = self.tree.attach(conds, msgs, &orphans);
+        let new_slots = self.tree.attach(out.conditionals, out.messages, &orphans);
         self.cliques_reeliminated += new_slots.len();
         let mut forced = vec![false; self.tree.node_slots()];
         for &s in &new_slots {
@@ -520,9 +522,9 @@ impl IncrementalSolver {
             .flatten()
             .map(|e| e.linear.clone())
             .collect();
-        let (conds, msgs) = eliminate_capture(work, &order, &self.var_dims)?;
+        let out = sweep(work, &order, &self.var_dims)?;
         self.tree.clear();
-        let new_slots = self.tree.attach(conds, msgs, &[]);
+        let new_slots = self.tree.attach(out.conditionals, out.messages, &[]);
         self.cliques_reeliminated += new_slots.len();
         self.delta = Vec64::zeros(self.lin_point.total_dim());
         let forced = vec![true; self.tree.node_slots()];
@@ -534,6 +536,16 @@ impl IncrementalSolver {
             0.0,
         )?;
         Ok(())
+    }
+}
+
+/// The whitened block row of `f` at `at`.
+fn linearize(f: &dyn Factor, at: &Values) -> LinearFactor {
+    let (blocks, err) = f.linearize(at);
+    LinearFactor {
+        keys: f.keys().to_vec(),
+        blocks,
+        rhs: -&err,
     }
 }
 
@@ -900,6 +912,31 @@ mod tests {
         // The solver still works after the failed update.
         inc.update(vec![]).unwrap();
         assert!(inc.delta().norm().is_finite());
+    }
+
+    /// A factor that linearizes to NaN is rejected before any state
+    /// changes: the solver keeps neither the factor nor a stale tree, and
+    /// the next valid update matches the batch solve without it.
+    #[test]
+    fn non_finite_factor_is_rejected_and_leaves_the_solver_intact() {
+        let mut inc = IncrementalSolver::new();
+        let mut g = FactorGraph::new();
+        let a = inc.add_variable(Variable::Pose2(Pose2::identity()));
+        g.add_pose2(Pose2::identity());
+        let prior = PriorFactor::pose2(a, Pose2::identity(), 0.1);
+        g.add_factor(prior.clone());
+        inc.update(vec![Arc::new(prior)]).unwrap();
+        let b = inc.add_variable(Variable::Pose2(Pose2::new(0.0, 1.0, 0.0)));
+        g.add_pose2(Pose2::new(0.0, 1.0, 0.0));
+        let nan = BetweenFactor::pose2(a, b, Pose2::new(f64::NAN, 1.0, 0.0), 0.2);
+        let err = inc.update(vec![Arc::new(nan) as Arc<dyn Factor>]);
+        assert_eq!(err, Err(SolveError::NonFinite));
+        assert_eq!(inc.num_factors(), 1);
+        let odo = BetweenFactor::pose2(a, b, Pose2::new(0.0, 1.0, 0.0), 0.2);
+        g.add_factor(odo.clone());
+        inc.update(vec![Arc::new(odo)]).unwrap();
+        assert_eq!(inc.num_factors(), 2);
+        assert!((inc.delta() - &batch_delta(&g)).norm() < 1e-9);
     }
 
     /// A factor on a marginalized variable is rejected up front: the

@@ -7,22 +7,19 @@
 //! elimination — everything that depends only on the graph's structure:
 //!
 //! * the resolved elimination order,
-//! * per-step **gather lists** (which live factors each elimination step
-//!   stacks, in the exact order the plan-less path would visit them),
-//! * per-step **separator layouts** (the sorted separator variables and
-//!   therefore the column layout of the stacked matrix),
-//! * the structural `(rows × cols)` dimensions of every dense sub-problem,
+//! * the [`EliminationSchedule`] of `orianna-graph` — per-step gather
+//!   lists, sorted separators and structural `(rows × cols)` shapes, the
+//!   same steps the compiler emits its `QRD`/`BSUB` stream from,
 //! * the arena layout of the numeric phase ([`crate::workspace`]).
 //!
-//! The *numeric* phase runs only the dense arithmetic: gather, stack, QR,
-//! split — no adjacency rebuilds, no separator scans. Production callers
-//! run it inside a reusable [`Workspace`] ([`SolvePlan::solve_in`],
-//! [`SolvePlan::execute_in`]); [`SolvePlan::execute`] is the allocating
-//! serial sweep the arena falls back to. Every path is **bitwise
-//! identical** to the plan-less [`eliminate`](crate::elimination::eliminate)
-//! because it follows the same gather order and runs the same
-//! [`eliminate_step`](crate::elimination) arithmetic (asserted in
-//! `tests/plan.rs` for every benchmark application).
+//! The *numeric* phase runs only the dense arithmetic — gather, stack,
+//! QR, split — inside a reusable [`Workspace`] ([`SolvePlan::solve_in`]).
+//! It is **bitwise identical** to the reference
+//! [`eliminate`](crate::elimination::eliminate): it stacks the same rows
+//! in the same order and replays the same Householder schedule (asserted
+//! in `tests/plan.rs` for every benchmark application). When a planned
+//! separator factor sheds every row numerically the arena layout no
+//! longer applies, and `solve_in` runs the reference sweep itself.
 //!
 //! ## Validity and invalidation
 //!
@@ -31,7 +28,7 @@
 //! variable dimensions plus each factor's keys and residual dimension.
 //! Changing estimates, measurements, noise, or damping values keeps the
 //! fingerprint (and the plan) valid; adding/removing variables or factors
-//! invalidates it. [`SolvePlan::execute`] cheaply checks the shape of the
+//! invalidates it. [`SolvePlan::solve_in`] cheaply checks the shape of the
 //! system it is handed and returns [`SolveError::PlanMismatch`] on a stale
 //! plan rather than computing garbage.
 //!
@@ -41,164 +38,23 @@
 //! one serial sweep, so a plan executed against the same system always
 //! produces the same bits (`tests/parallel.rs`, `tests/plan.rs`).
 
-use crate::elimination::{
-    eliminate_step, eliminate_step_with_seps, BayesNet, EliminationStats, SolveError,
-};
+use crate::elimination::{sweep, BayesNet, SolveError};
 use crate::workspace::{ArenaError, Workspace, WorkspaceLayout};
-use orianna_graph::{FactorGraph, LinearFactor, LinearSystem, VarId};
+use orianna_graph::{EliminationSchedule, FactorGraph, LinearSystem, VarId};
 use orianna_math::Vec64;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One symbolic elimination step: everything the numeric executor needs to
-/// gather, stack, and split the dense sub-problem of one variable.
-#[derive(Debug, Clone)]
-struct PlanStep {
-    /// The frontal variable this step eliminates.
-    var: VarId,
-    /// Work-list slots to gather, in plan-less gather order.
-    gather: Vec<usize>,
-    /// Sorted separator variables — the symbolic column layout.
-    seps: Vec<VarId>,
-    /// Structural stacked row count (an upper bound: separator factors may
-    /// shed numerically-zero rows at run time).
-    rows: usize,
-    /// Frontal + separator columns (excluding the RHS).
-    cols: usize,
-    /// Reserved slot for this step's separator factor, when one is
-    /// structurally possible.
-    new_slot: Option<usize>,
-}
-
-/// Symbolic work-list used while building a schedule.
-struct SymbolicWorklist {
-    /// Keys of each slot (base factors, then reserved separator slots).
-    keys: Vec<Vec<VarId>>,
-    /// Structural row count of each slot.
-    rows: Vec<usize>,
-    /// Live = not yet consumed by an earlier step.
-    live: Vec<bool>,
-    /// Per-variable adjacency over slots, in slot-creation order.
-    adj: Vec<Vec<usize>>,
-}
-
-impl SymbolicWorklist {
-    fn new(var_dims: &[usize], factor_keys: &[Vec<VarId>], factor_rows: &[usize]) -> Self {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); var_dims.len()];
-        for (fi, keys) in factor_keys.iter().enumerate() {
-            for k in keys {
-                adj[k.0].push(fi);
-            }
-        }
-        Self {
-            keys: factor_keys.to_vec(),
-            rows: factor_rows.to_vec(),
-            live: vec![true; factor_keys.len()],
-            adj,
-        }
-    }
-
-    fn live_slots(&self, v: VarId) -> Vec<usize> {
-        self.adj[v.0]
-            .iter()
-            .copied()
-            .filter(|&s| self.live[s])
-            .collect()
-    }
-
-    /// Consumes `gather`, derives the step's layout, and reserves a slot
-    /// for the separator factor when one is structurally possible.
-    fn make_step(
-        &mut self,
-        v: VarId,
-        gather: Vec<usize>,
-        var_dims: &[usize],
-    ) -> Result<PlanStep, SolveError> {
-        // Separators: first-seen over gathered keys, then sorted — the
-        // exact layout `eliminate_step` derives numerically.
-        let mut seps: Vec<VarId> = Vec::new();
-        let mut rows = 0usize;
-        for &s in &gather {
-            self.live[s] = false;
-            rows += self.rows[s];
-            for k in &self.keys[s] {
-                if *k != v && !seps.contains(k) {
-                    seps.push(*k);
-                }
-            }
-        }
-        seps.sort();
-        let dv = var_dims[v.0];
-        let sep_cols: usize = seps.iter().map(|s| var_dims[s.0]).sum();
-        let cols = dv + sep_cols;
-        if rows < dv {
-            // Structurally rank-deficient: the numeric path would fail the
-            // same way, so surface it at plan time.
-            return Err(SolveError::SingularVariable(v));
-        }
-        // A separator factor can exist only when there are separators and
-        // the triangularized remainder keeps at least one row. `rows` is
-        // an upper bound, so reservation errs on the side of keeping a
-        // slot; the executor stores `None` when the numeric factor sheds
-        // every row.
-        let new_slot = if !seps.is_empty() && rows.min(cols + 1) > dv {
-            let slot = self.keys.len();
-            for k in &seps {
-                self.adj[k.0].push(slot);
-            }
-            self.keys.push(seps.clone());
-            self.rows.push(rows.min(cols + 1) - dv);
-            self.live.push(true);
-            Some(slot)
-        } else {
-            None
-        };
-        Ok(PlanStep {
-            var: v,
-            gather,
-            seps,
-            rows,
-            cols,
-            new_slot,
-        })
-    }
-}
-
-/// Builds the elimination schedule, steps strictly in `order`. Returns
-/// the steps and the slot count of their work-list.
-fn build_schedule(
-    var_dims: &[usize],
-    factor_keys: &[Vec<VarId>],
-    factor_rows: &[usize],
-    order: &[VarId],
-) -> Result<(Vec<PlanStep>, usize), SolveError> {
-    let mut wl = SymbolicWorklist::new(var_dims, factor_keys, factor_rows);
-    let mut steps = Vec::with_capacity(order.len());
-    for &v in order {
-        let gather = wl.live_slots(v);
-        if gather.is_empty() {
-            return Err(SolveError::UnconstrainedVariable(v));
-        }
-        steps.push(wl.make_step(v, gather, var_dims)?);
-    }
-    Ok((steps, wl.keys.len()))
-}
-
 /// The cached symbolic artifact of variable elimination (module docs).
 ///
 /// Build one per topology with [`SolvePlan::for_graph`] or
-/// [`SolvePlan::for_system`]; execute it every iteration with
-/// [`SolvePlan::execute`].
+/// [`SolvePlan::for_system`]; solve with it every iteration through
+/// [`SolvePlan::solve_in`].
 #[derive(Debug, Clone)]
 pub struct SolvePlan {
     fingerprint: u64,
     order: Vec<VarId>,
-    var_dims: Vec<usize>,
-    num_base_factors: usize,
-    steps: Vec<PlanStep>,
-    /// Slot count of the numeric work-list (base factors plus reserved
-    /// separator slots).
-    num_slots: usize,
+    schedule: EliminationSchedule,
     /// Arena layout of the schedule (see [`crate::workspace`]).
     layout: WorkspaceLayout,
     /// Estimated numeric-phase flops (from the structural panel shapes),
@@ -219,10 +75,11 @@ impl SolvePlan {
     /// [`SolveError::SingularVariable`] when the structure alone shows a
     /// variable cannot be eliminated.
     pub fn for_graph(graph: &FactorGraph, order: &[VarId]) -> Result<Self, SolveError> {
-        let var_dims: Vec<usize> = graph.values().iter().map(|(_, v)| v.dim()).collect();
-        let keys: Vec<Vec<VarId>> = graph.factors().iter().map(|f| f.keys().to_vec()).collect();
-        let rows: Vec<usize> = graph.factors().iter().map(|f| f.dim()).collect();
-        Self::build(graph.structure_fingerprint(), var_dims, &keys, &rows, order)
+        Self::build(
+            graph.structure_fingerprint(),
+            EliminationSchedule::for_graph(graph),
+            order,
+        )
     }
 
     /// Builds a plan from an already-linearized system's structure.
@@ -230,57 +87,42 @@ impl SolvePlan {
     /// # Errors
     /// Same as [`SolvePlan::for_graph`].
     pub fn for_system(sys: &LinearSystem, order: &[VarId]) -> Result<Self, SolveError> {
-        let keys: Vec<Vec<VarId>> = sys.factors.iter().map(|f| f.keys.clone()).collect();
-        let rows: Vec<usize> = sys.factors.iter().map(LinearFactor::rows).collect();
+        let factors = sys.factors.iter().map(|f| (f.keys.clone(), f.rows()));
         Self::build(
             sys.structure_fingerprint(),
-            sys.var_dims.clone(),
-            &keys,
-            &rows,
+            EliminationSchedule::new(sys.var_dims.clone(), factors),
             order,
         )
     }
 
     fn build(
         fingerprint: u64,
-        var_dims: Vec<usize>,
-        factor_keys: &[Vec<VarId>],
-        factor_rows: &[usize],
+        mut schedule: EliminationSchedule,
         order: &[VarId],
     ) -> Result<Self, SolveError> {
-        for v in order {
-            if v.0 >= var_dims.len() {
-                return Err(SolveError::UnknownVariable(*v));
+        let n = schedule.var_dims().len();
+        if let Some(v) = order.iter().find(|v| v.0 >= n) {
+            return Err(SolveError::UnknownVariable(*v));
+        }
+        for &v in order {
+            let step = schedule
+                .eliminate(v)
+                .map_err(|e| SolveError::UnconstrainedVariable(e.0))?;
+            if step.rows < schedule.var_dims()[v.0] {
+                // Structurally rank-deficient: the numeric path would fail
+                // the same way, so surface it at plan time.
+                return Err(SolveError::SingularVariable(v));
             }
         }
-        let (steps, num_slots) = build_schedule(&var_dims, factor_keys, factor_rows, order)?;
-        let step_view: Vec<_> = steps
-            .iter()
-            .map(|s| {
-                (
-                    s.var,
-                    s.gather.as_slice(),
-                    s.seps.as_slice(),
-                    s.rows,
-                    s.cols,
-                    s.new_slot,
-                )
-            })
-            .collect();
-        let layout = WorkspaceLayout::build(
-            &step_view,
-            factor_keys.len(),
-            factor_keys,
-            factor_rows,
-            &var_dims,
-        );
+        let layout = WorkspaceLayout::build(&schedule);
         // Structural flops estimate of the numeric phase: a Householder
         // triangularization of a rows × (cols + 1) panel costs about
         // 2 · rows · width · min(width, rows) multiply–adds, plus one
         // panel's worth of gather traffic. Shapes are symbolic (row
         // bounds), so this is an upper estimate — exactly what the
         // fan-out cost gate wants (DESIGN §3.2.4).
-        let flops = steps
+        let flops = schedule
+            .steps()
             .iter()
             .map(|s| {
                 let rows = s.rows as u64;
@@ -291,10 +133,7 @@ impl SolvePlan {
         Ok(Self {
             fingerprint,
             order: order.to_vec(),
-            var_dims,
-            num_base_factors: factor_keys.len(),
-            steps,
-            num_slots,
+            schedule,
             layout,
             flops,
         })
@@ -312,13 +151,18 @@ impl SolvePlan {
 
     /// Tangent dimension per variable id.
     pub fn var_dims(&self) -> &[usize] {
-        &self.var_dims
+        self.schedule.var_dims()
     }
 
-    /// Structural `(rows, cols)` of every elimination sub-problem, in
-    /// elimination order — the plan-time preview of the Fig. 17 samples.
-    pub fn step_shapes(&self) -> Vec<(usize, usize)> {
-        self.steps.iter().map(|s| (s.rows, s.cols)).collect()
+    /// Structural `(frontal, rows, cols)` of every elimination
+    /// sub-problem, in elimination order — the plan-time preview of the
+    /// Fig. 17 samples, and the shapes of the compiler's `QRD` stream.
+    pub fn step_shapes(&self) -> Vec<(VarId, usize, usize)> {
+        self.schedule
+            .steps()
+            .iter()
+            .map(|s| (s.var, s.rows, s.cols))
+            .collect()
     }
 
     /// Estimated numeric-phase flops, derived from the structural panel
@@ -332,90 +176,32 @@ impl SolvePlan {
     }
 
     /// Cheap shape check: does `sys` have the layout this plan was built
-    /// for? (Full fingerprint equality is asserted in debug builds.)
+    /// for?
     pub fn matches(&self, sys: &LinearSystem) -> bool {
-        sys.factors.len() == self.num_base_factors && sys.var_dims == self.var_dims
-    }
-
-    /// Numeric phase as an allocating serial sweep: eliminates `sys` along
-    /// the precomputed schedule and returns owned conditionals. Bitwise
-    /// identical to [`eliminate`](crate::elimination::eliminate); this is
-    /// the reference the arena falls back to.
-    ///
-    /// # Errors
-    /// [`SolveError::PlanMismatch`] when `sys`'s shape differs from the
-    /// planned structure; otherwise the usual elimination errors.
-    pub fn execute(&self, sys: &LinearSystem) -> Result<(BayesNet, EliminationStats), SolveError> {
-        if !self.matches(sys) {
-            return Err(SolveError::PlanMismatch);
-        }
-        debug_assert_eq!(
-            sys.structure_fingerprint(),
-            self.fingerprint,
-            "plan/system structure fingerprints diverge"
-        );
-        // Numeric work-list: base factors in their planned slots, reserved
-        // separator slots empty until their producing step fills them.
-        let mut work: Vec<Option<Arc<LinearFactor>>> = Vec::with_capacity(self.num_slots);
-        work.extend(sys.factors.iter().map(|f| Some(Arc::new(f.clone()))));
-        work.resize(self.num_slots, None);
-        let mut conditionals = Vec::with_capacity(self.steps.len());
-        let mut steps = Vec::with_capacity(self.steps.len());
-        for step in &self.steps {
-            // Slots whose separator factor shed every row hold `None` and
-            // are skipped — exactly as the plan-less path never made them.
-            let gathered: Vec<_> = step.gather.iter().filter_map(|&s| work[s].take()).collect();
-            if gathered.is_empty() {
-                return Err(SolveError::UnconstrainedVariable(step.var));
-            }
-            let (cond, new_factor, st) = if gathered.len() == step.gather.len() {
-                // Every planned slot is numerically present: the symbolic
-                // separator layout is exact, skip re-deriving it.
-                eliminate_step_with_seps(step.var, &gathered, &self.var_dims, step.seps.clone())?
-            } else {
-                // A separator factor shed all its rows upstream; fall back
-                // to deriving the layout from what was actually gathered —
-                // exactly what the plan-less path stacks.
-                eliminate_step(step.var, &gathered, &self.var_dims)?
-            };
-            conditionals.push(cond);
-            steps.push(st);
-            match step.new_slot {
-                Some(slot) => work[slot] = new_factor.map(Arc::new),
-                None => debug_assert!(
-                    new_factor.is_none(),
-                    "step produced a separator factor without a reserved slot"
-                ),
-            }
-        }
-        Ok((
-            BayesNet {
-                conditionals,
-                var_dims: self.var_dims.clone(),
-            },
-            EliminationStats { steps },
-        ))
+        sys.factors.len() == self.schedule.num_base_factors()
+            && sys.var_dims == self.schedule.var_dims()
     }
 
     /// Allocates a reusable [`Workspace`] sized for this plan's arena
     /// layout: one flat buffer holding every elimination panel at a
     /// precomputed offset, plus the scratch vectors and Δ. Create it once
-    /// and pass it to [`SolvePlan::solve_in`] /
-    /// [`SolvePlan::execute_in`] every iteration.
+    /// and pass it to [`SolvePlan::solve_in`] every iteration.
     pub fn workspace(&self) -> Workspace {
         self.layout.workspace(self.fingerprint)
     }
 
     /// Arena-backed serial solve: eliminate **and** back-substitute
-    /// entirely inside `ws`, returning a borrow of the solved Δ. Bitwise
-    /// identical to `execute + back_substitute`, but steady-state
-    /// **allocation-free** (asserted by a counting-allocator test): gather
-    /// is slice copies into pre-laid-out panels, QR runs in place, and the
-    /// conditionals are read straight out of the arena.
+    /// entirely inside `ws`, returning a borrow of the solved Δ; the
+    /// per-step statistics are left in [`Workspace::stats`]. Bitwise
+    /// identical to [`eliminate`](crate::elimination::eliminate) followed
+    /// by back-substitution, and steady-state **allocation-free**
+    /// (asserted by a counting-allocator test): gather is slice copies
+    /// into pre-laid-out panels, QR runs in place, and back-substitution
+    /// reads the conditionals straight out of the arena.
     ///
     /// The one exception is the rare run where a planned separator factor
-    /// sheds every row numerically — the executor then falls back to the
-    /// allocating [`SolvePlan::execute`] (still bitwise identical).
+    /// sheds every row numerically: the arena layout no longer applies and
+    /// the solve runs the allocating reference sweep instead.
     ///
     /// # Errors
     /// [`SolveError::PlanMismatch`] when `sys` or `ws` do not belong to
@@ -425,59 +211,24 @@ impl SolvePlan {
         sys: &LinearSystem,
         ws: &'w mut Workspace,
     ) -> Result<&'w Vec64, SolveError> {
-        match self.eliminate_into(sys, ws)? {
-            None => self.layout.back_substitute_in(ws)?,
-            Some(bn) => ws.delta = bn.back_substitute()?,
-        }
-        Ok(&ws.delta)
-    }
-
-    /// Arena-backed variant of [`SolvePlan::execute`]: eliminates inside
-    /// `ws` and materializes the conditionals into an owned [`BayesNet`]
-    /// for callers that keep them (the incremental solver). The panels,
-    /// scratch and stats buffers are still reused — only the returned
-    /// conditionals allocate.
-    ///
-    /// # Errors
-    /// Same as [`SolvePlan::solve_in`].
-    pub fn execute_in(
-        &self,
-        sys: &LinearSystem,
-        ws: &mut Workspace,
-    ) -> Result<(BayesNet, EliminationStats), SolveError> {
-        let bn = match self.eliminate_into(sys, ws)? {
-            None => BayesNet {
-                conditionals: self.layout.extract_conditionals(ws),
-                var_dims: self.var_dims.clone(),
-            },
-            Some(bn) => bn,
-        };
-        let steps = ws.stats.clone();
-        Ok((bn, EliminationStats { steps }))
-    }
-
-    /// Eliminates `sys` inside `ws`, leaving the step stats in `ws`.
-    /// Returns `None` when the conditionals live in the arena, or the
-    /// owned Bayes net of the allocating [`SolvePlan::execute`] when a
-    /// planned separator factor shed every row numerically and the arena
-    /// layout no longer applies ([`ArenaError::Fallback`]).
-    fn eliminate_into(
-        &self,
-        sys: &LinearSystem,
-        ws: &mut Workspace,
-    ) -> Result<Option<BayesNet>, SolveError> {
         if !self.matches(sys) || ws.fingerprint != self.fingerprint {
             return Err(SolveError::PlanMismatch);
         }
         match self.layout.eliminate_in(sys, ws) {
-            Ok(()) => Ok(None),
+            Ok(()) => self.layout.back_substitute_in(ws)?,
             Err(ArenaError::Fallback) => {
-                let (bn, stats) = self.execute(sys)?;
-                ws.stats = stats.steps;
-                Ok(Some(bn))
+                let factors = sys.factors.iter().cloned().map(Arc::new).collect();
+                let out = sweep(factors, &self.order, self.var_dims())?;
+                ws.stats = out.stats;
+                let bn = BayesNet {
+                    conditionals: out.conditionals,
+                    var_dims: self.var_dims().to_vec(),
+                };
+                ws.delta = bn.back_substitute()?;
             }
-            Err(ArenaError::Solve(e)) => Err(e),
+            Err(ArenaError::Solve(e)) => return Err(e),
         }
+        Ok(&ws.delta)
     }
 }
 
@@ -682,52 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_serial_is_bitwise_identical_to_eliminate() {
-        let g = looped_chain(8);
-        let ordering = natural_ordering(&g);
-        let plan = SolvePlan::for_graph(&g, ordering.as_slice()).unwrap();
-        let sys = g.linearize();
-        let (bn_ref, st_ref) = eliminate(&sys, &ordering).unwrap();
-        let (bn, st) = plan.execute(&sys).unwrap();
-        assert_eq!(bn.conditionals.len(), bn_ref.conditionals.len());
-        for (a, b) in bn.conditionals.iter().zip(&bn_ref.conditionals) {
-            assert_eq!(a.var, b.var);
-            assert_eq!(a.r.as_slice(), b.r.as_slice());
-            assert_eq!(a.rhs.as_slice(), b.rhs.as_slice());
-            assert_eq!(a.parents.len(), b.parents.len());
-            for ((pa, sa), (pb, sb)) in a.parents.iter().zip(&b.parents) {
-                assert_eq!(pa, pb);
-                assert_eq!(sa.as_slice(), sb.as_slice());
-            }
-        }
-        assert_eq!(st.steps, st_ref.steps);
-        assert_eq!(
-            bn.back_substitute().unwrap().as_slice(),
-            bn_ref.back_substitute().unwrap().as_slice()
-        );
-    }
-
-    #[test]
-    fn plan_survives_relinearization() {
-        // Same topology, new linearization point: the plan still matches
-        // and produces the fresh serial result bitwise.
-        let mut g = looped_chain(6);
-        let ordering = natural_ordering(&g);
-        let plan = SolvePlan::for_graph(&g, ordering.as_slice()).unwrap();
-        for _ in 0..3 {
-            let sys = g.linearize();
-            let planned = plan.execute(&sys).unwrap().0.back_substitute().unwrap();
-            let fresh = eliminate(&sys, &ordering)
-                .unwrap()
-                .0
-                .back_substitute()
-                .unwrap();
-            assert_eq!(planned.as_slice(), fresh.as_slice());
-            g.retract_all(&planned);
-        }
-    }
-
-    #[test]
     fn stale_plan_is_rejected() {
         let g = looped_chain(5);
         let ordering = natural_ordering(&g);
@@ -735,34 +440,9 @@ mod tests {
         let mut bigger = g.clone();
         let ids: Vec<_> = (0..5).map(orianna_graph::VarId).collect();
         bigger.add_factor(GpsFactor::new(ids[1], &[0.0, 1.0], 0.5));
-        let err = plan.execute(&bigger.linearize()).unwrap_err();
+        let mut ws = plan.workspace();
+        let err = plan.solve_in(&bigger.linearize(), &mut ws).unwrap_err();
         assert_eq!(err, SolveError::PlanMismatch);
-    }
-
-    #[test]
-    fn unconstrained_variable_detected_at_plan_time() {
-        let mut g = FactorGraph::new();
-        let a = g.add_pose2(Pose2::identity());
-        let _b = g.add_pose2(Pose2::identity());
-        g.add_factor(PriorFactor::pose2(a, Pose2::identity(), 0.1));
-        let err = SolvePlan::for_graph(&g, natural_ordering(&g).as_slice()).unwrap_err();
-        assert!(matches!(err, SolveError::UnconstrainedVariable(v) if v.0 == 1));
-    }
-
-    #[test]
-    fn subset_order_supports_partial_elimination() {
-        // Eliminating a prefix of the variables produces exactly the
-        // conditionals of those variables.
-        let g = looped_chain(6);
-        let sys = g.linearize();
-        let order: Vec<VarId> = (0..3).map(VarId).collect();
-        let plan = SolvePlan::for_system(&sys, &order).unwrap();
-        let (bn, stats) = plan.execute(&sys).unwrap();
-        assert_eq!(bn.conditionals.len(), 3);
-        assert_eq!(stats.steps.len(), 3);
-        for (c, v) in bn.conditionals.iter().zip(&order) {
-            assert_eq!(c.var, *v);
-        }
     }
 
     #[test]
@@ -819,38 +499,23 @@ mod tests {
     }
 
     #[test]
-    fn arena_execute_matches_execute() {
-        let g = looped_chain(8);
-        let ordering = natural_ordering(&g);
-        let sys = g.linearize();
-        let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
-        let mut ws = plan.workspace();
-        let (bn_ref, st_ref) = plan.execute(&sys).unwrap();
-        let (bn, st) = plan.execute_in(&sys, &mut ws).unwrap();
-        assert_eq!(st.steps, st_ref.steps);
-        assert_eq!(bn.conditionals.len(), bn_ref.conditionals.len());
-        for (a, b) in bn.conditionals.iter().zip(&bn_ref.conditionals) {
-            assert_eq!(a.var, b.var);
-            assert_eq!(a.r.as_slice(), b.r.as_slice());
-            assert_eq!(a.rhs.as_slice(), b.rhs.as_slice());
-            assert_eq!(a.parents.len(), b.parents.len());
-            for ((pa, sa), (pb, sb)) in a.parents.iter().zip(&b.parents) {
-                assert_eq!(pa, pb);
-                assert_eq!(sa.as_slice(), sb.as_slice());
-            }
-        }
-    }
-
-    #[test]
     fn arena_solve_supports_subset_orders() {
         let g = looped_chain(6);
         let sys = g.linearize();
         let order: Vec<VarId> = (0..3).map(VarId).collect();
         let plan = SolvePlan::for_system(&sys, &order).unwrap();
         let mut ws = plan.workspace();
-        let reference = plan.execute(&sys).unwrap().0.back_substitute().unwrap();
+        let factors = sys.factors.iter().cloned().map(Arc::new).collect();
+        let out = sweep(factors, &order, &sys.var_dims).unwrap();
+        let reference = BayesNet {
+            conditionals: out.conditionals,
+            var_dims: sys.var_dims.clone(),
+        }
+        .back_substitute()
+        .unwrap();
         let delta = plan.solve_in(&sys, &mut ws).unwrap();
         assert_eq!(delta.as_slice(), reference.as_slice());
+        assert_eq!(ws.stats(), out.stats.as_slice());
     }
 
     #[test]
@@ -940,9 +605,10 @@ mod tests {
         let sys = g.linearize();
         let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
         let (_, stats) = eliminate(&sys, &ordering).unwrap();
-        for (planned, actual) in plan.step_shapes().iter().zip(&stats.steps) {
-            assert_eq!(planned.1, actual.cols, "cols are exact");
-            assert!(planned.0 >= actual.rows, "rows are an upper bound");
+        for (&(var, rows, cols), actual) in plan.step_shapes().iter().zip(&stats.steps) {
+            assert_eq!(var, actual.var);
+            assert_eq!(cols, actual.cols, "cols are exact");
+            assert!(rows >= actual.rows, "rows are an upper bound");
         }
     }
 }

@@ -18,29 +18,28 @@
 //! conditional blocks straight out of the arena. The workspace survives
 //! GN/LM iterations, `PlanCache` hits, and incremental re-solves.
 //!
-//! Numeric results are **bitwise identical** to the plan-less serial path:
-//! the panels stack the same rows in the same order, the in-place
-//! triangularization replicates `householder_qr`'s reflection schedule
-//! (including its sub-diagonal cleanup), and back-substitution mirrors
-//! `BayesNet::back_substitute` term for term.
+//! Numeric results are **bitwise identical** to the reference
+//! [`eliminate`](crate::elimination::eliminate): the panels stack the same
+//! rows in the same order, the in-place triangularization replicates
+//! `householder_qr`'s reflection schedule (including its sub-diagonal
+//! cleanup), and back-substitution mirrors `BayesNet::back_substitute`
+//! term for term.
 //!
 //! One rare case cannot be served from the arena: when a producing step
-//! sheds *every* separator row numerically, the plan-less path re-derives a
+//! sheds *every* separator row numerically, the reference re-derives a
 //! smaller separator layout for the consumer. The executor detects this
-//! ([`ArenaError::Fallback`]) and the caller re-runs the allocating
-//! reference path, preserving bitwise identity at the cost of allocations
-//! for that solve only.
+//! ([`ArenaError::Fallback`]) and `solve_in` runs the reference sweep
+//! itself, preserving bitwise identity at the cost of allocations for that
+//! solve only.
 
 use crate::elimination::{Conditional, EliminationStep, SolveError};
-use orianna_graph::{LinearSystem, VarId};
-use orianna_math::{macs, panel, Mat, Vec64};
+use orianna_graph::{EliminationSchedule, LinearSystem, VarId};
+use orianna_math::{macs, panel, Vec64};
 
 /// One separator column group of a panel: where its block lives in the
 /// panel and where its Δ segment lives in the stacked delta vector.
 #[derive(Debug, Clone)]
 pub(crate) struct SepCol {
-    /// Separator variable.
-    pub var: VarId,
     /// Offset of the variable's segment in Δ.
     pub delta_off: usize,
     /// Tangent dimension of the variable.
@@ -95,7 +94,7 @@ pub(crate) struct PanelLayout {
     pub sep_cols: Vec<SepCol>,
 }
 
-/// The full arena layout of a plan's serial schedule.
+/// The full arena layout of a plan's schedule.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkspaceLayout {
     pub panels: Vec<PanelLayout>,
@@ -112,46 +111,31 @@ pub(crate) struct WorkspaceLayout {
 /// Why the arena executor could not complete a run.
 pub(crate) enum ArenaError {
     /// A planned separator factor shed every row; the separator layout of
-    /// a downstream step no longer matches the symbolic one. Re-run the
-    /// allocating reference path.
+    /// a downstream step no longer matches the symbolic one. Run the
+    /// reference sweep instead.
     Fallback,
     /// A genuine solve failure (same as the reference path would report).
     Solve(SolveError),
 }
 
 impl WorkspaceLayout {
-    /// Computes panel offsets and gather copy-lists from a serial
-    /// schedule's symbolic steps. `steps` supplies, per step:
-    /// `(var, gather slots, seps, structural rows, cols, new_slot)`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn build(
-        steps: &[(VarId, &[usize], &[VarId], usize, usize, Option<usize>)],
-        num_base_factors: usize,
-        factor_keys: &[Vec<VarId>],
-        factor_rows: &[usize],
-        var_dims: &[usize],
-    ) -> Self {
+    /// Computes panel offsets and gather copy-lists from a schedule's
+    /// symbolic steps.
+    pub(crate) fn build(schedule: &EliminationSchedule) -> Self {
+        let var_dims = schedule.var_dims();
+        let steps = schedule.steps();
         let mut var_offsets = Vec::with_capacity(var_dims.len());
         let mut delta_len = 0;
         for &d in var_dims {
             var_offsets.push(delta_len);
             delta_len += d;
         }
-        // Which step fills each reserved separator slot.
-        let mut producer_of = vec![usize::MAX; num_base_factors + steps.len()];
-        for (i, st) in steps.iter().enumerate() {
-            if let Some(slot) = st.5 {
-                if slot >= producer_of.len() {
-                    producer_of.resize(slot + 1, usize::MAX);
-                }
-                producer_of[slot] = i;
-            }
-        }
         let mut panels = Vec::with_capacity(steps.len());
         let mut offset = 0;
         let mut max_rows = 0;
         let mut max_dv = 0;
-        for &(var, gather, seps, rows, cols, _) in steps {
+        for step in steps {
+            let (var, seps, rows, cols) = (step.var, &step.seps, step.rows, step.cols);
             let dv = var_dims[var.0];
             let width = cols + 1;
             // Destination column of a variable in this panel's layout.
@@ -168,33 +152,34 @@ impl WorkspaceLayout {
                 }
                 off
             };
-            let srcs = gather
+            let srcs = step
+                .gather
                 .iter()
-                .map(|&slot| {
-                    if slot < num_base_factors {
-                        let copies = factor_keys[slot]
+                .map(|&slot| match schedule.producer(slot) {
+                    None => {
+                        let copies = schedule
+                            .slot_keys(slot)
                             .iter()
                             .enumerate()
                             .map(|(bi, k)| (bi, col_of(*k), var_dims[k.0]))
                             .collect();
                         GatherSrc::Base {
                             factor: slot,
-                            rows: factor_rows[slot],
+                            rows: schedule.slot_rows(slot),
                             copies,
                         }
-                    } else {
-                        let p = producer_of[slot];
-                        let (_, _, p_seps, _, p_cols, _) = steps[p];
-                        let p_dv = var_dims[steps[p].0 .0];
-                        let mut segs = Vec::with_capacity(p_seps.len() + 1);
-                        let mut src_col = p_dv;
-                        for s in p_seps {
+                    }
+                    Some(p) => {
+                        let producer = &steps[p];
+                        let mut segs = Vec::with_capacity(producer.seps.len() + 1);
+                        let mut src_col = var_dims[producer.var.0];
+                        for s in &producer.seps {
                             let w = var_dims[s.0];
                             segs.push((src_col, col_of(*s), w));
                             src_col += w;
                         }
                         // Producer RHS column → this panel's RHS column.
-                        segs.push((p_cols, cols, 1));
+                        segs.push((producer.cols, cols, 1));
                         GatherSrc::Step { step: p, segs }
                     }
                 })
@@ -202,7 +187,6 @@ impl WorkspaceLayout {
             let sep_cols = seps
                 .iter()
                 .map(|s| SepCol {
-                    var: *s,
                     delta_off: var_offsets[s.0],
                     width: var_dims[s.0],
                     col: col_of(*s),
@@ -282,7 +266,7 @@ impl WorkspaceLayout {
         panel_buf.fill(0.0);
 
         // Gather: stack sources in plan order, bitwise the rows the
-        // plan-less path stacks via `Mat::set_block`.
+        // reference stacks via `Mat::set_block`.
         let mut row = 0usize;
         let mut gathered = 0usize;
         for src in &pl.srcs {
@@ -310,9 +294,9 @@ impl WorkspaceLayout {
                 GatherSrc::Step { step, segs } => {
                     let live = ws.live_rows[*step];
                     if live == 0 {
-                        // The producer shed every row: the plan-less
-                        // path would re-derive a smaller separator
-                        // layout here. Bail to the reference path.
+                        // The producer shed every row: the reference
+                        // would re-derive a smaller separator layout
+                        // here. Bail to the reference sweep.
                         return Err(ArenaError::Fallback);
                     }
                     let pp = &self.panels[*step];
@@ -459,46 +443,6 @@ impl WorkspaceLayout {
         }
         delta[pl.var_offset..pl.var_offset + pl.dv].copy_from_slice(rb);
         Ok(())
-    }
-
-    /// Materializes the conditionals held in the arena into an owned list
-    /// (elimination order), for callers that need a
-    /// [`BayesNet`](crate::elimination::BayesNet). Allocates.
-    pub(crate) fn extract_conditionals(&self, ws: &Workspace) -> Vec<Conditional> {
-        self.panels
-            .iter()
-            .map(|pl| {
-                let panel_buf = &ws.arena[pl.offset..pl.offset + pl.rows * pl.width];
-                let mut r = Mat::zeros(pl.dv, pl.dv);
-                for d in 0..pl.dv {
-                    r.row_mut(d)
-                        .copy_from_slice(&panel_buf[d * pl.width..d * pl.width + pl.dv]);
-                }
-                let parents = pl
-                    .sep_cols
-                    .iter()
-                    .map(|sc| {
-                        let mut s = Mat::zeros(pl.dv, sc.width);
-                        for d in 0..pl.dv {
-                            let srow = d * pl.width + sc.col;
-                            s.row_mut(d)
-                                .copy_from_slice(&panel_buf[srow..srow + sc.width]);
-                        }
-                        (sc.var, s)
-                    })
-                    .collect();
-                let mut rhs = Vec64::zeros(pl.dv);
-                for d in 0..pl.dv {
-                    rhs[d] = panel_buf[d * pl.width + pl.width - 1];
-                }
-                Conditional {
-                    var: pl.var,
-                    r,
-                    parents,
-                    rhs,
-                }
-            })
-            .collect()
     }
 }
 
@@ -788,6 +732,7 @@ impl CliqueSlab {
 mod slab_tests {
     use super::*;
     use orianna_graph::VarId;
+    use orianna_math::Mat;
 
     fn cond(var: usize, parents: &[(usize, usize)], dv: usize) -> Conditional {
         let mut r = Mat::zeros(dv, dv);

@@ -10,10 +10,11 @@
 //! linearized at the solver's own linearization point, eliminated over
 //! the active variables in id order) to within `tol`.
 //!
-//! The batch reference is the serial [`orianna_solver::SolvePlan`]
-//! sweep, bitwise equal to `eliminate`, so it is the same on every
-//! `ORIANNA_THREADS` / `ORIANNA_NO_SIMD` CI leg; only the incremental
-//! path under test follows the thread setting.
+//! The batch reference is the arena solve of an
+//! [`orianna_solver::SolvePlan`] over the active variables, bitwise equal
+//! to `eliminate`, so it is the same on every `ORIANNA_THREADS` /
+//! `ORIANNA_NO_SIMD` CI leg; only the incremental path under test follows
+//! the thread setting.
 //!
 //! Sequences are deterministic in `(GenConfig, ops_seed)`: the graph
 //! comes from [`crate::gen`], the chunk boundaries are drawn from the
@@ -124,8 +125,9 @@ pub fn batch_reference(solver: &IncrementalSolver) -> Result<orianna_math::Vec64
     let sys = LinearSystem { factors, var_dims };
     let order = solver.active_variables();
     let plan = SolvePlan::for_system(&sys, &order).map_err(|e| e.to_string())?;
-    let (bn, _) = plan.execute(&sys).map_err(|e| e.to_string())?;
-    bn.back_substitute().map_err(|e| e.to_string())
+    let mut ws = plan.workspace();
+    let delta = plan.solve_in(&sys, &mut ws).map_err(|e| e.to_string())?;
+    Ok(delta.clone())
 }
 
 /// Prefix boundaries after which no variable referenced so far is left
@@ -159,7 +161,7 @@ fn valid_boundaries(factors: &[Arc<dyn Factor>], init: &Values) -> Vec<usize> {
         };
         let order: Vec<VarId> = (0..=max_key).map(VarId).collect();
         let solvable = SolvePlan::for_system(&sys, &order)
-            .and_then(|p| p.execute(&sys))
+            .and_then(|p| p.solve_in(&sys, &mut p.workspace()).map(|_| ()))
             .is_ok();
         if solvable {
             boundaries.push(k);

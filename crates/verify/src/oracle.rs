@@ -9,7 +9,8 @@
 //!    back from each `QRD` register vs the solver's Bayes-net
 //!    conditionals (rows sign-normalized: QR is unique up to row signs).
 //! 3. **Solution** — the program's Δ vs back-substitution through the
-//!    solver's Bayes net, and vs a cached [`SolvePlan`] execution.
+//!    solver's Bayes net; the arena solve of a cached [`SolvePlan`] must
+//!    equal that back-substitution bitwise, per-step stats included.
 
 use orianna_compiler::{compile, execute, Op};
 use orianna_graph::{natural_ordering, FactorGraph};
@@ -150,7 +151,8 @@ pub fn check_graph(g: &FactorGraph, tol: f64) -> Result<OracleReport, OracleFail
     }
 
     // 2. Elimination: conditionals read back from the QRD registers.
-    let (bn, _) = eliminate(&sys, &ordering).map_err(|e| OracleFailure::Solve(e.to_string()))?;
+    let (bn, stats) =
+        eliminate(&sys, &ordering).map_err(|e| OracleFailure::Solve(e.to_string()))?;
     for (var, qrd_id) in &prog.elimination {
         let instr = prog
             .instrs
@@ -229,17 +231,19 @@ pub fn check_graph(g: &FactorGraph, tol: f64) -> Result<OracleReport, OracleFail
     if dd > tol * dscale {
         return Err(mismatch("delta (eliminate)", 0, dd, tol * dscale));
     }
+    // The arena solve reproduces `eliminate` bitwise: Δ and step stats.
     let plan = SolvePlan::for_system(&sys, ordering.as_slice())
         .map_err(|e| OracleFailure::Solve(e.to_string()))?;
-    let (bn_plan, _) = plan
-        .execute(&sys)
+    let mut ws = plan.workspace();
+    let delta_plan = plan
+        .solve_in(&sys, &mut ws)
         .map_err(|e| OracleFailure::Solve(e.to_string()))?;
-    let delta_plan = bn_plan
-        .back_substitute()
-        .map_err(|e| OracleFailure::Solve(e.to_string()))?;
-    let pd = (&result.delta - &delta_plan).norm();
-    if pd > tol * dscale {
-        return Err(mismatch("delta (plan)", 0, pd, tol * dscale));
+    if delta_plan.as_slice() != delta_ref.as_slice() {
+        let pd = (delta_plan - &delta_ref).norm();
+        return Err(mismatch("delta (plan)", 0, pd, 0.0));
+    }
+    if ws.stats() != stats.steps.as_slice() {
+        return Err(mismatch("plan stats", 0, f64::NAN, 0.0));
     }
     report.delta_dim = delta_ref.len();
     Ok(report)

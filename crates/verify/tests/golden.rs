@@ -1,5 +1,6 @@
-//! Golden ISA snapshots of the four paper applications (ISSUE:
-//! conformance harness, snapshot oracle).
+//! Golden ISA snapshots of the four paper applications, and the contract
+//! between the compiler and the solver: both lay elimination out from the
+//! same symbolic schedule.
 //!
 //! Each application algorithm compiles to a deterministic instruction
 //! stream for a fixed seed; the snapshot (count, unit-class histogram,
@@ -15,8 +16,9 @@
 //! artifact).
 
 use orianna_apps::all_apps;
-use orianna_compiler::compile;
-use orianna_graph::natural_ordering;
+use orianna_compiler::{compile, Op};
+use orianna_graph::{min_degree_ordering, natural_ordering};
+use orianna_solver::SolvePlan;
 use orianna_verify::snapshot::{check, render, SnapshotResult};
 use std::path::PathBuf;
 
@@ -80,4 +82,34 @@ fn snapshots_are_seed_stable() {
             assert_eq!(render(&p1), render(&p2), "{}/{}", a1.name, g1.name);
         }
     }
+}
+
+#[test]
+fn compiled_qrd_shapes_match_the_solver_plan() {
+    // Step by step, the compiled QRD stream must eliminate the frontal the
+    // solver's plan eliminates, over the same structural rows × cols, under
+    // both orders — the goldens above pin natural order only.
+    let mut checked = 0;
+    for app in all_apps(SEED) {
+        for alg in &app.algorithms {
+            for ordering in [
+                natural_ordering(&alg.graph),
+                min_degree_ordering(&alg.graph),
+            ] {
+                let prog = compile(&alg.graph, &ordering).unwrap();
+                let plan = SolvePlan::for_graph(&alg.graph, ordering.as_slice()).unwrap();
+                let qrds: Vec<_> = prog
+                    .instrs
+                    .iter()
+                    .filter_map(|i| match i.op {
+                        Op::Qrd { frontal, rows, .. } => Some((frontal, rows, i.dims.1 - 1)),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(qrds, plan.step_shapes(), "{}/{}", app.name, alg.name);
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 12, "every app algorithm");
 }

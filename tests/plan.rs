@@ -7,52 +7,44 @@
 //! plan must therefore be indistinguishable from the plan-less path, on
 //! every benchmark application:
 //!
-//! * plan execution is **bitwise identical** to [`eliminate`];
+//! * the arena solve is **bitwise identical** to [`eliminate`] — Δ and
+//!   step statistics — under natural and min-degree order;
 //! * one plan instance and one workspace serve repeated arena solves,
-//!   each bitwise identical to [`eliminate`] — Δ and step statistics.
+//!   each bitwise identical to [`eliminate`].
 
 use orianna::apps::all_apps;
-use orianna::graph::natural_ordering;
-use orianna::solver::{eliminate, BayesNet, PlanCache, SolvePlan};
-
-fn conditionals_bitwise_eq(a: &BayesNet, b: &BayesNet) -> bool {
-    a.conditionals.len() == b.conditionals.len()
-        && a.conditionals.iter().zip(&b.conditionals).all(|(x, y)| {
-            x.var == y.var
-                && x.r.as_slice() == y.r.as_slice()
-                && x.rhs.as_slice() == y.rhs.as_slice()
-                && x.parents.len() == y.parents.len()
-                && x.parents
-                    .iter()
-                    .zip(&y.parents)
-                    .all(|((pv, pm), (qv, qm))| pv == qv && pm.as_slice() == qm.as_slice())
-        })
-}
+use orianna::graph::{min_degree_ordering, natural_ordering};
+use orianna::solver::{eliminate, PlanCache, SolvePlan};
 
 #[test]
 fn planned_serial_solve_is_bitwise_identical_on_every_app() {
     for app in all_apps(7) {
         for algo in &app.algorithms {
-            let ordering = natural_ordering(&algo.graph);
-            let plan = SolvePlan::for_graph(&algo.graph, ordering.as_slice())
-                .unwrap_or_else(|e| panic!("{}/{}: {e}", app.name, algo.name));
-            let sys = algo.graph.linearize();
-            let (reference, ref_stats) = eliminate(&sys, &ordering).unwrap();
-            let (planned, stats) = plan.execute(&sys).unwrap();
-            assert!(
-                conditionals_bitwise_eq(&planned, &reference),
-                "{}/{}",
-                app.name,
-                algo.name
-            );
-            assert_eq!(stats.steps, ref_stats.steps, "{}/{}", app.name, algo.name);
-            assert_eq!(
-                planned.back_substitute().unwrap().as_slice(),
-                reference.back_substitute().unwrap().as_slice(),
-                "{}/{}",
-                app.name,
-                algo.name
-            );
+            for ordering in [
+                natural_ordering(&algo.graph),
+                min_degree_ordering(&algo.graph),
+            ] {
+                let plan = SolvePlan::for_graph(&algo.graph, ordering.as_slice())
+                    .unwrap_or_else(|e| panic!("{}/{}: {e}", app.name, algo.name));
+                let sys = algo.graph.linearize();
+                let (reference, ref_stats) = eliminate(&sys, &ordering).unwrap();
+                let mut ws = plan.workspace();
+                let delta = plan.solve_in(&sys, &mut ws).unwrap();
+                assert_eq!(
+                    delta.as_slice(),
+                    reference.back_substitute().unwrap().as_slice(),
+                    "{}/{}",
+                    app.name,
+                    algo.name
+                );
+                assert_eq!(
+                    ws.stats(),
+                    ref_stats.steps.as_slice(),
+                    "{}/{}",
+                    app.name,
+                    algo.name
+                );
+            }
         }
     }
 }
