@@ -5,8 +5,9 @@
 //! `Instant` medians and writes two hand-rolled JSON files —
 //! `BENCH_solver.json` (elimination/back-substitution: planless vs
 //! arena) and `BENCH_sim.json` (scoreboard: fresh scratch vs
-//! reused [`SimScratch`] over a 200-config DSE sweep) — suitable for
-//! committing as a baseline and uploading from CI.
+//! reused [`SimScratch`] over a 200-config DSE sweep, beside the
+//! `compile/all_apps_2024` compiler row) — suitable for committing as a
+//! baseline and uploading from CI.
 //!
 //! Usage: `orianna-bench [server] [--quick] [--out-dir DIR]`
 //!
@@ -491,6 +492,22 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
             })
             .sum();
         std::hint::black_box(total);
+    });
+
+    // The compiler layer of a co-design op: lower, CSE and emit all 12
+    // application programs (one pass = 12 `compile` calls).
+    results.record("compile/all_apps_2024", 1, || {
+        let instrs: usize = apps
+            .iter()
+            .flat_map(|app| &app.algorithms)
+            .map(|a| {
+                compile(&a.graph, &natural_ordering(&a.graph))
+                    .unwrap()
+                    .instrs
+                    .len()
+            })
+            .sum();
+        std::hint::black_box(instrs);
     });
 
     // DseContext sweeps: exhaustive at 1/2/4/8 threads, plus the

@@ -18,7 +18,7 @@
 //! eliminations (Sec. 6.3).
 
 use crate::lower::{lower_factor, LowerError};
-use crate::modfg::{ModFg, NodeId, NodeOp, ShapeError, ValKind};
+use crate::modfg::{CseKey, ModFg, NodeId, NodeOp, ShapeError, ValKind};
 use crate::program::{GatherFactor, Instruction, Op, Phase, Program, ProgramError, Reg, VarComp};
 use orianna_graph::{EliminationSchedule, FactorGraph, Ordering, VarId, Variable};
 use orianna_math::Mat;
@@ -159,7 +159,8 @@ enum LocalJac {
 struct Codegen<'g> {
     graph: &'g FactorGraph,
     prog: Program,
-    const_cache: HashMap<String, Reg>,
+    /// Constant registers, keyed like MO-DFG constants (shape plus bits).
+    const_cache: HashMap<CseKey, Reg>,
     input_cache: HashMap<(VarId, u8), Reg>,
     /// Rotation matrix `Exp(φ_v)` per pose variable, materialized once.
     rot_cache: HashMap<VarId, Reg>,
@@ -205,17 +206,14 @@ impl<'g> Codegen<'g> {
     }
 
     fn const_reg(&mut self, m: Mat, factor: Option<usize>) -> Reg {
-        let key: String = {
-            let bits: Vec<String> = m
-                .as_slice()
-                .iter()
-                .map(|x| x.to_bits().to_string())
-                .collect();
-            format!("{}x{}:{}", m.rows(), m.cols(), bits.join(","))
-        };
+        let key = CseKey::new(NodeOp::Const(m), &[]);
         if let Some(&r) = self.const_cache.get(&key) {
             return r;
         }
+        let m = key
+            .matrix()
+            .expect("a constant key holds its matrix")
+            .clone();
         let dims = m.shape();
         let r = self.instr(Op::Const(m), vec![], 0, factor, Phase::Construct, dims);
         self.const_cache.insert(key, r);
@@ -1082,5 +1080,42 @@ impl<'g> Codegen<'g> {
             self.prog.back_subs.push((step.var, bid));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn const_count(cg: &Codegen<'_>) -> usize {
+        cg.prog
+            .instrs
+            .iter()
+            .filter(|i| matches!(i.op, Op::Const(_)))
+            .count()
+    }
+
+    #[test]
+    fn bit_equal_constants_share_one_register() {
+        let g = FactorGraph::new();
+        let mut cg = Codegen::new(&g);
+        let a = cg.const_reg(Mat::from_row_major(2, 1, &[0.5, -3.25]), None);
+        let b = cg.const_reg(Mat::from_row_major(2, 1, &[0.5, -3.25]), Some(1));
+        assert_eq!(a, b);
+        assert_eq!(const_count(&cg), 1);
+    }
+
+    #[test]
+    fn constants_split_on_sign_of_zero_and_on_shape() {
+        let g = FactorGraph::new();
+        let mut cg = Codegen::new(&g);
+        let pos = cg.const_reg(Mat::zeros(2, 1), None);
+        let neg = cg.const_reg(Mat::from_row_major(2, 1, &[0.0, -0.0]), None);
+        let wide = cg.const_reg(Mat::zeros(1, 2), None);
+        assert_ne!(pos, neg, "0.0 and -0.0 differ in their bits");
+        assert_ne!(pos, wide, "same bits, different shape");
+        assert_eq!(const_count(&cg), 3);
+        assert_eq!(cg.const_reg(Mat::zeros(2, 1), None), pos);
+        assert_eq!(const_count(&cg), 3);
     }
 }

@@ -7,7 +7,9 @@
 //! stack to build the [`ModFg`] — the exact pipeline the paper describes —
 //! performing common-subexpression elimination along the way so shared
 //! subterms (`R_iᵀ` appearing in both the orientation and position error,
-//! Fig. 11) become single DFG nodes.
+//! Fig. 11) become single DFG nodes. Nodes are hash-consed by [`CseKey`]:
+//! operation plus operand ids, floats and constant payloads by exact bit
+//! pattern.
 //!
 //! Each node later becomes one instruction; BFS levels over the DFG give
 //! the parallelism structure shown in Fig. 11.
@@ -15,6 +17,8 @@
 use orianna_graph::VarId;
 use orianna_math::Mat;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::mem::discriminant;
 
 /// A factor error expression over the unified pose representation.
 #[derive(Debug, Clone)]
@@ -173,7 +177,7 @@ pub struct Node {
 #[derive(Debug, Clone, Default)]
 pub struct ModFg {
     nodes: Vec<Node>,
-    cse: HashMap<String, NodeId>,
+    cse: HashMap<CseKey, NodeId>,
     roots: Vec<NodeId>,
 }
 
@@ -203,8 +207,7 @@ impl ModFg {
     pub fn from_exprs(exprs: &[Expr], space_dim: usize) -> Result<Self, ShapeError> {
         let mut g = ModFg::default();
         for e in exprs {
-            let tokens = to_postfix(e);
-            let root = g.parse_postfix(&tokens, space_dim)?;
+            let root = g.parse_postfix(to_postfix(e), space_dim)?;
             g.roots.push(root);
         }
         Ok(g)
@@ -259,34 +262,25 @@ impl ModFg {
     /// stack data structure to get the MO-DFG").
     fn parse_postfix(
         &mut self,
-        tokens: &[PostfixTok],
+        tokens: Vec<PostfixTok>,
         space_dim: usize,
     ) -> Result<NodeId, ShapeError> {
         let mut stack: Vec<NodeId> = Vec::new();
+        let underflow = || ShapeError("stack underflow".into());
         for tok in tokens {
-            match tok {
-                PostfixTok::Leaf(op) => {
-                    let id = self.intern_leaf(op.clone(), space_dim)?;
-                    stack.push(id);
-                }
+            let id = match tok {
+                PostfixTok::Leaf(op) => self.intern_leaf(op, space_dim)?,
                 PostfixTok::Unary(op) => {
-                    let a = stack
-                        .pop()
-                        .ok_or_else(|| ShapeError("stack underflow".into()))?;
-                    let id = self.intern_op(op.clone(), vec![a])?;
-                    stack.push(id);
+                    let a = stack.pop().ok_or_else(underflow)?;
+                    self.intern_op(op, &[a])?
                 }
                 PostfixTok::Binary(op) => {
-                    let b = stack
-                        .pop()
-                        .ok_or_else(|| ShapeError("stack underflow".into()))?;
-                    let a = stack
-                        .pop()
-                        .ok_or_else(|| ShapeError("stack underflow".into()))?;
-                    let id = self.intern_op(op.clone(), vec![a, b])?;
-                    stack.push(id);
+                    let b = stack.pop().ok_or_else(underflow)?;
+                    let a = stack.pop().ok_or_else(underflow)?;
+                    self.intern_op(op, &[a, b])?
                 }
-            }
+            };
+            stack.push(id);
         }
         match (stack.pop(), stack.is_empty()) {
             (Some(root), true) => Ok(root),
@@ -315,40 +309,37 @@ impl ModFg {
             }
             other => return Err(ShapeError(format!("{other:?} is not a leaf"))),
         };
-        self.intern(op, vec![], kind, 0)
+        Ok(self.intern(op, &[], kind, 0))
     }
 
-    fn intern_op(&mut self, op: NodeOp, args: Vec<NodeId>) -> Result<NodeId, ShapeError> {
-        let kinds: Vec<ValKind> = args.iter().map(|a| self.nodes[a.0].kind).collect();
-        let kind = infer_kind(&op, &kinds)?;
+    fn intern_op(&mut self, op: NodeOp, args: &[NodeId]) -> Result<NodeId, ShapeError> {
+        let mut kinds = [ValKind::Vec(0); 2];
+        for (k, a) in kinds.iter_mut().zip(args) {
+            *k = self.nodes[a.0].kind;
+        }
+        let kind = infer_kind(&op, &kinds[..args.len()])?;
         let level = 1 + args
             .iter()
             .map(|a| self.nodes[a.0].level)
             .max()
             .unwrap_or(0);
-        self.intern(op, args, kind, level)
+        Ok(self.intern(op, args, kind, level))
     }
 
-    fn intern(
-        &mut self,
-        op: NodeOp,
-        args: Vec<NodeId>,
-        kind: ValKind,
-        level: usize,
-    ) -> Result<NodeId, ShapeError> {
-        let key = cse_key(&op, &args);
+    fn intern(&mut self, op: NodeOp, args: &[NodeId], kind: ValKind, level: usize) -> NodeId {
+        let key = CseKey::new(op, args);
         if let Some(&id) = self.cse.get(&key) {
-            return Ok(id);
+            return id;
         }
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
-            op,
-            args,
+            op: key.op.clone(),
+            args: args.to_vec(),
             kind,
             level,
         });
         self.cse.insert(key, id);
-        Ok(id)
+        id
     }
 
     /// Sets the dimension of a vector-variable leaf (dims come from the
@@ -438,33 +429,96 @@ fn infer_kind(op: &NodeOp, args: &[ValKind]) -> Result<ValKind, ShapeError> {
     }
 }
 
-fn cse_key(op: &NodeOp, args: &[NodeId]) -> String {
-    let arg_str: Vec<String> = args.iter().map(|a| a.0.to_string()).collect();
-    match op {
-        NodeOp::Const(m) => {
-            // Constants are deduplicated by exact bit pattern.
-            let bits: Vec<String> = m
-                .as_slice()
-                .iter()
-                .map(|x| x.to_bits().to_string())
-                .collect();
-            format!("C{}x{}:{}", m.rows(), m.cols(), bits.join(","))
+/// Hash-consing key of a MO-DFG node: its operation and operand ids,
+/// compared and hashed by exact bit pattern. Floats key by `to_bits()`
+/// (bit-equal constants merge; `0.0` and `-0.0` stay apart) and matrix
+/// payloads by shape plus element bits. [`ModFg`]'s CSE and the code
+/// generator's constant-register cache both key by it; building one
+/// moves the op in and allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct CseKey {
+    op: NodeOp,
+    /// Operand ids; slots past the op's arity hold `usize::MAX`.
+    args: [usize; 2],
+}
+
+impl CseKey {
+    /// Key of `op` applied to `args` (at most two operands).
+    pub(crate) fn new(op: NodeOp, args: &[NodeId]) -> Self {
+        let mut slots = [usize::MAX; 2];
+        assert!(
+            args.len() <= slots.len(),
+            "MO-DFG ops take at most two operands"
+        );
+        for (s, a) in slots.iter_mut().zip(args) {
+            *s = a.0;
         }
-        NodeOp::MatVec(m) => {
-            let bits: Vec<String> = m
-                .as_slice()
-                .iter()
-                .map(|x| x.to_bits().to_string())
-                .collect();
-            format!(
-                "MV{}x{}:{}|{}",
-                m.rows(),
-                m.cols(),
-                bits.join(","),
-                arg_str.join(",")
-            )
+        Self { op, args: slots }
+    }
+
+    /// The op's matrix payload (`Const` and `MatVec`).
+    pub(crate) fn matrix(&self) -> Option<&Mat> {
+        self.parts().1
+    }
+
+    /// The op's scalar parameters as bits, and its matrix payload.
+    fn parts(&self) -> ([u64; 4], Option<&Mat>) {
+        match &self.op {
+            NodeOp::InputPhi(v) | NodeOp::InputTrans(v) | NodeOp::InputVec(v) => {
+                ([v.0 as u64, 0, 0, 0], None)
+            }
+            NodeOp::Const(m) | NodeOp::MatVec(m) => ([0; 4], Some(m)),
+            NodeOp::Proj { fx, fy, cx, cy } => (
+                [fx.to_bits(), fy.to_bits(), cx.to_bits(), cy.to_bits()],
+                None,
+            ),
+            NodeOp::Hinge(c) => ([c.to_bits(), 0, 0, 0], None),
+            NodeOp::Slice { start, len } => ([*start as u64, *len as u64, 0, 0], None),
+            NodeOp::Exp
+            | NodeOp::Log
+            | NodeOp::Rt
+            | NodeOp::Rr
+            | NodeOp::Rv
+            | NodeOp::Add
+            | NodeOp::Sub
+            | NodeOp::Norm => ([0; 4], None),
         }
-        other => format!("{other:?}|{}", arg_str.join(",")),
+    }
+}
+
+impl PartialEq for CseKey {
+    fn eq(&self, other: &Self) -> bool {
+        let ((a, am), (b, bm)) = (self.parts(), other.parts());
+        discriminant(&self.op) == discriminant(&other.op)
+            && self.args == other.args
+            && a == b
+            && match (am, bm) {
+                (Some(x), Some(y)) => {
+                    x.shape() == y.shape()
+                        && x.as_slice()
+                            .iter()
+                            .zip(y.as_slice())
+                            .all(|(p, q)| p.to_bits() == q.to_bits())
+                }
+                (x, y) => x.is_none() && y.is_none(),
+            }
+    }
+}
+
+impl Eq for CseKey {}
+
+impl Hash for CseKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (scalars, payload) = self.parts();
+        discriminant(&self.op).hash(state);
+        self.args.hash(state);
+        scalars.hash(state);
+        if let Some(m) = payload {
+            m.shape().hash(state);
+            for x in m.as_slice() {
+                state.write_u64(x.to_bits());
+            }
+        }
     }
 }
 
@@ -656,5 +710,75 @@ mod tests {
         assert_eq!(leaf.len(), 1);
         assert_eq!(g.node(leaf[0].1).kind, ValKind::Vec(4));
         assert_eq!(g.node(g.roots()[0]).kind, ValKind::Vec(2));
+    }
+
+    fn count(g: &ModFg, pred: impl Fn(&NodeOp) -> bool) -> usize {
+        g.nodes().iter().filter(|n| pred(&n.op)).count()
+    }
+
+    fn konst(vals: &[f64]) -> Expr {
+        Expr::Const(Mat::from_row_major(vals.len(), 1, vals))
+    }
+
+    #[test]
+    fn bit_equal_constants_intern_once() {
+        let e = Expr::Add(Box::new(konst(&[1.5, -2.0])), Box::new(konst(&[1.5, -2.0])));
+        let g = ModFg::from_exprs(&[e, konst(&[1.5, -2.0])], 2).unwrap();
+        assert_eq!(count(&g, |op| matches!(op, NodeOp::Const(_))), 1);
+        assert_eq!(g.roots()[1], g.node(g.roots()[0]).args[0]);
+    }
+
+    #[test]
+    fn signed_zero_constants_stay_distinct() {
+        let e = Expr::Add(Box::new(konst(&[0.0])), Box::new(konst(&[-0.0])));
+        let g = ModFg::from_exprs(&[e], 2).unwrap();
+        assert_eq!(count(&g, |op| matches!(op, NodeOp::Const(_))), 2);
+    }
+
+    fn proj(fx: f64, cx: f64) -> Expr {
+        Expr::Proj {
+            fx,
+            fy: 500.0,
+            cx,
+            cy: 240.0,
+            src: Box::new(Expr::VarTrans(VarId(0))),
+        }
+    }
+
+    #[test]
+    fn proj_dedups_on_equal_parameters_and_splits_on_different() {
+        let is_proj = |op: &NodeOp| matches!(op, NodeOp::Proj { .. });
+        let same = ModFg::from_exprs(&[proj(500.0, 320.0), proj(500.0, 320.0)], 3).unwrap();
+        assert_eq!(count(&same, is_proj), 1);
+        assert_eq!(same.roots()[0], same.roots()[1]);
+        let split = ModFg::from_exprs(&[proj(500.0, 320.0), proj(501.0, 320.0)], 3).unwrap();
+        assert_eq!(count(&split, is_proj), 2);
+        let zeros = ModFg::from_exprs(&[proj(500.0, 0.0), proj(500.0, -0.0)], 3).unwrap();
+        assert_eq!(count(&zeros, is_proj), 2);
+    }
+
+    #[test]
+    fn hinge_dedups_on_equal_threshold_and_splits_on_different() {
+        let hinge =
+            |c: f64| Expr::Hinge(c, Box::new(Expr::Norm(Box::new(Expr::VarTrans(VarId(0))))));
+        let is_hinge = |op: &NodeOp| matches!(op, NodeOp::Hinge(_));
+        let same = ModFg::from_exprs(&[hinge(0.75), hinge(0.75)], 2).unwrap();
+        assert_eq!(count(&same, is_hinge), 1);
+        let split = ModFg::from_exprs(&[hinge(0.75), hinge(0.5)], 2).unwrap();
+        assert_eq!(count(&split, is_hinge), 2);
+        // The shared `Norm` operand is interned once either way.
+        assert_eq!(count(&split, |op| *op == NodeOp::Norm), 1);
+    }
+
+    #[test]
+    fn matvec_keys_on_its_operand_as_well_as_its_matrix() {
+        let m = Mat::from_row_major(2, 2, &[1.0, 2.0, 3.0, 4.0]);
+        let mv = |v: usize| Expr::MatVec(m.clone(), Box::new(Expr::VarTrans(VarId(v))));
+        let is_mv = |op: &NodeOp| matches!(op, NodeOp::MatVec(_));
+        let apart = ModFg::from_exprs(&[mv(0), mv(1)], 2).unwrap();
+        assert_eq!(count(&apart, is_mv), 2);
+        assert_ne!(apart.roots()[0], apart.roots()[1]);
+        let shared = ModFg::from_exprs(&[mv(0), mv(0)], 2).unwrap();
+        assert_eq!(count(&shared, is_mv), 1);
     }
 }

@@ -165,17 +165,22 @@ pub fn critical_path_cycles(workload: &Workload<'_>) -> u64 {
     best
 }
 
-/// One flattened instruction of a decoded workload.
-#[derive(Debug, Clone)]
-struct Node {
-    lat: u64,
-    class: UnitClass,
-    deps: Vec<usize>, // global ids
-}
-
 /// The *decoded* form of a [`Workload`]: instruction streams flattened
-/// into a global dependence graph, with latencies, unit classes, phase
-/// work, energies and operand shapes all resolved.
+/// into one global dependence graph, laid out as flat arrays in issue
+/// order, with latencies, unit classes, phase work, energies and operand
+/// shapes all resolved.
+///
+/// Position `p` of every per-instruction array is the `p`-th instruction
+/// in out-of-order issue order: instructions sorted by dependence-only
+/// earliest start time (ASAP), ties broken by stream-concatenated program
+/// order. The order is a topological sort and — crucially — independent
+/// of the hardware configuration, which makes the list scheduler free of
+/// Graham anomalies: growing any unit pool can never reorder issue, so
+/// cycle counts are monotone non-increasing in every unit count.
+/// Dependences are stored once, in compressed-sparse-row form, already
+/// renumbered to issue positions (a producer always sits at a smaller
+/// position than its consumer), so the scoreboard walks the arrays front
+/// to back with no indirection.
 ///
 /// Decoding depends only on the compiled programs — never on the
 /// hardware configuration or issue policy — so design-space exploration
@@ -188,14 +193,19 @@ struct Node {
 /// context can hold it across an entire sweep.
 #[derive(Debug, Clone)]
 pub struct DecodedWorkload {
-    nodes: Vec<Node>,
-    /// OoO issue order: node ids sorted by dependence-only earliest start
-    /// time (ASAP), ties broken by id. The order is a topological sort
-    /// and — crucially — independent of the hardware configuration, which
-    /// makes the list scheduler free of Graham anomalies: growing any
-    /// unit pool can never reorder issue, so cycle counts are monotone
-    /// non-increasing in every unit count.
-    issue_order: Vec<usize>,
+    /// Latency (cycles, at least 1) per issue position.
+    lat: Vec<u64>,
+    /// [`UnitClass::index`] per issue position.
+    class: Vec<u8>,
+    /// The producers of position `p` are `dep_idx[dep_off[p]..dep_off[p + 1]]`.
+    dep_off: Vec<u32>,
+    /// Producer issue positions, concatenated per consumer.
+    dep_idx: Vec<u32>,
+    /// Per-class ready-but-waiting cycles of the in-order schedule. The
+    /// serial controller starts each instruction when the previous one
+    /// completes, so its schedule — and this tally — is fixed by the
+    /// program alone, and its makespan is the total work.
+    in_order_waited: [u64; UnitClass::COUNT],
     phase_work: Arc<BTreeMap<&'static str, u64>>,
     qrd_shapes: Arc<Vec<(usize, usize)>>,
     mm_shapes: Arc<Vec<(usize, usize)>>,
@@ -213,27 +223,42 @@ pub struct DecodedWorkload {
     class_tail_min: [u64; UnitClass::COUNT],
 }
 
+/// A `u32` index into a decoded array (traces beyond 2³² instructions or
+/// dependences are far outside anything the compiler emits).
+fn index_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("decoded trace exceeds u32 indexing")
+}
+
 impl DecodedWorkload {
-    /// Decodes a workload: flattens instructions with global ids (deps
-    /// resolved per stream) and precomputes every configuration-
-    /// independent aggregate.
+    /// Decodes a workload: flattens instructions in stream-concatenated
+    /// program order (deps resolved per stream), precomputes every
+    /// configuration-independent aggregate, then lays the trace out in
+    /// issue order.
     pub fn decode(workload: &Workload<'_>) -> Self {
-        let mut nodes: Vec<Node> = Vec::with_capacity(workload.num_instructions());
+        let n = workload.num_instructions();
+        // Program-order trace: `g_lat`/`g_class` per global id, deps as
+        // CSR over global ids.
+        let mut g_lat: Vec<u64> = Vec::with_capacity(n);
+        let mut g_class: Vec<u8> = Vec::with_capacity(n);
+        let mut g_off: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut g_deps: Vec<u32> = Vec::new();
+        g_off.push(0);
         let mut phase_work: BTreeMap<&'static str, u64> = BTreeMap::new();
         let mut qrd_shapes = Vec::new();
         let mut mm_shapes = Vec::new();
         let mut dyn_energy_nj = 0.0;
-        let mut global_of: Vec<Vec<usize>> = Vec::new();
-        for (si, s) in workload.streams.iter().enumerate() {
+        for s in &workload.streams {
+            let base = g_lat.len();
             let producers = s.program.producers();
             for instr in &s.program.instrs {
-                let deps: Vec<usize> = instr
-                    .srcs
-                    .iter()
-                    .filter_map(|r| producers[r.0])
-                    .map(|local| global_of[si][local])
-                    .collect();
-                let gid = nodes.len();
+                g_deps.extend(
+                    instr
+                        .srcs
+                        .iter()
+                        .filter_map(|r| producers[r.0])
+                        .map(|local| index_u32(base + local)),
+                );
+                g_off.push(index_u32(g_deps.len()));
                 let lat = latency(&instr.op, instr.dims).max(1);
                 let class = instr.op.unit_class();
                 *phase_work.entry(phase_name(instr.phase)).or_insert(0) += lat;
@@ -243,53 +268,52 @@ impl DecodedWorkload {
                 } else if class == UnitClass::MatMul && instr.phase == Phase::Construct {
                     mm_shapes.push(instr.dims);
                 }
-                nodes.push(Node { lat, class, deps });
-                if global_of.len() == si {
-                    global_of.push(Vec::new());
-                }
-                global_of[si].push(gid);
-            }
-            if global_of.len() == si {
-                global_of.push(Vec::new());
+                g_lat.push(lat);
+                g_class.push(class.index() as u8);
             }
         }
-        // Dependence-only ASAP time per node (deps always precede their
-        // consumers in the flattened trace, so one forward pass suffices).
-        let mut asap = vec![0u64; nodes.len()];
-        for gid in 0..nodes.len() {
-            asap[gid] = nodes[gid]
-                .deps
-                .iter()
-                .map(|&d| asap[d] + nodes[d].lat)
-                .max()
-                .unwrap_or(0);
+        let deps_of = |g: usize| &g_deps[g_off[g] as usize..g_off[g + 1] as usize];
+        // Dependence-only ASAP time per instruction, and the in-order
+        // schedule (deps always precede their consumers in program order,
+        // so one forward pass serves both). The serial controller starts
+        // each instruction at `t`, when the previous one completes; every
+        // producer has finished by then, so its wait is `t - ready`.
+        let mut asap = vec![0u64; n];
+        let mut serial_finish = vec![0u64; n];
+        let mut in_order_waited = [0u64; UnitClass::COUNT];
+        let mut t = 0u64;
+        for g in 0..n {
+            let mut up = 0;
+            let mut ready = 0;
+            for &d in deps_of(g) {
+                let d = d as usize;
+                up = up.max(asap[d] + g_lat[d]);
+                ready = ready.max(serial_finish[d]);
+            }
+            asap[g] = up;
+            in_order_waited[g_class[g] as usize] += t - ready;
+            t += g_lat[g];
+            serial_finish[g] = t;
         }
-        let mut issue_order: Vec<usize> = (0..nodes.len()).collect();
-        issue_order.sort_by_key(|&gid| (asap[gid], gid));
-        // Dependence-only tail per node: the longest latency path strictly
-        // after the node's completion. One reverse pass (consumers always
-        // follow their producers in the trace).
-        let mut tail = vec![0u64; nodes.len()];
-        for gid in (0..nodes.len()).rev() {
-            let down = tail[gid] + nodes[gid].lat;
-            for &d in &nodes[gid].deps {
-                tail[d] = tail[d].max(down);
+        // Dependence-only tail per instruction: the longest latency path
+        // strictly after its completion. One reverse pass (consumers
+        // always follow their producers in program order).
+        let mut tail = vec![0u64; n];
+        for g in (0..n).rev() {
+            let down = tail[g] + g_lat[g];
+            for &d in deps_of(g) {
+                tail[d as usize] = tail[d as usize].max(down);
             }
         }
-        let critical_path = nodes
-            .iter()
-            .enumerate()
-            .map(|(gid, n)| asap[gid] + n.lat)
-            .max()
-            .unwrap_or(0);
+        let critical_path = (0..n).map(|g| asap[g] + g_lat[g]).max().unwrap_or(0);
         let mut class_work = [0u64; UnitClass::COUNT];
         let mut class_ready_min = [u64::MAX; UnitClass::COUNT];
         let mut class_tail_min = [u64::MAX; UnitClass::COUNT];
-        for (gid, n) in nodes.iter().enumerate() {
-            let c = n.class.index();
-            class_work[c] += n.lat;
-            class_ready_min[c] = class_ready_min[c].min(asap[gid]);
-            class_tail_min[c] = class_tail_min[c].min(tail[gid]);
+        for g in 0..n {
+            let c = g_class[g] as usize;
+            class_work[c] += g_lat[g];
+            class_ready_min[c] = class_ready_min[c].min(asap[g]);
+            class_tail_min[c] = class_tail_min[c].min(tail[g]);
         }
         for c in 0..UnitClass::COUNT {
             if class_work[c] == 0 {
@@ -297,9 +321,33 @@ impl DecodedWorkload {
                 class_tail_min[c] = 0;
             }
         }
+        // Issue order, then the trace re-laid out along it. A producer
+        // finishes no earlier than `asap + lat > asap`, so it always lands
+        // before its consumers.
+        let mut order: Vec<u32> = (0..index_u32(n)).collect();
+        order.sort_by_key(|&g| (asap[g as usize], g));
+        let mut pos_of = vec![0u32; n];
+        for (p, &g) in order.iter().enumerate() {
+            pos_of[g as usize] = index_u32(p);
+        }
+        let mut lat = Vec::with_capacity(n);
+        let mut class = Vec::with_capacity(n);
+        let mut dep_off = Vec::with_capacity(n + 1);
+        let mut dep_idx = Vec::with_capacity(g_deps.len());
+        dep_off.push(0);
+        for &g in &order {
+            let g = g as usize;
+            lat.push(g_lat[g]);
+            class.push(g_class[g]);
+            dep_idx.extend(deps_of(g).iter().map(|&d| pos_of[d as usize]));
+            dep_off.push(index_u32(dep_idx.len()));
+        }
         Self {
-            nodes,
-            issue_order,
+            lat,
+            class,
+            dep_off,
+            dep_idx,
+            in_order_waited,
             phase_work: Arc::new(phase_work),
             qrd_shapes: Arc::new(qrd_shapes),
             mm_shapes: Arc::new(mm_shapes),
@@ -313,12 +361,13 @@ impl DecodedWorkload {
 
     /// Instructions in the decoded trace.
     pub fn num_instructions(&self) -> usize {
-        self.nodes.len()
+        self.lat.len()
     }
 
     /// Scoreboard cost model for the parallel gate: one list-scheduling
-    /// pass costs roughly this many flop-equivalent work units per node
-    /// (dependence scan, pool scan, heap churn — tens of nanoseconds).
+    /// pass costs roughly this many flop-equivalent work units per
+    /// instruction (a contiguous dependence scan and a min-scan over the
+    /// class's unit pool, no allocation — single-digit nanoseconds).
     /// Calibrated with the bench suite (DESIGN §3.2.4).
     pub const SIM_NODE_WORK: u64 = 64;
 
@@ -327,7 +376,7 @@ impl DecodedWorkload {
     /// against `candidates` configurations — what the DSE sweeps hand to
     /// the auto-mode cost gate before fanning out.
     pub fn sweep_work(&self, candidates: usize) -> u64 {
-        candidates as u64 * self.nodes.len() as u64 * Self::SIM_NODE_WORK
+        candidates as u64 * self.lat.len() as u64 * Self::SIM_NODE_WORK
     }
 
     /// Dependence-only critical path in cycles — the makespan with
@@ -439,14 +488,17 @@ pub fn try_simulate_decoded(
 /// Reusable scoreboard buffers for [`simulate_decoded_with`].
 ///
 /// A DSE sweep scoreboards one decoded workload against hundreds of
-/// candidate configurations; holding the per-node finish times and the
-/// per-class unit pools here lets every evaluation after the first run
+/// candidate configurations; holding the per-instruction finish times
+/// and the unit pool here lets every evaluation after the first run
 /// without heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
+    /// Finish time per issue position.
     finish: Vec<u64>,
-    /// Unit free-times per class, indexed by [`UnitClass::index`].
-    pools: Vec<Vec<u64>>,
+    /// Unit free-times of every class back to back, class `c` at
+    /// `pool[base[c]..base[c + 1]]` with `base` from the configuration's
+    /// counts.
+    pool: Vec<u64>,
 }
 
 /// Runs `f` with this thread's persistent [`SimScratch`].
@@ -486,91 +538,23 @@ pub fn simulate_decoded_with(
     policy: IssuePolicy,
     scratch: &mut SimScratch,
 ) -> SimReport {
-    let nodes = &decoded.nodes;
-    scratch.finish.clear();
-    scratch.finish.resize(nodes.len(), 0);
-    let finish = &mut scratch.finish;
-    // Per-class tallies live in flat arrays indexed by `UnitClass::index`;
-    // `seen` records which classes actually issued so the report maps keep
-    // exactly the keys the map-based scheduler produced.
-    let mut busy = [0u64; UnitClass::COUNT];
-    let mut waited = [0u64; UnitClass::COUNT];
-    let mut seen = [false; UnitClass::COUNT];
-    let mut makespan = 0u64;
-
-    match policy {
-        IssuePolicy::InOrder => {
-            // Serial dispatch in stream-concatenated order. `waited` uses
-            // the same `start - ready` accounting as the out-of-order
-            // branch: how long the instruction sat dependence-ready before
-            // the serial controller dispatched it.
-            let mut t = 0u64;
-            for (gid, n) in nodes.iter().enumerate() {
-                let ready = n.deps.iter().map(|&d| finish[d]).max().unwrap_or(0);
-                let start = t.max(ready);
-                let end = start + n.lat;
-                finish[gid] = end;
-                t = end;
-                let c = n.class.index();
-                busy[c] += n.lat;
-                waited[c] += start - ready;
-                seen[c] = true;
-            }
-            makespan = t;
-        }
-        IssuePolicy::OutOfOrder => {
-            // List scheduling in the decoded ASAP priority order; each
-            // class has `count` units whose free times live in a flat
-            // pool (unit counts are small, so a linear min-scan beats a
-            // heap). The priority order is topological and fixed per
-            // workload (never per configuration), so every node's ready
-            // time and the pool free-time multisets are monotone in unit
-            // counts — adding a unit can never slow the schedule down
-            // (no Graham anomalies).
-            scratch.pools.resize(UnitClass::COUNT, Vec::new());
-            for c in UnitClass::ALL {
-                let pool = &mut scratch.pools[c.index()];
-                pool.clear();
-                pool.resize(config.count(c), 0);
-            }
-            for &gid in &decoded.issue_order {
-                let n = &nodes[gid];
-                let ready = n.deps.iter().map(|&d| finish[d]).max().unwrap_or(0);
-                let c = n.class.index();
-                let pool = &mut scratch.pools[c];
-                // Every class has a non-empty pool (`HwConfig` guarantees
-                // ≥ 1 unit per class); fall back benignly instead of
-                // panicking if that invariant is ever violated.
-                let start = if pool.is_empty() {
-                    pool.push(ready + n.lat);
-                    ready
-                } else {
-                    let mut mi = 0;
-                    for (i, &f) in pool.iter().enumerate().skip(1) {
-                        if f < pool[mi] {
-                            mi = i;
-                        }
-                    }
-                    let start = ready.max(pool[mi]);
-                    pool[mi] = start + n.lat;
-                    start
-                };
-                let end = start + n.lat;
-                finish[gid] = end;
-                makespan = makespan.max(end);
-                busy[c] += n.lat;
-                waited[c] += start - ready;
-                seen[c] = true;
-            }
-        }
-    }
+    // Every instruction issues exactly once under either policy, so the
+    // busy cycles per class are the decoded class work, and a class
+    // appears in the report maps iff it has work (latencies are ≥ 1).
+    let (makespan, waited) = match policy {
+        // Serial dispatch in stream-concatenated order: its schedule does
+        // not depend on the configuration, so decode already ran it.
+        IssuePolicy::InOrder => (decoded.class_work.iter().sum(), decoded.in_order_waited),
+        IssuePolicy::OutOfOrder => out_of_order(decoded, config, scratch),
+    };
 
     let mut unit_busy: BTreeMap<UnitClass, u64> = BTreeMap::new();
     let mut contention: BTreeMap<UnitClass, u64> = BTreeMap::new();
     for c in UnitClass::ALL {
-        if seen[c.index()] {
-            unit_busy.insert(c, busy[c.index()]);
-            contention.insert(c, waited[c.index()]);
+        let i = c.index();
+        if decoded.class_work[i] > 0 {
+            unit_busy.insert(c, decoded.class_work[i]);
+            contention.insert(c, waited[i]);
         }
     }
 
@@ -582,10 +566,70 @@ pub fn simulate_decoded_with(
         unit_busy,
         contention,
         phase_work: Arc::clone(&decoded.phase_work),
-        instructions: nodes.len(),
+        instructions: decoded.num_instructions(),
         qrd_shapes: Arc::clone(&decoded.qrd_shapes),
         mm_shapes: Arc::clone(&decoded.mm_shapes),
     }
+}
+
+/// List scheduling over the issue-ordered trace: returns the makespan
+/// and the per-class ready-but-waiting cycles (`start - ready` summed).
+///
+/// Each class has `count` units whose free times sit in one slice of the
+/// flat pool (unit counts are small, so a linear min-scan beats a heap).
+/// Which of several equally free units takes an instruction cannot change
+/// any result — only the multiset of free times matters. The issue order
+/// is fixed per workload (never per configuration), so every ready time
+/// and every pool multiset is monotone in the unit counts: adding a unit
+/// can never slow the schedule down (no Graham anomalies).
+fn out_of_order(
+    decoded: &DecodedWorkload,
+    config: &HwConfig,
+    scratch: &mut SimScratch,
+) -> (u64, [u64; UnitClass::COUNT]) {
+    // A class configured with no unit schedules as if it had one.
+    let mut base = [0usize; UnitClass::COUNT + 1];
+    for c in UnitClass::ALL {
+        base[c.index() + 1] = base[c.index()] + config.count(c).max(1);
+    }
+    let SimScratch { finish, pool } = scratch;
+    pool.clear();
+    pool.resize(base[UnitClass::COUNT], 0);
+    finish.clear();
+    finish.resize(decoded.lat.len(), 0);
+    let mut waited = [0u64; UnitClass::COUNT];
+    let mut makespan = 0u64;
+    // Position `p`'s producers are CSR row `lo..hi`; carrying `lo` over
+    // from the previous row keeps the walk to one offset read per
+    // instruction.
+    let mut lo = 0;
+    let issue = decoded
+        .lat
+        .iter()
+        .zip(&decoded.class)
+        .zip(&decoded.dep_off[1..]);
+    for (p, ((&lat, &class), &hi)) in issue.enumerate() {
+        let mut ready = 0;
+        for &d in &decoded.dep_idx[lo..hi as usize] {
+            ready = ready.max(finish[d as usize]);
+        }
+        lo = hi as usize;
+        let c = class as usize;
+        let units = &mut pool[base[c]..base[c + 1]];
+        let (mut mi, mut free) = (0, units[0]);
+        for (i, &f) in units.iter().enumerate().skip(1) {
+            let earlier = f < free;
+            mi = if earlier { i } else { mi };
+            free = if earlier { f } else { free };
+        }
+        let start = ready.max(free);
+        let end = start + lat;
+        units[mi] = end;
+        finish[p] = end;
+        makespan = makespan.max(end);
+        waited[c] += start - ready;
+    }
+    (makespan, waited)
 }
 
 /// Simulates many workloads concurrently on the same configuration.

@@ -1,14 +1,18 @@
-//! Golden fingerprints of the DSE search. The expected values were
-//! recorded with the keyed-map `HwConfig` and the full-sort bound-guided
-//! proposer; the count-array configuration and the rank-then-walk
-//! proposer must reproduce them byte for byte.
+//! Golden fingerprints of the DSE search and the scoreboard. The search
+//! values were recorded with the keyed-map `HwConfig` and the full-sort
+//! bound-guided proposer; the count-array configuration and the
+//! rank-then-walk proposer must reproduce them byte for byte. The
+//! scoreboard digest was recorded with the node-list scheduler (one heap
+//! dependence list per instruction, per-class pool vectors); the flat
+//! issue-ordered layout must reproduce every report field bit for bit.
 
 use orianna_apps::all_apps;
 use orianna_compiler::{compile, UnitClass};
 use orianna_graph::natural_ordering;
 use orianna_hw::{
-    canonical_hash, search_default, Combine, DseContext, HwConfig, Objective, Resources,
-    SearchSpace, Workload, WorkloadSet,
+    canonical_hash, search_default, simulate_decoded, Combine, DecodedWorkload, DseContext,
+    HwConfig, IssuePolicy, Objective, Resources, SearchSpace, SimReport, Stream, Workload,
+    WorkloadSet,
 };
 use orianna_math::Parallelism;
 
@@ -86,4 +90,100 @@ fn search_trajectories_match_recorded_digest() {
         }
     }
     assert_eq!(digest, 0xD393_F1A0_9EE9_A99C, "digest {digest:#018X}");
+}
+
+/// SplitMix64: a seeded generator that does not depend on any crate.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Every field of a report, floats by bit pattern.
+fn digest_report(h: &mut u64, r: &SimReport) {
+    fnv1a(h, &r.cycles.to_le_bytes());
+    fnv1a(h, &r.time_ms.to_bits().to_le_bytes());
+    fnv1a(h, &r.energy_mj.to_bits().to_le_bytes());
+    for map in [&r.unit_busy, &r.contention] {
+        fnv1a(h, &(map.len() as u64).to_le_bytes());
+        for (c, v) in map {
+            fnv1a(h, &(c.index() as u64).to_le_bytes());
+            fnv1a(h, &v.to_le_bytes());
+        }
+    }
+    for (phase, w) in r.phase_work.iter() {
+        fnv1a(h, phase.as_bytes());
+        fnv1a(h, &w.to_le_bytes());
+    }
+    fnv1a(h, &(r.instructions as u64).to_le_bytes());
+    for shapes in [&r.qrd_shapes, &r.mm_shapes] {
+        fnv1a(h, &(shapes.len() as u64).to_le_bytes());
+        for (rows, cols) in shapes.iter() {
+            fnv1a(h, &(*rows as u64).to_le_bytes());
+            fnv1a(h, &(*cols as u64).to_le_bytes());
+        }
+    }
+}
+
+#[test]
+fn scoreboard_reports_match_recorded_digest() {
+    // Per-class counts: the uniform 1/17/64 corners plus seeded mixes
+    // drawn from a ladder that includes 1, 17 and 64.
+    const LADDER: [usize; 8] = [1, 2, 3, 4, 7, 10, 17, 64];
+    let mut configs = vec![
+        HwConfig::minimal(),
+        HwConfig::with_counts(&UnitClass::ALL.map(|c| (c, 17))),
+        HwConfig::with_counts(&UnitClass::ALL.map(|c| (c, 64))),
+    ];
+    let mut rng = 2024u64;
+    for _ in 0..9 {
+        configs.push(HwConfig::with_counts(&UnitClass::ALL.map(|c| {
+            (
+                c,
+                LADDER[(splitmix(&mut rng) % LADDER.len() as u64) as usize],
+            )
+        })));
+    }
+    let apps = all_apps(2024);
+    let programs: Vec<Vec<_>> = apps
+        .iter()
+        .map(|app| {
+            app.algorithms
+                .iter()
+                .map(|a| compile(&a.graph, &natural_ordering(&a.graph)).expect("compiles"))
+                .collect()
+        })
+        .collect();
+    let mut workloads: Vec<Workload<'_>> = Vec::new();
+    for (app, progs) in apps.iter().zip(&programs) {
+        // Each algorithm alone, then the whole app as one multi-stream
+        // workload (cross-stream issue).
+        for (algo, prog) in app.algorithms.iter().zip(progs) {
+            workloads.push(Workload::single(algo.name, prog));
+        }
+        workloads.push(Workload {
+            streams: app
+                .algorithms
+                .iter()
+                .zip(progs)
+                .map(|(algo, program)| Stream {
+                    name: algo.name,
+                    program,
+                })
+                .collect(),
+        });
+    }
+    assert_eq!(workloads.len(), 16);
+    let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+    for workload in &workloads {
+        let decoded = DecodedWorkload::decode(workload);
+        for config in &configs {
+            for policy in [IssuePolicy::OutOfOrder, IssuePolicy::InOrder] {
+                digest_report(&mut digest, &simulate_decoded(&decoded, config, policy));
+            }
+        }
+    }
+    assert_eq!(digest, 0xE117_5D23_43A8_5CE1, "digest {digest:#018X}");
 }
