@@ -178,32 +178,6 @@ impl Results {
             .map(|(_, ns)| *ns)
     }
 
-    /// Re-records `canonical`'s measurement under `alias`. Used when
-    /// the cost gate collapses two requested widths to the same
-    /// executable configuration on this host (e.g. every auto width
-    /// clamps to one worker on a single-core box): the rows then run
-    /// identical code, and measuring them separately would only report
-    /// timer noise as a phantom speedup or slowdown.
-    fn alias(&mut self, alias: &str, canonical: &str) {
-        if !self.admits(alias) {
-            return;
-        }
-        // The canonical row may itself have been skipped by `--filter`;
-        // an alias without a measurement is skipped with it.
-        let Some(ns) = self.get_opt(canonical) else {
-            return;
-        };
-        println!("  {alias}: {ns} ns (gated to the same configuration as {canonical})");
-        self.entries.push((alias.to_string(), ns));
-        let s = self
-            .samples
-            .iter()
-            .find(|(n, _)| n == canonical)
-            .map(|(_, s)| s.clone())
-            .expect("canonical row has interleaved samples");
-        self.samples.push((alias.to_string(), s));
-    }
-
     /// Median of the per-rep ratios `base_i / other_i` between two rows
     /// of one interleaved family. Pairing cancels the drift the two
     /// rows share (rep i of each row ran back-to-back), so this is a
@@ -464,7 +438,7 @@ fn dse_configs() -> Vec<HwConfig> {
 
 /// Simulator baselines: a 200-configuration scoreboard sweep with fresh
 /// per-call scratch vs a reused [`SimScratch`], then the [`DseContext`]
-/// sweep at 1/2/4/8 threads and with bound-first pruning, plus a
+/// sweep at 1/2 threads and with bound-first pruning, plus a
 /// 64-rung uniform ladder where pruning crosses the saturation knee.
 fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)>) {
     let mut results = Results::new(reps, filter);
@@ -510,7 +484,7 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
         std::hint::black_box(instrs);
     });
 
-    // DseContext sweeps: exhaustive at 1/2/4/8 threads, plus the
+    // DseContext sweeps: exhaustive at 1/2 threads, plus the
     // branch-and-bound mode. Each rep builds a fresh context from a
     // clone of the pre-decoded workload so no rep inherits the previous
     // rep's memo.
@@ -520,11 +494,12 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
         bram: u64::MAX / 4,
         dsp: u64::MAX / 4,
     };
-    // Auto mode is what the fix ships: the requested width is a
+    // Auto mode is what production runs: the requested width is a
     // *budget*, clamped to real cores and cost-gated per sweep, so the
-    // parallel rows measure the gated configuration users actually get
-    // rather than a forced oversubscription. The four exhaustive rows
-    // are compared against each other, so their reps interleave.
+    // parallel rows measure the gated configuration users actually get.
+    // The rows are compared against each other, so their reps interleave:
+    // each rep runs `parallel1` and `parallel2` back to back, then
+    // `pruned` and `pruned_parallel2`.
     let make_sweep = |threads: usize, mode: SweepMode| {
         let decoded = &decoded;
         let configs = &configs;
@@ -536,46 +511,25 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
             std::hint::black_box((report.evaluated, report.skipped_bound));
         }
     };
-    // Requested widths whose clamped configurations are *equal* (every
-    // width, on a single-core host) execute identical code and share
-    // one measurement via `Results::alias`. The dedup key is the full
-    // `Parallelism` value — an earlier revision keyed on the effective
-    // thread budget alone, which aliased rows whose gating behaviour
-    // still differed (same budget, different cost-gate decisions across
-    // the sweep's per-config flop counts).
-    let knob = |threads: usize| Parallelism::auto_with_threads(threads);
-    let mut sweep_family: Vec<(String, Box<dyn FnMut() + '_>)> = Vec::new();
-    let mut aliases: Vec<(String, String)> = Vec::new();
-    let mut canonical: Vec<(Parallelism, String)> = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let name = format!("dse_sweep_200/parallel{threads}");
-        let k = knob(threads);
-        if let Some((_, canon)) = canonical.iter().find(|(ck, _)| *ck == k) {
-            aliases.push((name, canon.clone()));
-        } else {
-            canonical.push((k, name.clone()));
-            sweep_family.push((name, Box::new(make_sweep(threads, SweepMode::Exhaustive))));
-        }
-    }
-    sweep_family.push((
-        "dse_sweep_200/pruned".into(),
-        Box::new(make_sweep(1, SweepMode::Pruned)),
-    ));
-    if knob(4) == knob(1) {
-        aliases.push((
-            "dse_sweep_200/pruned_parallel4".into(),
+    let sweep_family: Vec<(String, Box<dyn FnMut() + '_>)> = vec![
+        (
+            "dse_sweep_200/parallel1".into(),
+            Box::new(make_sweep(1, SweepMode::Exhaustive)),
+        ),
+        (
+            "dse_sweep_200/parallel2".into(),
+            Box::new(make_sweep(2, SweepMode::Exhaustive)),
+        ),
+        (
             "dse_sweep_200/pruned".into(),
-        ));
-    } else {
-        sweep_family.push((
-            "dse_sweep_200/pruned_parallel4".into(),
-            Box::new(make_sweep(4, SweepMode::Pruned)),
-        ));
-    }
+            Box::new(make_sweep(1, SweepMode::Pruned)),
+        ),
+        (
+            "dse_sweep_200/pruned_parallel2".into(),
+            Box::new(make_sweep(2, SweepMode::Pruned)),
+        ),
+    ];
     results.record_interleaved(sweep_family, 1);
-    for (alias, canon) in aliases {
-        results.alias(&alias, &canon);
-    }
     if results.admits("dse_sweep_200/pruned") {
         let mut ctx = DseContext::with_decoded(decoded.clone(), Parallelism::serial());
         let r = ctx.sweep(&configs, &roomy, Objective::Latency, SweepMode::Pruned);
@@ -636,19 +590,16 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
     // The sweep family was measured interleaved, so its ratios use the
     // paired per-rep estimator — see `Results::paired_speedup`. A `None`
     // (row skipped by `--filter`) simply drops the ratio row.
-    for threads in [2usize, 4, 8] {
-        if let Some(ratio) = results.paired_speedup(
-            "dse_sweep_200/parallel1",
-            &format!("dse_sweep_200/parallel{threads}"),
-        ) {
-            speedups.push((format!("parallel{threads}_vs_serial/dse_sweep_200"), ratio));
-        }
+    if let Some(ratio) =
+        results.paired_speedup("dse_sweep_200/parallel1", "dse_sweep_200/parallel2")
+    {
+        speedups.push(("parallel2_vs_serial/dse_sweep_200".to_string(), ratio));
     }
     if let Some(ratio) = results.paired_speedup("dse_sweep_200/parallel1", "dse_sweep_200/pruned") {
         speedups.push(("pruned_vs_exhaustive/dse_sweep_200".to_string(), ratio));
     }
     if let Some(ratio) =
-        results.paired_speedup("dse_sweep_200/parallel1", "dse_sweep_200/pruned_parallel4")
+        results.paired_speedup("dse_sweep_200/parallel1", "dse_sweep_200/pruned_parallel2")
     {
         speedups.push(("combined_vs_serial/dse_sweep_200".to_string(), ratio));
     }

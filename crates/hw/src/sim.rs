@@ -501,13 +501,14 @@ pub struct SimScratch {
     pool: Vec<u64>,
 }
 
-/// Runs `f` with this thread's persistent [`SimScratch`].
+/// Runs `f` with this thread's [`SimScratch`].
 ///
-/// The worker-pool threads behind `scoped_workers` are persistent, so a
-/// thread-local scratch survives from one sweep to the next: a DSE worker
-/// pays the scoreboard allocations once per thread, not once per parallel
-/// region. Re-entrant calls (none exist today) fall back to a fresh
-/// scratch rather than aliasing the thread-local one.
+/// The scratch lives as long as its thread. On the calling thread (and so
+/// on every serial sweep) it survives from one sweep to the next; the
+/// helper threads `scoped_workers` spawns last one parallel region, so a
+/// helper pays the scoreboard allocations once per region. Re-entrant
+/// calls (none exist today) fall back to a fresh scratch rather than
+/// aliasing the thread-local one.
 pub fn with_sim_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
     use std::cell::RefCell;
     thread_local! {
@@ -662,7 +663,7 @@ pub fn simulate_batch(
     par: &Parallelism,
 ) -> Vec<SimReport> {
     // Auto mode gates on the total scoreboard work; small batches run
-    // serially rather than paying pool dispatch (identical results).
+    // serially rather than paying a thread spawn (identical results).
     let work: u64 = workloads
         .iter()
         .map(|w| w.num_instructions() as u64 * DecodedWorkload::SIM_NODE_WORK)

@@ -15,8 +15,8 @@
 //!   in tests,
 //! * [`macs`] — multiply–accumulate counting, used to reproduce the paper's
 //!   Sec. 4.3 arithmetic-saving claims and to drive baseline cost models,
-//! * [`par`] — the [`Parallelism`] configuration and the shared worker
-//!   pool behind request-level fan-out (solves themselves are serial),
+//! * [`par`] — the [`Parallelism`] configuration and the scoped-thread
+//!   fan-out across independent requests (solves themselves are serial),
 //! * [`scratch`] — per-thread reusable buffers so the hot QR/matmul
 //!   kernels allocate no per-operation temporaries,
 //! * [`simd`] — runtime feature detection for the AVX f64×4 panel

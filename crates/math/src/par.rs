@@ -10,30 +10,20 @@
 //!   fan-out may use, and whether the cost model may gate a region back
 //!   to serial ([`Parallelism::auto`]). Defaults to auto mode with the
 //!   machine's available cores; `threads <= 1` runs every fan-out inline.
-//! * [`scoped_workers`] / [`try_scoped_workers`] — runs `n` copies of a
-//!   closure that may capture references to caller-owned data, merging
-//!   outputs by worker id. Callers hand out item indices deterministically
-//!   and merge by index — never by completion order — so any thread count
-//!   produces bitwise-identical output.
+//! * [`scoped_workers`] — runs `n` copies of a closure that may capture
+//!   references to caller-owned data, merging outputs by worker id.
+//!   Callers hand out item indices deterministically and merge by index —
+//!   never by completion order — so any thread count produces
+//!   bitwise-identical output.
 //!
-//! Both entry points dispatch onto one lazily-started **persistent pool**
-//! of parked worker threads. A parallel region publishes a type-erased job
-//! descriptor, wakes as many workers as it wants helpers, and the workers
-//! claim worker ids from the job's atomic cursor. The calling thread
-//! always participates and, crucially, *claims every id the pool has not
-//! taken yet* — pool workers accelerate a call but are never required for
-//! progress, so a saturated (or single-core) machine degrades to inline
-//! serial execution instead of deadlocking. Dispatch therefore costs a
-//! couple of microseconds (one queue push + wakeup), not a thread spawn,
-//! and because the workers are persistent their thread-local scratch pools
-//! ([`crate::scratch`]) survive from one parallel region to the next.
+//! Each parallel region spawns its helpers with [`std::thread::scope`] and
+//! joins them before returning. A spawn + join costs tens of microseconds
+//! ([`AUTO_WORK_THRESHOLD`] is sized from it); the regions that fan out run
+//! for milliseconds, so no thread outlives the region that started it.
 
-use std::any::Any;
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::thread;
 
 /// How many worker threads a request-level fan-out may use.
@@ -94,32 +84,12 @@ fn env_threads() -> Option<usize> {
     })
 }
 
-/// Default estimated-work threshold (abstract units ≈ flops ≈ serial
-/// nanoseconds) below which auto mode runs a region serially. Calibrated
-/// on the bench suite: pool dispatch plus by-index merge costs a handful
-/// of microseconds, so a region needs a couple hundred microseconds of
-/// serial work before a second worker can pay for itself (DESIGN §3.2.4).
-pub const AUTO_WORK_THRESHOLD: u64 = 200_000;
-
-/// Parses one `ORIANNA_PAR_THRESHOLD`-style value; `None` when not a
-/// non-negative integer, so malformed overrides fall back to
-/// [`AUTO_WORK_THRESHOLD`] instead of partially applying.
-fn parse_threshold(raw: &str) -> Option<u64> {
-    raw.trim().parse::<u64>().ok()
-}
-
-/// The active auto-mode threshold: `ORIANNA_PAR_THRESHOLD` when set to a
-/// non-negative integer, otherwise [`AUTO_WORK_THRESHOLD`]. Read and
-/// parsed once per process, like [`env_threads`].
-pub fn auto_threshold() -> u64 {
-    static THRESHOLD: OnceLock<u64> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("ORIANNA_PAR_THRESHOLD")
-            .ok()
-            .and_then(|raw| parse_threshold(&raw))
-            .unwrap_or(AUTO_WORK_THRESHOLD)
-    })
-}
+/// Estimated-work threshold (abstract units ≈ flops ≈ serial
+/// nanoseconds) below which auto mode runs a region serially, and the
+/// work each further granted worker must carry. A scoped spawn + join of
+/// one helper costs about 25 µs, so at the threshold a helper carries at
+/// least 10× its own start-up cost (DESIGN §3.2.4).
+pub const AUTO_WORK_THRESHOLD: u64 = 250_000;
 
 impl Parallelism {
     /// The serial reference configuration.
@@ -173,19 +143,14 @@ impl Parallelism {
     /// Worker count the cost model grants a region of estimated `work`
     /// (abstract units ≈ flops ≈ serial nanoseconds). Non-auto
     /// configurations always get `threads`. Auto mode returns 1 below
-    /// [`auto_threshold`] and then ramps: one extra worker per threshold
-    /// of work, capped at `threads`, so each granted worker has enough
-    /// work to amortize its share of dispatch and merge overhead.
+    /// [`AUTO_WORK_THRESHOLD`] and then ramps: one extra worker per
+    /// threshold of work, capped at `threads`, so each granted worker has
+    /// enough work to amortize its spawn and its share of the merge.
     pub fn effective_threads(&self, work: u64) -> usize {
         if !self.auto || self.threads <= 1 {
             return self.threads;
         }
-        let t = auto_threshold().max(1);
-        if work < t {
-            1
-        } else {
-            self.threads.min((work / t) as usize + 1)
-        }
+        self.threads.min((work / AUTO_WORK_THRESHOLD) as usize + 1)
     }
 
     /// The concrete (non-auto) configuration the cost model grants a
@@ -196,320 +161,16 @@ impl Parallelism {
     }
 }
 
-/// Number of hardware threads the runtime reports (≥ 1).
+/// Number of hardware threads the runtime reports (≥ 1), read once per
+/// process: `available_parallelism` reads cgroup files on Linux, and
+/// [`Parallelism::auto`] and every parallel region ask for it.
 pub fn available_threads() -> usize {
-    thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1)
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
 }
 
-/// A parallel region that could not produce its results.
-///
-/// Surfaced by [`try_scoped_workers`]; the panicking sibling
-/// [`scoped_workers`] re-raises the original payload instead.
-pub enum ParError {
-    /// A worker closure panicked. `message` is the stringified payload
-    /// (when it was a `&str` or `String`); `payload` is the original
-    /// panic value so callers can re-raise it intact.
-    WorkerPanicked {
-        /// Worker id (0 = the calling thread) that panicked first.
-        worker: usize,
-        /// Human-readable panic message, best effort.
-        message: String,
-        /// The original panic payload.
-        payload: Box<dyn Any + Send + 'static>,
-    },
-    /// A worker finished without storing its result — a pool-protocol
-    /// violation that should be unreachable; surfaced structurally
-    /// instead of via `unwrap` so callers can diagnose it.
-    MissingResult {
-        /// Worker id whose slot stayed empty.
-        worker: usize,
-    },
-}
-
-impl ParError {
-    fn message_of(payload: &(dyn Any + Send)) -> String {
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    }
-}
-
-impl std::fmt::Debug for ParError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParError::WorkerPanicked {
-                worker, message, ..
-            } => f
-                .debug_struct("WorkerPanicked")
-                .field("worker", worker)
-                .field("message", message)
-                .finish_non_exhaustive(),
-            ParError::MissingResult { worker } => f
-                .debug_struct("MissingResult")
-                .field("worker", worker)
-                .finish(),
-        }
-    }
-}
-
-impl std::fmt::Display for ParError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParError::WorkerPanicked {
-                worker, message, ..
-            } => {
-                write!(f, "parallel worker {worker} panicked: {message}")
-            }
-            ParError::MissingResult { worker } => {
-                write!(f, "parallel worker {worker} produced no result")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ParError {}
-
-/// Type-erased entry point of a scoped job: runs worker `id` of the job
-/// whose context lives behind `ctx`.
-type RunFn = unsafe fn(ctx: *const (), id: usize);
-
-/// Shared state of one parallel region, published to the pool by
-/// reference count. The raw `ctx` pointer targets stack data of the
-/// dispatching caller; it is only dereferenced by workers that claimed an
-/// id `< workers` from `next`, and the caller does not return before
-/// `pending` reaches zero, so every dereference happens while the stack
-/// frame is alive.
-struct JobShared {
-    /// The region's entry point.
-    run: RunFn,
-    ctx: *const (),
-    /// Total worker ids of this region (id 0 belongs to the caller).
-    workers: usize,
-    /// Claim cursor: the next unclaimed worker id (starts at 1).
-    next: AtomicUsize,
-    /// Unfinished worker ids; the caller waits for this to hit zero.
-    pending: AtomicUsize,
-    /// First panic observed by any worker, with its worker id.
-    panic: Mutex<Option<(usize, Box<dyn Any + Send + 'static>)>>,
-    done_lock: Mutex<()>,
-    done_cv: Condvar,
-}
-
-// Safety: `ctx` is only dereferenced under the claim protocol described
-// on [`JobShared`], and `try_scoped_workers` requires `F: Sync` (the
-// closure is shared across threads) and `R: Send` (results move back to
-// the caller).
-unsafe impl Send for JobShared {}
-unsafe impl Sync for JobShared {}
-
-impl JobShared {
-    /// Claims and runs worker ids until the cursor is exhausted. Shared
-    /// by pool workers and (for ids the pool never took) the caller.
-    fn service(&self) {
-        loop {
-            let id = self.next.fetch_add(1, Ordering::AcqRel);
-            if id >= self.workers {
-                return;
-            }
-            self.run_one(id);
-        }
-    }
-
-    /// Runs one claimed worker id under a panic guard and retires it.
-    fn run_one(&self, id: usize) {
-        // SAFETY: `id` was claimed below `workers`, so the caller that
-        // owns `ctx` is still waiting on `pending` and the frame is alive
-        // (see the struct docs); `run` is the entry point built for it.
-        let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (self.run)(self.ctx, id) }));
-        if let Err(payload) = outcome {
-            let mut slot = self.panic.lock().expect("panic slot");
-            slot.get_or_insert((id, payload));
-        }
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Hold the lock while notifying so the caller cannot check
-            // `pending` and block between our decrement and the wakeup.
-            let _guard = self.done_lock.lock().expect("done lock");
-            self.done_cv.notify_all();
-        }
-    }
-
-    /// Blocks the caller until every claimed id has retired.
-    fn wait(&self) {
-        let mut guard = self.done_lock.lock().expect("done lock");
-        while self.pending.load(Ordering::Acquire) != 0 {
-            guard = self.done_cv.wait(guard).expect("done wait");
-        }
-    }
-}
-
-/// The persistent pool: parked worker threads plus the injector queue
-/// they drain. Jobs are `Arc`s, so a worker that wakes up to an already
-/// finished job (its cursor exhausted by the caller) simply discards the
-/// reference — the stale entry never touches the job's context.
-struct PoolShared {
-    inject: Mutex<VecDeque<Arc<JobShared>>>,
-    wake: Condvar,
-}
-
-struct Pool {
-    shared: Arc<PoolShared>,
-    workers: usize,
-}
-
-/// The global pool is sized generously (at least 8 workers) so that
-/// determinism tests exercise true cross-thread execution even on small
-/// machines; parked workers cost nothing.
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let workers = available_threads().max(8);
-        let shared = Arc::new(PoolShared {
-            // Dispatch caps the backlog at one entry per worker, so this
-            // initial capacity is also the queue's final capacity — the
-            // injector never reallocates.
-            inject: Mutex::new(VecDeque::with_capacity(workers)),
-            wake: Condvar::new(),
-        });
-        for i in 0..workers {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name(format!("orianna-par-{i}"))
-                .spawn(move || loop {
-                    let job = {
-                        let mut queue = match shared.inject.lock() {
-                            Ok(q) => q,
-                            Err(_) => return,
-                        };
-                        loop {
-                            if let Some(job) = queue.pop_front() {
-                                break job;
-                            }
-                            queue = match shared.wake.wait(queue) {
-                                Ok(q) => q,
-                                Err(_) => return,
-                            };
-                        }
-                    };
-                    job.service();
-                })
-                .expect("spawn pool worker");
-        }
-        Pool { shared, workers }
-    })
-}
-
-/// Publishes `job` to at most `helpers` pool workers. The backlog is
-/// capped at one queue entry per pool worker: the publishing caller
-/// services every region itself, so pool pickup is an accelerator, never
-/// a correctness need — and the cap pins the queue at its initial
-/// capacity, keeping dispatch allocation-free even when a busy machine
-/// leaves stale entries undrained.
-fn dispatch(job: &Arc<JobShared>, helpers: usize) {
-    let pool = pool();
-    if helpers == 0 || pool.workers == 0 {
-        return;
-    }
-    let n = {
-        let mut queue = pool.shared.inject.lock().expect("injector");
-        let n = helpers.min(pool.workers.saturating_sub(queue.len()));
-        for _ in 0..n {
-            queue.push_back(Arc::clone(job));
-        }
-        n
-    };
-    if n == 0 {
-        return;
-    }
-    if n + 1 >= pool.workers {
-        pool.shared.wake.notify_all();
-    } else {
-        for _ in 0..n {
-            pool.shared.wake.notify_one();
-        }
-    }
-}
-
-/// Runs up to `min(par.threads, workers)` copies of `f` on the persistent
-/// worker pool and returns their outputs in worker-id order, surfacing
-/// worker panics as a structured [`ParError`] instead of unwinding.
-///
-/// See [`scoped_workers`] for the execution contract; this is the same
-/// call with `Result` error reporting, for callers that want to attach
-/// context before failing.
-pub fn try_scoped_workers<R, F>(par: &Parallelism, workers: usize, f: F) -> Result<Vec<R>, ParError>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let n = par.threads.min(workers).max(1);
-    if n == 1 {
-        return match catch_unwind(AssertUnwindSafe(|| f(0))) {
-            Ok(r) => Ok(vec![r]),
-            Err(payload) => Err(ParError::WorkerPanicked {
-                worker: 0,
-                message: ParError::message_of(payload.as_ref()),
-                payload,
-            }),
-        };
-    }
-
-    // One result slot per worker id; each id writes only its own slot,
-    // and the caller reads them only after `pending` hits zero.
-    let slots: Vec<UnsafeCell<Option<R>>> = (0..n).map(|_| UnsafeCell::new(None)).collect();
-    struct Ctx<'a, R, F> {
-        f: &'a F,
-        slots: *const UnsafeCell<Option<R>>,
-    }
-    unsafe fn run_one<R, F: Fn(usize) -> R>(ctx: *const (), id: usize) {
-        let ctx = unsafe { &*(ctx as *const Ctx<'_, R, F>) };
-        let result = (ctx.f)(id);
-        unsafe { *(*ctx.slots.add(id)).get() = Some(result) };
-    }
-    let ctx = Ctx {
-        f: &f,
-        slots: slots.as_ptr(),
-    };
-    let job = Arc::new(JobShared {
-        run: run_one::<R, F>,
-        ctx: (&ctx as *const Ctx<'_, R, F>).cast(),
-        workers: n,
-        next: AtomicUsize::new(1),
-        pending: AtomicUsize::new(n),
-        panic: Mutex::new(None),
-        done_lock: Mutex::new(()),
-        done_cv: Condvar::new(),
-    });
-    dispatch(&job, n - 1);
-
-    // The caller runs worker 0, then claims every id the pool has not
-    // taken — it alone guarantees progress — and finally waits for the
-    // ids that pool workers did claim.
-    job.run_one(0);
-    job.service();
-    job.wait();
-
-    if let Some((worker, payload)) = job.panic.lock().expect("panic slot").take() {
-        return Err(ParError::WorkerPanicked {
-            worker,
-            message: ParError::message_of(payload.as_ref()),
-            payload,
-        });
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(worker, cell)| cell.into_inner().ok_or(ParError::MissingResult { worker }))
-        .collect()
-}
-
-/// Runs up to `min(par.threads, workers)` copies of `f` on the persistent
-/// worker pool and returns their outputs in worker-id order.
+/// Runs `n = min(par.threads, workers)` copies of `f` and returns their
+/// outputs in worker-id order.
 ///
 /// The closure may capture references to caller-owned data (no `'static`
 /// bound), which is what the hardware sweeps need — a worker borrows the
@@ -519,22 +180,52 @@ where
 /// a shared `AtomicUsize`, and must merge results by item index (never by
 /// completion order) to stay deterministic.
 ///
-/// Worker 0 runs on the calling thread, and the caller claims every
-/// worker id the pool does not take, so progress never depends on the
-/// scheduler; with `par.threads <= 1` or `workers <= 1` the single worker
-/// runs inline and the call is the serial reference path. A panicking
-/// worker propagates to the caller with its original payload; use
-/// [`try_scoped_workers`] to receive a [`ParError`] instead.
+/// With `n == 1` the single worker runs inline and the call is the serial
+/// reference path. Otherwise the region spawns `min(n, cap) - 1` scoped
+/// helper threads, where `cap` is [`available_threads`] but at least 8 so
+/// that the determinism tests run across threads even on small machines;
+/// the caller and the helpers claim worker ids from one atomic cursor
+/// until all `n` have run. If any worker panics, every thread is still joined and the
+/// lowest-id worker's original payload is re-raised.
 pub fn scoped_workers<R, F>(par: &Parallelism, workers: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    match try_scoped_workers(par, workers, f) {
-        Ok(out) => out,
-        Err(ParError::WorkerPanicked { payload, .. }) => resume_unwind(payload),
-        Err(e @ ParError::MissingResult { .. }) => panic!("{e}"),
+    let n = par.threads.min(workers).max(1);
+    if n == 1 {
+        return vec![f(0)];
     }
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let id = cursor.fetch_add(1, Ordering::Relaxed);
+            if id >= n {
+                return done;
+            }
+            done.push((id, catch_unwind(AssertUnwindSafe(|| f(id)))));
+        }
+    };
+    let mut pairs = thread::scope(|s| {
+        let helpers: Vec<_> = (1..n.min(available_threads().max(8)))
+            .map(|_| s.spawn(claim))
+            .collect();
+        let mut pairs = claim();
+        for helper in helpers {
+            pairs.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload)),
+            );
+        }
+        pairs
+    });
+    pairs.sort_unstable_by_key(|(id, _)| *id);
+    pairs
+        .into_iter()
+        .map(|(_, out)| out.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -545,9 +236,9 @@ mod tests {
     #[test]
     fn workers_actually_run_on_multiple_threads() {
         // With enough items that block until a sibling joins, at least two
-        // distinct threads must participate (pool has ≥ 8 workers).
+        // distinct threads must participate.
         let next = AtomicUsize::new(0);
-        let seen = Mutex::new(std::collections::HashSet::new());
+        let seen = std::sync::Mutex::new(std::collections::HashSet::new());
         scoped_workers(&Parallelism::with_threads(4), 4, |_| {
             while next.fetch_add(1, Ordering::Relaxed) < 16 {
                 seen.lock().unwrap().insert(thread::current().id());
@@ -558,36 +249,6 @@ mod tests {
             seen.lock().unwrap().len() >= 2,
             "expected cross-thread execution"
         );
-    }
-
-    #[test]
-    fn pool_threads_persist_across_calls() {
-        // Two back-to-back parallel regions must reuse pool threads
-        // rather than spawning fresh ones: the set of thread ids seen by
-        // helper workers (id > 0) in the second call may not contain a
-        // thread that was spawned after the first call completed. We
-        // can't observe spawn times directly, so assert the weaker —but
-        // still spawn-detecting— property that repeated regions only ever
-        // see pool-named threads.
-        let caller = thread::current().id();
-        for _ in 0..3 {
-            let names = scoped_workers(&Parallelism::with_threads(4), 4, |_| {
-                // The caller legitimately claims helper ids the pool was
-                // too slow to take; only off-caller work must be on pool
-                // threads.
-                if thread::current().id() == caller {
-                    None
-                } else {
-                    thread::current().name().map(str::to_string)
-                }
-            });
-            for name in names.into_iter().flatten() {
-                assert!(
-                    name.starts_with("orianna-par-"),
-                    "helper ran on non-pool thread {name}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -624,15 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn orianna_par_threshold_parsing() {
-        assert_eq!(parse_threshold("250000"), Some(250_000));
-        assert_eq!(parse_threshold(" 0 "), Some(0));
-        assert_eq!(parse_threshold("lots"), None, "garbage keeps the default");
-        assert_eq!(parse_threshold("-1"), None);
-        assert!(auto_threshold() >= 1 || auto_threshold() == 0);
-    }
-
-    #[test]
     fn env_overrides_are_read_once() {
         // The environment is parsed a single time per process; later
         // mutations must not change the configuration mid-run (the knob
@@ -640,17 +292,9 @@ mod tests {
         // per solve). Whatever the ambient value was at first read, the
         // cached result is stable against subsequent env churn.
         let before = env_threads();
-        let threshold_before = auto_threshold();
         std::env::set_var("ORIANNA_THREADS", "7");
-        std::env::set_var("ORIANNA_PAR_THRESHOLD", "12345");
         assert_eq!(env_threads(), before, "thread override is cached");
-        assert_eq!(
-            auto_threshold(),
-            threshold_before,
-            "threshold override is cached"
-        );
         std::env::remove_var("ORIANNA_THREADS");
-        std::env::remove_var("ORIANNA_PAR_THRESHOLD");
         assert_eq!(env_threads(), before);
         // And the default stays well-formed no matter what was cached.
         assert!(Parallelism::default().threads >= 1);
@@ -663,7 +307,7 @@ mod tests {
             threads: 8,
             auto: true,
         };
-        let t = auto_threshold();
+        let t = AUTO_WORK_THRESHOLD;
         assert_eq!(auto.effective_threads(0), 1);
         assert_eq!(auto.effective_threads(t.saturating_sub(1)), 1);
         assert!(auto.effective_threads(t) >= 2, "at-threshold work fans out");
@@ -736,46 +380,40 @@ mod tests {
     }
 
     #[test]
-    fn try_scoped_workers_surfaces_structured_panic() {
-        let err = try_scoped_workers(&Parallelism::with_threads(4), 4, |id| {
-            if id == 2 {
-                panic!("structured boom {id}");
-            }
-            id
-        })
-        .expect_err("worker 2 panicked");
-        match err {
-            ParError::WorkerPanicked {
-                worker, message, ..
-            } => {
-                assert_eq!(worker, 2);
-                assert!(message.contains("structured boom"), "message={message}");
-            }
-            other => panic!("unexpected error {other}"),
-        }
-        // Display carries the worker id and message for logs.
-        let err = try_scoped_workers(&Parallelism::serial(), 1, |_| -> usize {
-            panic!("inline boom")
-        })
-        .expect_err("inline worker panicked");
-        assert!(err.to_string().contains("worker 0"));
-        assert!(err.to_string().contains("inline boom"));
-    }
-
-    #[test]
-    fn try_scoped_workers_recovers_after_panic() {
-        // The pool must stay serviceable after a panicking region: the
-        // panic is contained to the job, not the worker thread.
+    fn region_after_a_panicking_region_still_runs() {
+        // Nothing outlives a region, so a panic cannot leak into the next
+        // one; with several panicking workers the lowest id's payload is
+        // the one re-raised.
         for round in 0..4 {
-            let result = try_scoped_workers(&Parallelism::with_threads(4), 4, |id| {
-                if id == 1 {
-                    panic!("round {round}");
-                }
-                id * 2
-            });
-            assert!(result.is_err(), "round {round}");
+            let caught = catch_unwind(|| {
+                scoped_workers(&Parallelism::with_threads(4), 4, |id| {
+                    if id % 2 == 1 {
+                        panic!("round {round} worker {id}");
+                    }
+                    id * 2
+                })
+            })
+            .expect_err("workers 1 and 3 panicked");
+            let message = caught.downcast_ref::<String>().expect("formatted payload");
+            assert_eq!(*message, format!("round {round} worker 1"));
         }
         let ok = scoped_workers(&Parallelism::with_threads(4), 4, |id| id + 1);
         assert_eq!(ok, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn regions_never_exceed_the_thread_cap() {
+        // 64 worker ids, each pinning its thread briefly so helpers cannot
+        // finish early: at most `max(available, 8)` threads may serve them.
+        let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+        scoped_workers(&Parallelism::with_threads(64), 64, |_| {
+            seen.lock().unwrap().insert(thread::current().id());
+            thread::sleep(std::time::Duration::from_millis(1));
+        });
+        let distinct = seen.lock().unwrap().len();
+        assert!(
+            distinct <= available_threads().max(8),
+            "{distinct} threads ran one region"
+        );
     }
 }

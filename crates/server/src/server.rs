@@ -9,9 +9,10 @@
 //! plan-backed (Gauss-Newton) sessions, coalesce every same-topology
 //! request already waiting into one batch: a single shard-lock
 //! acquisition checks out the shared [`SolvePlan`](orianna_solver::SolvePlan)
-//! plus one pooled workspace per request, the batch fans out across the
-//! `math::par` worker pool, each request runs the *serial* arena solve on
-//! its own session state, and the workspaces are parked back for reuse.
+//! plus one pooled workspace per request, the batch fans out across
+//! `math::par::scoped_workers` threads, each request runs the *serial*
+//! arena solve on its own session state, and the workspaces are parked
+//! back for reuse.
 //!
 //! ## Determinism
 //!
