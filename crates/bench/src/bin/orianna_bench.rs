@@ -450,23 +450,35 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
     let configs = dse_configs();
     assert_eq!(configs.len(), 200);
 
-    results.record("dse_sweep_200/fresh", 1, || {
-        let total: u64 = configs
-            .iter()
-            .map(|cfg| simulate_decoded(&decoded, cfg, IssuePolicy::OutOfOrder).cycles)
-            .sum();
-        std::hint::black_box(total);
-    });
+    // `fresh` and `scratch` are compared to each other, so their reps
+    // interleave and the ratio pairs them rep by rep.
     let mut scratch = SimScratch::default();
-    results.record("dse_sweep_200/scratch", 1, || {
-        let total: u64 = configs
-            .iter()
-            .map(|cfg| {
-                simulate_decoded_with(&decoded, cfg, IssuePolicy::OutOfOrder, &mut scratch).cycles
-            })
-            .sum();
-        std::hint::black_box(total);
-    });
+    let scratch_family: Vec<(String, Box<dyn FnMut() + '_>)> = vec![
+        (
+            "dse_sweep_200/fresh".into(),
+            Box::new(|| {
+                let total: u64 = configs
+                    .iter()
+                    .map(|cfg| simulate_decoded(&decoded, cfg, IssuePolicy::OutOfOrder).cycles)
+                    .sum();
+                std::hint::black_box(total);
+            }),
+        ),
+        (
+            "dse_sweep_200/scratch".into(),
+            Box::new(|| {
+                let total: u64 = configs
+                    .iter()
+                    .map(|cfg| {
+                        simulate_decoded_with(&decoded, cfg, IssuePolicy::OutOfOrder, &mut scratch)
+                            .cycles
+                    })
+                    .sum();
+                std::hint::black_box(total);
+            }),
+        ),
+    ];
+    results.record_interleaved(scratch_family, 1);
 
     // The compiler layer of a co-design op: lower, CSE and emit all 12
     // application programs (one pass = 12 `compile` calls).
@@ -578,18 +590,12 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
     }
 
     let mut speedups = Vec::new();
-    if let (Some(fresh), Some(scratch_ns)) = (
-        results.get_opt("dse_sweep_200/fresh"),
-        results.get_opt("dse_sweep_200/scratch"),
-    ) {
-        speedups.push((
-            "scratch_vs_fresh/dse_sweep_200".to_string(),
-            fresh as f64 / scratch_ns as f64,
-        ));
-    }
-    // The sweep family was measured interleaved, so its ratios use the
+    // Both families were measured interleaved, so their ratios use the
     // paired per-rep estimator — see `Results::paired_speedup`. A `None`
     // (row skipped by `--filter`) simply drops the ratio row.
+    if let Some(ratio) = results.paired_speedup("dse_sweep_200/fresh", "dse_sweep_200/scratch") {
+        speedups.push(("scratch_vs_fresh/dse_sweep_200".to_string(), ratio));
+    }
     if let Some(ratio) =
         results.paired_speedup("dse_sweep_200/parallel1", "dse_sweep_200/parallel2")
     {
@@ -658,18 +664,21 @@ fn bench_server(reps: usize, quick: bool, filter: Option<String>) -> (Results, V
         ..ServerConfig::default()
     };
 
-    // Interleave served/naive reps so drift biases both equally.
+    // Interleave served/naive reps so drift biases both equally. Every
+    // reported figure is a median over the reps: walls, and each latency
+    // percentile taken per rep.
+    const PERCENTILES: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];
     let mut served_walls = Vec::with_capacity(reps);
     let mut naive_walls = Vec::with_capacity(reps);
-    let mut served_last = None;
-    let mut naive_last = None;
-    for _ in 0..reps {
+    let mut served_pcts: [Vec<u64>; 3] = Default::default();
+    let mut naive_pcts: [Vec<u64>; 3] = Default::default();
+    for rep in 0..reps {
         let server = SolverServer::new(config());
         install_sessions(&server, &plan).expect("install sessions");
         let served = run_load(&server, &plan);
         assert_eq!(served.errors(), 0, "served run must be clean");
         server.shutdown();
-        if served_last.is_none() {
+        if rep == 0 {
             let m = server.metrics();
             println!(
                 "  served: {} plan executions for {} requests, max batch {}, \
@@ -677,21 +686,20 @@ fn bench_server(reps: usize, quick: bool, filter: Option<String>) -> (Results, V
                 m.batches, m.completed, m.max_batch, m.cache.plan_misses, m.cache.workspace_builds
             );
         }
-        served_walls.push(served.wall_ns);
-        served_last = Some(served);
-
         let naive = run_naive_load(&plan).expect("naive run");
         assert_eq!(naive.errors(), 0, "naive run must be clean");
-        naive_walls.push(naive.wall_ns);
-        naive_last = Some(naive);
-    }
-    let served = served_last.expect("at least one rep");
-    let naive = naive_last.expect("at least one rep");
 
-    // Equal-accuracy guarantee: the speedup below compares bitwise
-    // identical results, not an approximation.
-    compare_reports(&served.outcomes, &naive.outcomes)
-        .unwrap_or_else(|e| panic!("served/naive outcomes diverge: {e}"));
+        // Equal-accuracy guarantee: the speedup below compares bitwise
+        // identical results, not an approximation.
+        compare_reports(&served.outcomes, &naive.outcomes)
+            .unwrap_or_else(|e| panic!("served/naive outcomes diverge: {e}"));
+        served_walls.push(served.wall_ns);
+        naive_walls.push(naive.wall_ns);
+        for (i, (_, q)) in PERCENTILES.iter().enumerate() {
+            served_pcts[i].push(served.percentile_ns(*q));
+            naive_pcts[i].push(naive.percentile_ns(*q));
+        }
+    }
 
     let median = |walls: &mut Vec<u64>| {
         walls.sort_unstable();
@@ -711,12 +719,12 @@ fn bench_server(reps: usize, quick: bool, filter: Option<String>) -> (Results, V
     };
     put("server/served_wall", served_wall);
     put("server/naive_wall", naive_wall);
-    put("server/served_p50", served.percentile_ns(0.50));
-    put("server/served_p95", served.percentile_ns(0.95));
-    put("server/served_p99", served.percentile_ns(0.99));
-    put("server/naive_p50", naive.percentile_ns(0.50));
-    put("server/naive_p95", naive.percentile_ns(0.95));
-    put("server/naive_p99", naive.percentile_ns(0.99));
+    for (i, (p, _)) in PERCENTILES.iter().enumerate() {
+        put(&format!("server/served_{p}"), median(&mut served_pcts[i]));
+    }
+    for (i, (p, _)) in PERCENTILES.iter().enumerate() {
+        put(&format!("server/naive_{p}"), median(&mut naive_pcts[i]));
+    }
     println!("  served throughput: {served_rps:.0} req/s, naive: {naive_rps:.0} req/s");
 
     let speedups = vec![(

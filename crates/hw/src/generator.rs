@@ -542,7 +542,7 @@ pub fn generate_with(
         // pressure signal of Sec. 6.2).
         let mut classes: Vec<(UnitClass, u64)> = UnitClass::ALL
             .iter()
-            .map(|c| (*c, *report.contention.get(c).unwrap_or(&0)))
+            .map(|c| (*c, report.contention.get(*c).unwrap_or(0)))
             .collect();
         classes.sort_by_key(|(_, w)| std::cmp::Reverse(*w));
 

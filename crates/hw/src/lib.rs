@@ -60,7 +60,7 @@ pub use search::{
 };
 pub use sim::{
     critical_path_cycles, simulate, simulate_batch, simulate_decoded, simulate_decoded_with,
-    try_simulate, try_simulate_batch, try_simulate_decoded, DecodedWorkload, IssuePolicy, SimError,
-    SimReport, SimScratch, Stream, Workload,
+    try_simulate, try_simulate_batch, try_simulate_decoded, ClassTally, DecodedWorkload,
+    IssuePolicy, SimError, SimReport, SimScratch, Stream, Workload,
 };
 pub use templates::{energy_nj, latency, unit_resources, Resources};

@@ -25,7 +25,8 @@
 //!   evaluates each accepted batch through the existing memoized parallel
 //!   evaluation path (per-worker scratch, thread-count-independent
 //!   merge), records every trial in a [`TrialLog`], and finishes with an
-//!   exact pruned sweep over the top-K neighborhood as final polish.
+//!   exact polish around the top-K: a pruned sweep for one workload, an
+//!   incumbent-bounded aggregate argmin for several.
 //!
 //! Everything is a deterministic function of the explicit `u64` seed
 //! ([`SplitMix64`], no system RNG): identical seeds produce bitwise
@@ -33,7 +34,7 @@
 
 use crate::config::HwConfig;
 use crate::generator::{score, DseContext, Objective, ParetoPoint, SweepMode};
-use crate::sim::SimReport;
+use crate::sim::{IssuePolicy, SimReport};
 use crate::templates::Resources;
 use orianna_compiler::UnitClass;
 use std::collections::HashSet;
@@ -466,16 +467,26 @@ impl WorkloadSet {
         &mut self.entries[i].1
     }
 
+    /// Folds one score per workload, in workload order, with the set's
+    /// aggregate. Every aggregate and every bound goes through this one
+    /// fold, so a bound whose every workload has been walked is bitwise
+    /// the aggregate.
+    fn fold(&self, mut score_of: impl FnMut(usize, &DseContext) -> f64) -> f64 {
+        let mut acc = 0.0;
+        for (i, ((_, ctx), w)) in self.entries.iter().zip(&self.weights).enumerate() {
+            let s = score_of(i, ctx);
+            acc = match self.combine {
+                Combine::Max => f64::max(acc, s),
+                Combine::WeightedSum => acc + w * s,
+            };
+        }
+        acc
+    }
+
     /// Folds per-workload scores (workload order) into the aggregate.
     pub fn aggregate(&self, per: &[f64]) -> f64 {
         debug_assert_eq!(per.len(), self.entries.len());
-        match self.combine {
-            Combine::Max => per.iter().copied().fold(0.0, f64::max),
-            Combine::WeightedSum => per
-                .iter()
-                .zip(&self.weights)
-                .fold(0.0, |acc, (s, w)| acc + w * s),
-        }
+        self.fold(|i, _| per[i])
     }
 
     /// Objective score of one workload's report.
@@ -489,23 +500,45 @@ impl WorkloadSet {
     /// max and non-negative weighted sums of admissible bounds stay
     /// admissible, so a candidate whose aggregate bound meets the
     /// incumbent can be gated without simulation.
-    ///
-    /// Folds in place, in workload order, exactly as [`Self::aggregate`]
-    /// folds a per-workload slice, so the result is bitwise the same.
     pub fn bound_score(&self, config: &HwConfig) -> f64 {
-        let mut acc = 0.0;
-        for ((_, ctx), w) in self.entries.iter().zip(&self.weights) {
-            let lb = ctx.decoded().lower_bound_cycles(config);
+        self.bound_with(config, &[])
+    }
+
+    /// [`Self::bound_score`] with some workloads already walked:
+    /// `walked[i]` holds workload `i`'s exact score, and workloads without
+    /// one contribute their decode-time bound. Rounding is monotone, so
+    /// replacing any bound by the score it bounds never lowers the fold:
+    /// the result stays admissible, and equals [`Self::aggregate`]
+    /// bitwise once every workload is walked.
+    fn bound_with(&self, config: &HwConfig, walked: &[Option<f64>]) -> f64 {
+        self.fold(|i, ctx| match walked.get(i).copied().flatten() {
+            Some(s) => s,
+            None => {
+                let lb = ctx.decoded().lower_bound_cycles(config);
+                match self.objective {
+                    Objective::Latency => lb as f64,
+                    Objective::Energy => ctx.decoded().energy_mj_at(config, lb),
+                }
+            }
+        })
+    }
+
+    /// The workload whose term sets the aggregate of `per` (the largest
+    /// score under [`Combine::Max`], the largest weighted score under
+    /// [`Combine::WeightedSum`]; the first on ties).
+    fn lead(&self, per: &[(u64, f64)]) -> usize {
+        let term = |i: usize| {
+            let (cycles, energy_mj) = per[i];
             let s = match self.objective {
-                Objective::Latency => lb as f64,
-                Objective::Energy => ctx.decoded().energy_mj_at(config, lb),
+                Objective::Latency => cycles as f64,
+                Objective::Energy => energy_mj,
             };
-            acc = match self.combine {
-                Combine::Max => f64::max(acc, s),
-                Combine::WeightedSum => acc + w * s,
-            };
-        }
-        acc
+            match self.combine {
+                Combine::Max => s,
+                Combine::WeightedSum => self.weights[i] * s,
+            }
+        };
+        (1..per.len()).fold(0, |lead, i| if term(i) > term(lead) { i } else { lead })
     }
 
     /// Evaluates every configuration in every workload through the
@@ -876,11 +909,13 @@ pub struct SearchStats {
     pub search_simulations: usize,
     /// Fresh scoreboard walks during polish.
     pub polish_simulations: usize,
-    /// Polish candidates paid for with a scoreboard walk (single-workload
-    /// pruned-sweep polish only).
+    /// Polish candidates scored exactly: by the single-workload pruned
+    /// sweep, or walked on every workload by the multi-workload polish.
     pub polish_evaluated: usize,
-    /// Polish candidates retired by dominance bounds (single-workload
-    /// pruned-sweep polish only).
+    /// Polish candidates retired by a bound before being scored:
+    /// dominance bounds in the single-workload pruned sweep, the
+    /// incumbent-bounded aggregate in the multi-workload polish (possibly
+    /// after walking some workloads).
     pub polish_bound_skipped: usize,
 }
 
@@ -907,8 +942,8 @@ pub struct SearchOutcome {
     /// Disposition and simulation accounting.
     pub stats: SearchStats,
     /// The exact candidate list the final polish swept (top-K plus their
-    /// in-space, in-budget neighbors) — the oracle re-sweeps this list to
-    /// check the polish bitwise.
+    /// in-space, in-budget neighbors) — the oracles re-sweep or
+    /// re-evaluate this list to check the polish bitwise.
     pub polish_neighborhood: Vec<HwConfig>,
 }
 
@@ -933,9 +968,10 @@ pub fn search_default(
 /// Runs the search driver: seed the corners, loop proposal rounds
 /// (dedup → budget filter → bound gate → batched memoized evaluation),
 /// then polish the top-K neighborhood with the exact machinery — a
-/// [`SweepMode::Pruned`] sweep for a single workload, an exhaustive
-/// aggregate argmin for a multi-workload set (per-workload dominance
-/// pruning is not sound for the aggregate; DESIGN.md §3.4.2).
+/// [`SweepMode::Pruned`] sweep for a single workload, an
+/// incumbent-bounded aggregate argmin for a multi-workload set
+/// (per-workload dominance pruning is not sound for the aggregate;
+/// DESIGN.md §3.4.2). The polish walks serially.
 ///
 /// Deterministic: the outcome (winner, log bytes, stats) is a pure
 /// function of the inputs and `cfg.seed`, independent of thread count.
@@ -1119,8 +1155,9 @@ pub fn search(
     // until a whole pass over the classes yields no improvement. Lines
     // cross score plateaus that defeat ±1 hill climbing, and every swept
     // candidate accumulates into `polish_neighborhood` in sweep order,
-    // so a single pruned sweep over that list reproduces the polish
-    // result bitwise (the determinism oracle does exactly that).
+    // so one pruned sweep (one workload) or one exhaustive re-evaluation
+    // (several) over that list reproduces the polish result bitwise; the
+    // verify oracles do exactly that.
     let mut polish_neighborhood: Vec<HwConfig> = Vec::new();
     if best.is_some() {
         let mut tops: Vec<HwConfig> = Vec::new();
@@ -1172,14 +1209,16 @@ pub fn search(
                 cycles,
             )
         };
-        // Sweeps one chunk exactly and returns its winner; the chunk has
-        // already been deduplicated against everything swept before, so
-        // "strictly better key replaces the incumbent" reproduces a
-        // single sweep over the accumulated union (earlier index wins
-        // ties, exactly like the sweep's selection key).
+        // Sweeps one chunk exactly and returns its winner when it beats
+        // `incumbent`; the chunk has already been deduplicated against
+        // everything swept before, so "strictly better key replaces the
+        // incumbent" reproduces a single sweep over the accumulated union
+        // (earlier index wins ties, exactly like the sweep's selection
+        // key).
         let sweep_chunk = |set: &mut WorkloadSet,
                            stats: &mut SearchStats,
-                           chunk: &[HwConfig]|
+                           chunk: &[HwConfig],
+                           incumbent: Option<&PolishBest>|
          -> Option<PolishBest> {
             if set.len() == 1 {
                 let objective = set.objective();
@@ -1188,7 +1227,7 @@ pub fn search(
                     .sweep(chunk, budget, objective, SweepMode::Pruned);
                 stats.polish_evaluated += sweep.evaluated;
                 stats.polish_bound_skipped += sweep.skipped_bound;
-                sweep.best.map(|(config, report)| {
+                return sweep.best.map(|(config, report)| {
                     let agg = set.score_of(&report);
                     let per = vec![(report.cycles, report.energy_mj)];
                     PolishBest {
@@ -1197,31 +1236,68 @@ pub fn search(
                         per_workload: per,
                         score: agg,
                     }
-                })
-            } else {
-                // Exhaustive aggregate argmin: per-workload dominance
-                // pruning may retire a configuration that different
-                // workloads dominate through *different* dominators,
-                // which is not sound for the max/weighted-sum aggregate.
-                let reports = set.evaluate(chunk);
-                stats.polish_evaluated += chunk.len();
-                let mut w: Option<PolishBest> = None;
-                for (config, per) in chunk.iter().zip(&reports) {
-                    let scores: Vec<f64> = per.iter().map(|r| set.score_of(r)).collect();
-                    let agg = set.aggregate(&scores);
-                    let pw: Vec<(u64, f64)> = per.iter().map(|r| (r.cycles, r.energy_mj)).collect();
-                    let key = polish_key(config, agg, &pw);
-                    if w.as_ref().is_none_or(|b| key < b.key) {
-                        w = Some(PolishBest {
+                });
+            }
+            // Aggregate argmin as branch-and-bound over workloads (per-
+            // workload dominance pruning is not sound here: different
+            // workloads may dominate a configuration through different
+            // dominators). A candidate walks one workload at a time,
+            // the one that set the incumbent's aggregate first, and
+            // retires as soon as its partial bound's key prefix is
+            // strictly worse than the incumbent's or the chunk winner's:
+            // then its exact key is too. Walking from the largest count
+            // down lets the most-provisioned candidate, whose scoreboard
+            // is never slower, set the tightest threshold first; the
+            // winner is still the argmin of `(key, position)`.
+            let n = set.len();
+            let lead = incumbent.map_or(0, |b| set.lead(&b.per_workload));
+            let order: Vec<usize> = std::iter::once(lead)
+                .chain((0..n).filter(|&i| i != lead))
+                .collect();
+            let mut walked: Vec<Option<f64>> = vec![None; n];
+            let mut per: Vec<(u64, f64)> = vec![(0, 0.0); n];
+            let mut w: Option<(PolishBest, usize)> = None;
+            for (pos, config) in chunk.iter().enumerate().rev() {
+                let threshold = [incumbent.map(|b| b.key), w.as_ref().map(|(c, _)| c.key)]
+                    .into_iter()
+                    .flatten()
+                    .min();
+                let r = config.resources();
+                walked.fill(None);
+                let mut retired = false;
+                for &i in &order {
+                    let bound = set.bound_with(config, &walked);
+                    if threshold.is_some_and(|t| {
+                        (bound.to_bits(), r.lut, r.ff, r.bram, r.dsp) > (t.0, t.1, t.2, t.3, t.4)
+                    }) {
+                        retired = true;
+                        break;
+                    }
+                    let report = set.context_mut(i).simulate(config, IssuePolicy::OutOfOrder);
+                    walked[i] = Some(set.score_of(&report));
+                    per[i] = (report.cycles, report.energy_mj);
+                }
+                if retired {
+                    stats.polish_bound_skipped += 1;
+                    continue;
+                }
+                stats.polish_evaluated += 1;
+                // Every workload walked: the fold is the aggregate.
+                let agg = set.bound_with(config, &walked);
+                let key = polish_key(config, agg, &per);
+                if w.as_ref().is_none_or(|(c, p)| (key, pos) < (c.key, *p)) {
+                    w = Some((
+                        PolishBest {
                             key,
                             config: config.clone(),
-                            per_workload: pw,
+                            per_workload: per.clone(),
                             score: agg,
-                        });
-                    }
+                        },
+                        pos,
+                    ));
                 }
-                w
             }
+            w.map(|(c, _)| c)
         };
 
         // First chunk: the tops themselves (memo hits — they were
@@ -1237,7 +1313,7 @@ pub fn search(
         }
         if !first.is_empty() {
             polish_neighborhood.extend(first.iter().cloned());
-            incumbent = sweep_chunk(set, &mut stats, &first);
+            incumbent = sweep_chunk(set, &mut stats, &first, None);
         }
 
         // Coordinate-descent passes from the incumbent.
@@ -1271,7 +1347,7 @@ pub fn search(
                     continue;
                 }
                 polish_neighborhood.extend(line.iter().cloned());
-                if let Some(w) = sweep_chunk(set, &mut stats, &line) {
+                if let Some(w) = sweep_chunk(set, &mut stats, &line, incumbent.as_ref()) {
                     let better = incumbent.as_ref().is_none_or(|b| w.key < b.key);
                     if better {
                         incumbent = Some(w);
@@ -1573,6 +1649,13 @@ mod tests {
             );
         }
         assert_eq!(set.simulations(), set.memo_len());
+        // Every polish candidate is either scored or retired by a bound.
+        let s = got.stats;
+        assert_eq!(
+            s.polish_evaluated + s.polish_bound_skipped,
+            got.polish_neighborhood.len(),
+            "{s:?}"
+        );
     }
 
     #[test]

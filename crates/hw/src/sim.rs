@@ -98,7 +98,7 @@ pub struct SimReport {
     /// Total energy (dynamic + static), millijoules.
     pub energy_mj: f64,
     /// Busy cycles per unit class (summed over instances).
-    pub unit_busy: BTreeMap<UnitClass, u64>,
+    pub unit_busy: ClassTally,
     /// Cycles instructions spent ready-but-waiting to issue, per class.
     /// Under out-of-order issue this is time waiting for a free unit — the
     /// contention signal the generator optimizes against; under in-order
@@ -106,7 +106,7 @@ pub struct SimReport {
     /// instruction. Both policies account it identically (`start - ready`
     /// summed over the class's instructions), so reports from every entry
     /// point agree field by field.
-    pub contention: BTreeMap<UnitClass, u64>,
+    pub contention: ClassTally,
     /// Sum of instruction latencies per phase (work breakdown: the
     /// paper's Sec. 7.3 latency split). Shared with the decoded workload —
     /// configuration-independent, so every report of a DSE sweep points at
@@ -120,6 +120,47 @@ pub struct SimReport {
     /// `(rows, cols)` of every construction-phase matmul-class op; shared
     /// with the decoded workload like [`SimReport::phase_work`].
     pub mm_shapes: Arc<Vec<(usize, usize)>>,
+}
+
+/// Per-class cycle tallies of one report, flat in [`UnitClass::ALL`]
+/// order. A class is present iff the workload issued to it (latencies
+/// are ≥ 1, so that is iff it has busy cycles), whatever its tally; a
+/// report's tallies never touch the heap.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassTally {
+    values: [u64; UnitClass::COUNT],
+    present: [bool; UnitClass::COUNT],
+}
+
+impl ClassTally {
+    /// The tally of `class`, when the workload issued to it.
+    pub fn get(&self, class: UnitClass) -> Option<u64> {
+        let i = class.index();
+        self.present[i].then_some(self.values[i])
+    }
+
+    /// `(class, tally)` for every class with work, in class order.
+    pub fn iter(&self) -> impl Iterator<Item = (UnitClass, u64)> + '_ {
+        UnitClass::ALL
+            .into_iter()
+            .filter(|c| self.present[c.index()])
+            .map(|c| (c, self.values[c.index()]))
+    }
+
+    /// Number of classes with work.
+    pub fn len(&self) -> usize {
+        self.present.iter().filter(|&&p| p).count()
+    }
+
+    /// Whether no class has work.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Sum of the tallies.
+    pub fn total(&self) -> u64 {
+        self.values.iter().sum()
+    }
 }
 
 impl SimReport {
@@ -541,7 +582,8 @@ pub fn simulate_decoded_with(
 ) -> SimReport {
     // Every instruction issues exactly once under either policy, so the
     // busy cycles per class are the decoded class work, and a class
-    // appears in the report maps iff it has work (latencies are ≥ 1).
+    // appears in the report tallies iff it has work (latencies are ≥ 1;
+    // a class without instructions never waits).
     let (makespan, waited) = match policy {
         // Serial dispatch in stream-concatenated order: its schedule does
         // not depend on the configuration, so decode already ran it.
@@ -549,15 +591,15 @@ pub fn simulate_decoded_with(
         IssuePolicy::OutOfOrder => out_of_order(decoded, config, scratch),
     };
 
-    let mut unit_busy: BTreeMap<UnitClass, u64> = BTreeMap::new();
-    let mut contention: BTreeMap<UnitClass, u64> = BTreeMap::new();
-    for c in UnitClass::ALL {
-        let i = c.index();
-        if decoded.class_work[i] > 0 {
-            unit_busy.insert(c, decoded.class_work[i]);
-            contention.insert(c, waited[i]);
-        }
-    }
+    let present = decoded.class_work.map(|w| w > 0);
+    let unit_busy = ClassTally {
+        values: decoded.class_work,
+        present,
+    };
+    let contention = ClassTally {
+        values: waited,
+        present,
+    };
 
     let time_ms = cycles_to_time_ms(makespan, config);
     SimReport {
@@ -743,7 +785,7 @@ mod tests {
         let wl = Workload::single("loc", &prog);
         let r = simulate(&wl, &HwConfig::minimal(), IssuePolicy::OutOfOrder);
         assert!(r.cycles > 0);
-        let total_work: u64 = r.unit_busy.values().sum();
+        let total_work: u64 = r.unit_busy.total();
         assert!(r.cycles <= total_work, "makespan cannot exceed serial work");
     }
 
@@ -956,8 +998,8 @@ mod tests {
                 // Contention is reported for exactly the classes that
                 // issued, under either policy.
                 assert_eq!(
-                    a.contention.keys().collect::<Vec<_>>(),
-                    a.unit_busy.keys().collect::<Vec<_>>(),
+                    a.contention.iter().map(|(c, _)| c).collect::<Vec<_>>(),
+                    a.unit_busy.iter().map(|(c, _)| c).collect::<Vec<_>>(),
                     "{ctx}: contention keys"
                 );
             }
@@ -970,12 +1012,12 @@ mod tests {
         let wl = Workload::single("loc", &prog);
         let cfg = HwConfig::minimal();
         let io = simulate(&wl, &cfg, IssuePolicy::InOrder);
-        let total: u64 = io.contention.values().sum();
+        let total: u64 = io.contention.total();
         assert!(total > 0, "serial dispatch must queue ready instructions");
         // The serial controller queues at least as long as the
         // out-of-order scoreboard waits for units, in aggregate.
         let ooo = simulate(&wl, &cfg, IssuePolicy::OutOfOrder);
-        let ooo_total: u64 = ooo.contention.values().sum();
+        let ooo_total: u64 = ooo.contention.total();
         assert!(total >= ooo_total, "{total} vs {ooo_total}");
     }
 
@@ -1000,8 +1042,7 @@ mod tests {
         let total_work: u64 = UnitClass::ALL.iter().map(|c| decoded.class_work(*c)).sum();
         let busy_total: u64 = simulate(&wl, &HwConfig::minimal(), IssuePolicy::OutOfOrder)
             .unit_busy
-            .values()
-            .sum();
+            .total();
         assert_eq!(total_work, busy_total);
     }
 

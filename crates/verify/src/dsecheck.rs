@@ -8,8 +8,8 @@
 //! checks the compiled numeric path against the analytic one.
 
 use orianna_hw::{
-    search_default, DseContext, HwConfig, Objective, ParetoPoint, Resources, SearchSpace,
-    SimReport, SweepMode, SweepReport, Workload, WorkloadSet,
+    search_default, Combine, DseContext, HwConfig, IssuePolicy, Objective, ParetoPoint, Resources,
+    SearchSpace, SimReport, SweepMode, SweepReport, Workload, WorkloadSet,
 };
 use orianna_math::Parallelism;
 
@@ -295,11 +295,12 @@ pub enum SearchViolation {
         /// Whether the exhaustive sweep found a winner.
         exhaustive_found: bool,
     },
-    /// A fresh pruned sweep over the recorded polish neighborhood did not
-    /// reproduce the search's final answer bitwise.
+    /// A fresh pruned sweep (one workload) or exhaustive re-evaluation
+    /// (several) over the recorded polish neighborhood did not reproduce
+    /// the search's final answer bitwise.
     PolishDiverges {
         /// The field that diverges (`config`, `cycles`, `energy_mj`,
-        /// `score`, or `existence`).
+        /// `score`, `per_workload`, or `existence`).
         field: &'static str,
     },
     /// The proposal dispositions do not add up.
@@ -375,7 +376,7 @@ impl std::fmt::Display for SearchViolation {
             ),
             SearchViolation::PolishDiverges { field } => write!(
                 f,
-                "pruned sweep over the polish neighborhood diverges from the search answer \
+                "re-evaluating the polish neighborhood diverges from the search answer \
                  in `{field}`"
             ),
             SearchViolation::DedupAccounting {
@@ -589,4 +590,103 @@ pub fn check_search(
         simulations: set.simulations(),
         space_size: space.size(),
     })
+}
+
+/// Checks the multi-workload polish: every configuration the polish swept
+/// (`polish_neighborhood`) is re-evaluated on every workload through
+/// fresh contexts, with no bound and nothing shared with the search, and
+/// the argmin of the polish selection key `(aggregate, lut, ff, bram,
+/// dsp, Σ energy, max cycles)`, earliest neighborhood index on ties, must
+/// be the search's answer bitwise: configuration, aggregate score bits
+/// and every per-workload `(cycles, energy_mj)` pair.
+///
+/// `workloads` pairs each workload with its [`Combine::WeightedSum`]
+/// weight (ignored under [`Combine::Max`]).
+///
+/// # Errors
+/// Returns [`SearchViolation::PolishDiverges`] naming the first field
+/// that differs.
+pub fn check_polish(
+    workloads: &[(Workload<'_>, f64)],
+    space: &SearchSpace,
+    budget: &Resources,
+    objective: Objective,
+    combine: Combine,
+    seed: u64,
+) -> Result<(), SearchViolation> {
+    let mut set = WorkloadSet::new(objective, combine);
+    for (wl, weight) in workloads {
+        set.push_weighted(
+            "wl",
+            DseContext::with_parallelism(wl, Parallelism::serial()),
+            *weight,
+        );
+    }
+    let outcome = search_default(&mut set, space, budget, seed);
+
+    let mut fresh: Vec<DseContext> = workloads
+        .iter()
+        .map(|(wl, _)| DseContext::with_parallelism(wl, Parallelism::serial()))
+        .collect();
+    // Per neighborhood entry: (aggregate, per-workload pairs), plus the
+    // argmin's (key, index).
+    let mut rows: Vec<(f64, Vec<(u64, f64)>)> = Vec::new();
+    let mut argmin = None;
+    for (i, config) in outcome.polish_neighborhood.iter().enumerate() {
+        let reports: Vec<SimReport> = fresh
+            .iter_mut()
+            .map(|ctx| ctx.simulate(config, IssuePolicy::OutOfOrder))
+            .collect();
+        let agg = reports
+            .iter()
+            .zip(workloads)
+            .fold(0.0, |acc, (r, (_, weight))| {
+                let s = objective_score(r, objective);
+                match combine {
+                    Combine::Max => f64::max(acc, s),
+                    Combine::WeightedSum => acc + weight * s,
+                }
+            });
+        let energy: f64 = reports.iter().map(|r| r.energy_mj).sum();
+        let cycles = reports.iter().map(|r| r.cycles).max().unwrap_or(0);
+        let res = config.resources();
+        let key = (
+            agg.to_bits(),
+            res.lut,
+            res.ff,
+            res.bram,
+            res.dsp,
+            energy.to_bits(),
+            cycles,
+        );
+        if argmin.is_none_or(|(k, _)| key < k) {
+            argmin = Some((key, i));
+        }
+        rows.push((
+            agg,
+            reports.iter().map(|r| (r.cycles, r.energy_mj)).collect(),
+        ));
+    }
+
+    let diverges = |field| Err(SearchViolation::PolishDiverges { field });
+    match (&outcome.best, argmin) {
+        (None, None) => Ok(()),
+        (Some(best), Some((_, i))) => {
+            let (agg, per) = &rows[i];
+            if best.config != outcome.polish_neighborhood[i] {
+                return diverges("config");
+            }
+            if best.score.to_bits() != agg.to_bits() {
+                return diverges("score");
+            }
+            let bits = |pw: &[(u64, f64)]| -> Vec<(u64, u64)> {
+                pw.iter().map(|(c, e)| (*c, e.to_bits())).collect()
+            };
+            if bits(&best.per_workload) != bits(per) {
+                return diverges("per_workload");
+            }
+            Ok(())
+        }
+        _ => diverges("existence"),
+    }
 }

@@ -22,8 +22,9 @@
 //!   multi-threaded hardware sweep must pick the bitwise-same design and
 //!   Pareto frontier as a serial exhaustive sweep; and search-DSE
 //!   oracles (search never beats exhaustive, polish reproduces a pruned
-//!   sweep bitwise, dedup/memo accounting exact, trial logs
-//!   thread-count deterministic);
+//!   sweep bitwise, the multi-workload polish reproduces an exhaustive
+//!   re-evaluation of its neighborhood bitwise, dedup/memo accounting
+//!   exact, trial logs thread-count deterministic);
 //! * [`snapshot`] — golden mnemonic-stream snapshots of the compiled
 //!   applications with an `ORIANNA_BLESS=1` update flow.
 //!
@@ -38,7 +39,9 @@ pub mod oracle;
 pub mod simcheck;
 pub mod snapshot;
 
-pub use dsecheck::{check_dse, check_search, DseViolation, SearchSummary, SearchViolation};
+pub use dsecheck::{
+    check_dse, check_polish, check_search, DseViolation, SearchSummary, SearchViolation,
+};
 pub use gen::{generate, Family, GenConfig};
 pub use incremental::{
     batch_reference, check_incremental, IncrementalReport, IncrementalViolation, INCREMENTAL_TOL,

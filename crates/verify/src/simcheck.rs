@@ -167,6 +167,7 @@ pub fn check_batch(
         if b.cycles != single.cycles
             || b.instructions != single.instructions
             || b.unit_busy != single.unit_busy
+            || b.contention != single.contention
         {
             return Err(SimViolation::BatchDiverges {
                 index: i,
