@@ -6,7 +6,9 @@
 //! `BENCH_solver.json` (elimination/back-substitution: planless vs
 //! arena) and `BENCH_sim.json` (scoreboard: fresh scratch vs
 //! reused [`SimScratch`] over a 200-config DSE sweep, beside the
-//! `compile/all_apps_2024` compiler row) — suitable for committing as a
+//! `compile/all_apps_2024` and `execute/all_apps_2024` compiler rows and
+//! the paired `triangularize/simd` vs `triangularize/scalar` kernel rows
+//! over those programs' QRD panels) — suitable for committing as a
 //! baseline and uploading from CI.
 //!
 //! Usage: `orianna-bench [server] [--quick] [--out-dir DIR]`
@@ -19,7 +21,7 @@
 //! and exact p50/p95/p99 request latencies.
 
 use orianna_apps::all_apps;
-use orianna_compiler::{compile, UnitClass};
+use orianna_compiler::{compile, execute, ExecResult, Op, Program, UnitClass};
 use orianna_graph::{
     natural_ordering, BetweenFactor, Factor, LinearFactor, LinearSystem, Ordering, PriorFactor,
     Values, VarId, Variable,
@@ -29,7 +31,7 @@ use orianna_hw::{
     Objective, Resources, SimScratch, SweepMode, Workload,
 };
 use orianna_lie::Pose2;
-use orianna_math::Parallelism;
+use orianna_math::{panel, Parallelism};
 use orianna_solver::IncrementalSolver;
 use orianna_solver::{eliminate, SolvePlan};
 use std::fmt::Write as _;
@@ -496,6 +498,56 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
         std::hint::black_box(instrs);
     });
 
+    // The functional model of the same op: execute all 12 compiled
+    // programs over the register arena (one pass = 12 `execute` calls).
+    let programs: Vec<(Program, &Values)> = apps
+        .iter()
+        .flat_map(|app| &app.algorithms)
+        .map(|a| {
+            let prog = compile(&a.graph, &natural_ordering(&a.graph)).unwrap();
+            (prog, a.graph.values())
+        })
+        .collect();
+    results.record("execute/all_apps_2024", 1, || {
+        for (prog, values) in &programs {
+            std::hint::black_box(execute(prog, values).unwrap().delta);
+        }
+    });
+
+    // The in-place Householder on every QRD panel of those programs,
+    // dispatched (AVX when available) vs forced scalar. The rows are
+    // compared to each other, so their reps interleave.
+    let panels: Vec<(usize, usize, Vec<f64>)> = programs
+        .iter()
+        .flat_map(|(prog, values)| qrd_panels(prog, &execute(prog, values).unwrap()))
+        .collect();
+    let max_len = panels.iter().map(|(r, w, _)| r * w).max().unwrap_or(0);
+    let max_rows = panels.iter().map(|(r, _, _)| *r).max().unwrap_or(0);
+    let triangularize_all = |kernel: fn(&mut [f64], usize, usize, &mut [f64])| {
+        let panels = &panels;
+        let mut buf = vec![0.0f64; max_len];
+        let mut vbuf = vec![0.0f64; max_rows.max(1)];
+        move || {
+            for (rows, width, a) in panels {
+                let p = &mut buf[..rows * width];
+                p.copy_from_slice(a);
+                kernel(p, *rows, *width, &mut vbuf);
+            }
+            std::hint::black_box(&buf);
+        }
+    };
+    let triangularize_family: Vec<(String, Box<dyn FnMut() + '_>)> = vec![
+        (
+            "triangularize/simd".into(),
+            Box::new(triangularize_all(panel::triangularize)),
+        ),
+        (
+            "triangularize/scalar".into(),
+            Box::new(triangularize_all(panel::triangularize_scalar)),
+        ),
+    ];
+    results.record_interleaved(triangularize_family, 1);
+
     // DseContext sweeps: exhaustive at 1/2 threads, plus the
     // branch-and-bound mode. Each rep builds a fresh context from a
     // clone of the pre-decoded workload so no rep inherits the previous
@@ -609,6 +661,9 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
     {
         speedups.push(("combined_vs_serial/dse_sweep_200".to_string(), ratio));
     }
+    if let Some(ratio) = results.paired_speedup("triangularize/scalar", "triangularize/simd") {
+        speedups.push(("simd_vs_scalar/triangularize".to_string(), ratio));
+    }
     if let (Some(ex), Some(pr)) = (
         results.get_opt("dse_ladder_64/exhaustive"),
         results.get_opt("dse_ladder_64/pruned"),
@@ -619,6 +674,88 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
         ));
     }
     (results, speedups)
+}
+
+/// The gathered `[A | b]` panel of every `Qrd` in `prog`, rebuilt from an
+/// executed run: original factor blocks from their registers, new-factor
+/// rows from the producing `Qrd`'s (triangularized) register — exactly
+/// the panel `execute` triangularizes. Returns `(rows, width, panel)`.
+fn qrd_panels(prog: &Program, run: &ExecResult) -> Vec<(usize, usize, Vec<f64>)> {
+    let mut out = Vec::new();
+    for instr in &prog.instrs {
+        let Op::Qrd {
+            frontal,
+            frontal_dim,
+            seps,
+            gather,
+            new_factor_deps,
+            ..
+        } = &instr.op
+        else {
+            continue;
+        };
+        let (rows, width) = instr.dims;
+        let col_of = |v: VarId| {
+            let mut off = *frontal_dim;
+            if v == *frontal {
+                return 0;
+            }
+            for (s, d) in seps {
+                if *s == v {
+                    return off;
+                }
+                off += d;
+            }
+            unreachable!("{v} is not a column of this QRD")
+        };
+        let mut a = vec![0.0f64; rows * width];
+        let mut row = 0;
+        for g in gather {
+            for (k, r) in &g.key_regs {
+                let blk = run.reg(*r);
+                let c0 = col_of(*k);
+                for br in 0..blk.rows() {
+                    a[(row + br) * width + c0..][..blk.cols()].copy_from_slice(blk.row(br));
+                }
+            }
+            let rhs = run.reg(g.rhs_reg);
+            for (i, x) in rhs.as_slice().iter().enumerate() {
+                a[(row + i) * width + width - 1] = *x;
+            }
+            row += rhs.as_slice().len();
+        }
+        for &dep in new_factor_deps {
+            let producer = &prog.instrs[dep];
+            let Op::Qrd {
+                frontal_dim: pdv,
+                seps: pseps,
+                ..
+            } = &producer.op
+            else {
+                unreachable!("QRD dependency is a QRD");
+            };
+            let p = run.reg(producer.dst);
+            let sep_cols: usize = pseps.iter().map(|(_, d)| d).sum();
+            let nr = p.rows().saturating_sub(*pdv).min(sep_cols + 1);
+            for r in 0..nr {
+                let prow = p.row(pdv + r);
+                let mut off = *pdv;
+                for (s, d) in pseps {
+                    let c0 = col_of(*s);
+                    a[(row + r) * width + c0..][..*d].copy_from_slice(&prow[off..off + d]);
+                    off += d;
+                }
+                a[(row + r) * width + width - 1] = prow[p.cols() - 1];
+            }
+            row += nr;
+        }
+        assert_eq!(row, rows, "gathered rows");
+        let mut r = a.clone();
+        panel::triangularize(&mut r, rows, width, &mut vec![0.0; rows.max(1)]);
+        assert_eq!(r, run.reg(instr.dst).as_slice(), "rebuilt QRD panel");
+        out.push((rows, width, a));
+    }
+    out
 }
 
 /// Fleet-serving baseline: identical seeded traffic through the batching

@@ -604,7 +604,7 @@ impl<'g> Codegen<'g> {
                 continue;
             }
             let Some(a_state) = adj[ni] else { continue };
-            let node = dfg.node(NodeId(ni)).clone();
+            let node = dfg.node(NodeId(ni));
             match &node.op {
                 NodeOp::Const(_) => continue,
                 NodeOp::InputPhi(v) => {

@@ -92,7 +92,7 @@ mod tests {
                 assert_eq!(key, key2);
                 let jm = result.reg(*jreg);
                 assert_eq!(jm.shape(), jblk.shape(), "factor {fi} key {key}");
-                let diff = (jm - jblk).max_abs();
+                let diff = (&jm - jblk).max_abs();
                 assert!(diff < tol, "factor {fi} key {key} jacobian diff {diff}");
             }
         }

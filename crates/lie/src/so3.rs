@@ -206,6 +206,13 @@ pub fn vee(m: &[[f64; 3]; 3]) -> [f64; 3] {
 /// Right Jacobian of SO(3) (`Jr(·)` of Tbl. 3):
 /// `Exp(φ + δ) ≈ Exp(φ) · Exp(Jr(φ) δ)`.
 pub fn right_jacobian(phi: [f64; 3]) -> Mat {
+    let m = right_jacobian_array(phi);
+    Mat::from_rows(&[&m[0], &m[1], &m[2]])
+}
+
+/// [`right_jacobian`] as a row-major array: identical arithmetic and MAC
+/// record, no allocation.
+pub fn right_jacobian_array(phi: [f64; 3]) -> [[f64; 3]; 3] {
     let theta2 = phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2];
     let theta = theta2.sqrt();
     let k = hat(phi);
@@ -219,10 +226,10 @@ pub fn right_jacobian(phi: [f64; 3]) -> Mat {
         )
     };
     macs::record(27 + 2 * 9 + 6);
-    let mut out = Mat::identity(3);
+    let mut out = IDENTITY3;
     for r in 0..3 {
         for c in 0..3 {
-            out[(r, c)] += -a * k[r][c] + b * k2[r][c];
+            out[r][c] += -a * k[r][c] + b * k2[r][c];
         }
     }
     out
@@ -230,6 +237,13 @@ pub fn right_jacobian(phi: [f64; 3]) -> Mat {
 
 /// Inverse right Jacobian of SO(3) (`Jr⁻¹(·)` of Tbl. 3).
 pub fn right_jacobian_inv(phi: [f64; 3]) -> Mat {
+    let m = right_jacobian_inv_array(phi);
+    Mat::from_rows(&[&m[0], &m[1], &m[2]])
+}
+
+/// [`right_jacobian_inv`] as a row-major array: identical arithmetic and
+/// MAC record, no allocation.
+pub fn right_jacobian_inv_array(phi: [f64; 3]) -> [[f64; 3]; 3] {
     let theta2 = phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2];
     let theta = theta2.sqrt();
     let k = hat(phi);
@@ -240,14 +254,16 @@ pub fn right_jacobian_inv(phi: [f64; 3]) -> Mat {
         1.0 / theta2 - (1.0 + theta.cos()) / (2.0 * theta * theta.sin())
     };
     macs::record(27 + 2 * 9 + 6);
-    let mut out = Mat::identity(3);
+    let mut out = IDENTITY3;
     for r in 0..3 {
         for c in 0..3 {
-            out[(r, c)] += 0.5 * k[r][c] + b * k2[r][c];
+            out[r][c] += 0.5 * k[r][c] + b * k2[r][c];
         }
     }
     out
 }
+
+const IDENTITY3: [[f64; 3]; 3] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]];
 
 pub(crate) fn mat3_mul(a: &[[f64; 3]; 3], b: &[[f64; 3]; 3]) -> [[f64; 3]; 3] {
     let mut out = [[0.0; 3]; 3];

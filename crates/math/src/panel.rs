@@ -13,7 +13,9 @@
 //!   (and therefore reproducible across runs and thread counts).
 //! * [`triangularize`] — in-place R-only Householder triangularization.
 //!   Applies exactly the reflection schedule of [`crate::householder_qr`]
-//!   but skips the orthogonal-factor accumulation, so the panel afterwards
+//!   to the columns that still matter (reflection `k` skips columns left
+//!   of `k`, whose rows `≥ k` hold only residue the final cleanup zeroes)
+//!   and skips the orthogonal-factor accumulation, so the panel afterwards
 //!   holds `zero_below_diag(R)` bit for bit.
 //! * [`givens_triangularize`] — in-place Givens-rotation core with the same
 //!   rotation schedule (and rotation count) as [`crate::givens_qr`].
@@ -22,7 +24,8 @@
 //!
 //! The two hot inner loops — the matmul accumulate and the Householder
 //! apply ([`reflect_left`]) — have AVX f64×4 variants selected at runtime
-//! via [`crate::simd::enabled`]. Both vectorize **across output columns**:
+//! via [`crate::simd::enabled`] (the apply also runs 16-column chunks in
+//! four accumulators). Both vectorize **across output columns**:
 //! each of the four lanes owns one column and accumulates its `k` (or row)
 //! terms in the same ascending order as the scalar loop, with a separate
 //! multiply and add per term (no FMA). Lane-independent vectorization plus
@@ -134,8 +137,9 @@ fn matmul_chunk<const W: usize>(
 ///
 /// Runs the exact reflection schedule of [`crate::householder_qr`] (same
 /// Householder vectors, same application order, same MAC accounting) but
-/// never touches an orthogonal accumulator, then zeroes the sub-diagonal the
-/// way `householder_qr` does before returning `R`. The panel afterwards is
+/// never touches an orthogonal accumulator nor the columns left of the
+/// current reflection, then zeroes the sub-diagonal the way
+/// `householder_qr` does before returning `R`. The panel afterwards is
 /// bitwise identical to `householder_qr(&a).r` for the same data. `vbuf`
 /// must hold at least `rows` elements.
 pub fn triangularize(panel: &mut [f64], rows: usize, width: usize, vbuf: &mut [f64]) {
@@ -155,7 +159,12 @@ fn triangularize_impl(panel: &mut [f64], rows: usize, width: usize, vbuf: &mut [
     for k in 0..width.min(rows.saturating_sub(1)) {
         let v = &mut vbuf[..rows - k];
         if householder_vector(panel, rows, width, k, v) {
-            reflect_left_impl(panel, rows, width, v, k, simd);
+            // Columns left of `k` hold only sub-diagonal residue in rows
+            // `≥ k`: no later reflection reads it and the cleanup below
+            // zeroes it, so only columns `k..` are reflected. The MAC
+            // record still charges the full-width apply of `householder_qr`.
+            apply_reflection(panel, rows, width, v, k, k, simd);
+            macs::record(2 * (rows - k) * width);
         }
     }
     // Clean sub-diagonal residue exactly like `householder_qr`: reflections
@@ -228,15 +237,36 @@ fn reflect_left_impl(
     k: usize,
     use_simd: bool,
 ) {
+    apply_reflection(panel, rows, width, v, k, 0, use_simd);
+    macs::record(2 * (rows - k) * width);
+}
+
+/// Applies `(I − 2 v vᵀ)` to rows `k..` of columns `c0..width`, without
+/// recording MACs. With AVX the columns go in 16-wide chunks (four
+/// accumulators), then 4-wide chunks, then one at a time; every lane owns
+/// one column and runs `reflect_col`'s operation sequence.
+fn apply_reflection(
+    panel: &mut [f64],
+    rows: usize,
+    width: usize,
+    v: &[f64],
+    k: usize,
+    c0: usize,
+    use_simd: bool,
+) {
     debug_assert_eq!(v.len(), rows - k);
-    let mut c = 0;
+    let mut c = c0;
     #[cfg(target_arch = "x86_64")]
     if use_simd {
-        while c + 4 <= width {
+        while c + 16 <= width {
             // Safety: `use_simd` implies AVX was detected; columns
-            // `c..c + 4` are in bounds for every touched row.
+            // `c..c + 16` are in bounds for every touched row.
+            unsafe { avx::reflect_cols16(panel, rows, width, v, k, c) };
+            c += 16;
+        }
+        while c + 4 <= width {
+            // Safety: as above, for columns `c..c + 4`.
             unsafe { avx::reflect_cols4(panel, rows, width, v, k, c) };
-            macs::record(4 * 2 * (rows - k));
             c += 4;
         }
     }
@@ -244,7 +274,6 @@ fn reflect_left_impl(
     let _ = use_simd;
     while c < width {
         reflect_col(panel, rows, width, v, k, c);
-        macs::record(2 * (rows - k));
         c += 1;
     }
 }
@@ -334,6 +363,54 @@ mod avx {
             let row = _mm256_loadu_pd(panel.as_ptr().add(i * width + c0));
             let updated = _mm256_sub_pd(row, _mm256_mul_pd(f, vi));
             _mm256_storeu_pd(panel.as_mut_ptr().add(i * width + c0), updated);
+        }
+    }
+
+    /// Householder apply to columns `c0..c0 + 16` in four accumulators,
+    /// lane by lane the same operation sequence as [`reflect_cols4`].
+    ///
+    /// # Safety
+    /// Requires AVX; `c0 + 16 <= width` and `v.len() == rows - k`.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn reflect_cols16(
+        panel: &mut [f64],
+        rows: usize,
+        width: usize,
+        v: &[f64],
+        k: usize,
+        c0: usize,
+    ) {
+        debug_assert!(c0 + 16 <= width);
+        debug_assert_eq!(v.len(), rows - k);
+        let p = panel.as_mut_ptr();
+        let (mut d0, mut d1, mut d2, mut d3) = (
+            _mm256_setzero_pd(),
+            _mm256_setzero_pd(),
+            _mm256_setzero_pd(),
+            _mm256_setzero_pd(),
+        );
+        for i in k..rows {
+            let vi = _mm256_set1_pd(*v.get_unchecked(i - k));
+            let at = p.add(i * width + c0);
+            d0 = _mm256_add_pd(d0, _mm256_mul_pd(vi, _mm256_loadu_pd(at)));
+            d1 = _mm256_add_pd(d1, _mm256_mul_pd(vi, _mm256_loadu_pd(at.add(4))));
+            d2 = _mm256_add_pd(d2, _mm256_mul_pd(vi, _mm256_loadu_pd(at.add(8))));
+            d3 = _mm256_add_pd(d3, _mm256_mul_pd(vi, _mm256_loadu_pd(at.add(12))));
+        }
+        let two = _mm256_set1_pd(2.0);
+        let (f0, f1, f2, f3) = (
+            _mm256_mul_pd(two, d0),
+            _mm256_mul_pd(two, d1),
+            _mm256_mul_pd(two, d2),
+            _mm256_mul_pd(two, d3),
+        );
+        for i in k..rows {
+            let vi = _mm256_set1_pd(*v.get_unchecked(i - k));
+            let at = p.add(i * width + c0);
+            for (j, f) in [(0, f0), (4, f1), (8, f2), (12, f3)] {
+                let row = _mm256_loadu_pd(at.add(j));
+                _mm256_storeu_pd(at.add(j), _mm256_sub_pd(row, _mm256_mul_pd(f, vi)));
+            }
         }
     }
 }
@@ -472,6 +549,7 @@ mod tests {
             (12, 7, 5, 33),
             (5, 12, 1, 34),
             (16, 16, 3, 35),
+            (24, 37, 4, 36),
         ] {
             let base = random_like(rows, width, seed);
             let mut v: Vec<f64> = (0..rows - k).map(|i| (i as f64 + 1.0).recip()).collect();
@@ -512,6 +590,44 @@ mod tests {
             let mut panel2 = a.as_slice().to_vec();
             triangularize_scalar(&mut panel2, m, n, &mut vbuf);
             assert_eq!(panel2, panel, "{m}x{n} scalar");
+        }
+    }
+
+    /// The full-width schedule: every reflection applied to every column
+    /// through [`reflect_left`], then the sub-diagonal cleanup.
+    fn triangularize_full_width(panel: &mut [f64], rows: usize, width: usize) {
+        let mut vbuf = vec![0.0f64; rows];
+        for k in 0..width.min(rows.saturating_sub(1)) {
+            let v = &mut vbuf[..rows - k];
+            if householder_vector(panel, rows, width, k, v) {
+                reflect_left(panel, rows, width, v, k);
+            }
+        }
+        for r in 1..rows {
+            panel[r * width..r * width + r.min(width)].fill(0.0);
+        }
+    }
+
+    #[test]
+    fn wide_triangularize_matches_full_width_schedule_and_macs() {
+        // Widths ≥ 16 reach the 16-column AVX chunk; the remainders
+        // exercise the 4-wide and scalar tails after it.
+        for (m, n, seed) in [(20, 17, 51), (40, 37, 52), (33, 50, 53), (104, 86, 54)] {
+            let a = random_like(m, n, seed);
+            let reference = householder_qr(&a).r;
+            let mut full = a.as_slice().to_vec();
+            let (_, full_macs) = macs::measure(|| triangularize_full_width(&mut full, m, n));
+            assert_eq!(full.as_slice(), reference.as_slice(), "{m}x{n} full width");
+            let mut vbuf = vec![0.0f64; m];
+            let mut panel = a.as_slice().to_vec();
+            let (_, live_macs) = macs::measure(|| triangularize(&mut panel, m, n, &mut vbuf));
+            assert_eq!(panel.as_slice(), reference.as_slice(), "{m}x{n}");
+            let mut scalar = a.as_slice().to_vec();
+            let (_, scalar_macs) =
+                macs::measure(|| triangularize_scalar(&mut scalar, m, n, &mut vbuf));
+            assert_eq!(scalar, panel, "{m}x{n} scalar");
+            assert_eq!(live_macs, full_macs, "{m}x{n} macs");
+            assert_eq!(scalar_macs, full_macs, "{m}x{n} scalar macs");
         }
     }
 

@@ -141,7 +141,7 @@ pub fn check_graph(g: &FactorGraph, tol: f64) -> Result<OracleReport, OracleFail
             if jm.shape() != jblk.shape() {
                 return Err(mismatch("factor jacobian shape", fi, f64::NAN, 0.0));
             }
-            let jd = (jm - jblk).max_abs();
+            let jd = (&jm - jblk).max_abs();
             let jscale = 1.0 + jblk.norm();
             if jd > tol * jscale {
                 return Err(mismatch("factor jacobian", fi, jd, tol * jscale));

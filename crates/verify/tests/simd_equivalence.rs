@@ -10,7 +10,7 @@
 //! self-comparisons — still useful as fallback-path coverage, which is
 //! exactly what the CI `ORIANNA_NO_SIMD` matrix leg runs.
 
-use orianna_math::{panel, Parallelism};
+use orianna_math::{macs, panel, Parallelism};
 use orianna_verify::{generate, Family, GenConfig};
 use proptest::prelude::*;
 
@@ -66,7 +66,7 @@ proptest! {
     #[test]
     fn simd_reflect_matches_scalar_bitwise(
         rows in 2usize..16,
-        width in 1usize..18,
+        width in 1usize..40,
         kfrac in 0usize..4,
         offset in 0usize..4,
         seed in 0u64..1024,
@@ -123,6 +123,54 @@ proptest! {
                 scalar.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
             );
         }
+    }
+}
+
+/// The full-width reflection schedule: every reflection applied to every
+/// column through `reflect_left`, then the sub-diagonal cleanup — the
+/// arithmetic `householder_qr` runs on `R`.
+fn triangularize_full_width(a: &mut [f64], rows: usize, width: usize) {
+    let mut vbuf = vec![0.0f64; rows];
+    for k in 0..width.min(rows.saturating_sub(1)) {
+        let v = &mut vbuf[..rows - k];
+        if panel::householder_vector(a, rows, width, k, v) {
+            panel::reflect_left(a, rows, width, v, k);
+        }
+    }
+    for r in 1..rows {
+        a[r * width..r * width + r.min(width)].fill(0.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Panels at least 16 wide reach the 16-column AVX chunk: the
+    /// dispatched and scalar kernels, which reflect only the columns
+    /// right of each pivot, agree bitwise with the full-width schedule
+    /// and record the same MACs.
+    #[test]
+    fn wide_triangularize_matches_full_width_schedule(
+        rows in 2usize..72,
+        width in 16usize..72,
+        seed in 0u64..1024,
+    ) {
+        let mut a = vec![0.0f64; rows * width];
+        fill(&mut a, seed);
+        let mut full = a.clone();
+        let (_, full_macs) = macs::measure(|| triangularize_full_width(&mut full, rows, width));
+        let mut vbuf = vec![0.0f64; rows];
+        let mut dispatched = a.clone();
+        let (_, dispatched_macs) =
+            macs::measure(|| panel::triangularize(&mut dispatched, rows, width, &mut vbuf));
+        let mut scalar = a;
+        let (_, scalar_macs) =
+            macs::measure(|| panel::triangularize_scalar(&mut scalar, rows, width, &mut vbuf));
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&dispatched), bits(&full));
+        prop_assert_eq!(bits(&scalar), bits(&full));
+        prop_assert_eq!(dispatched_macs, full_macs);
+        prop_assert_eq!(scalar_macs, full_macs);
     }
 }
 
