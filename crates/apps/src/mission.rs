@@ -74,9 +74,13 @@ fn optimize(
         .optimize_with_cache(graph, plans)
         .is_ok(),
         Pipeline::Orianna => {
-            // Compiled programs embed the trial's measurement constants,
-            // so unlike solve plans they are NOT reusable across
-            // randomized trials; compile fresh per mission.
+            // Compiled programs embed the trial's measurement constants
+            // as `Const` loads, so unlike solve plans they are NOT
+            // reusable across randomized trials; compile fresh per
+            // mission. Inside `compile` each factor structure is lowered
+            // and differentiated once and replayed for its other factors,
+            // so the per-mission cost is the replay, the elimination
+            // schedule and the validation pass.
             let ordering = natural_ordering(graph);
             let Ok(prog) = compile(graph, &ordering) else {
                 return false;

@@ -7,8 +7,9 @@
 //! arena) and `BENCH_sim.json` (scoreboard: fresh scratch vs
 //! reused [`SimScratch`] over a 200-config DSE sweep, beside the
 //! `compile/all_apps_2024` and `execute/all_apps_2024` compiler rows and
-//! the paired `triangularize/simd` vs `triangularize/scalar` kernel rows
-//! over those programs' QRD panels) — suitable for committing as a
+//! the paired `triangularize/simd` vs `triangularize/scalar` and
+//! `matmul/simd` vs `matmul/scalar` kernel rows over those programs'
+//! QRD panels and `Mm` operands) — suitable for committing as a
 //! baseline and uploading from CI.
 //!
 //! Usage: `orianna-bench [server] [--quick] [--out-dir DIR]`
@@ -23,15 +24,15 @@
 use orianna_apps::all_apps;
 use orianna_compiler::{compile, execute, ExecResult, Op, Program, UnitClass};
 use orianna_graph::{
-    natural_ordering, BetweenFactor, Factor, LinearFactor, LinearSystem, Ordering, PriorFactor,
-    Values, VarId, Variable,
+    min_degree_ordering, natural_ordering, BetweenFactor, Factor, LinearFactor, LinearSystem,
+    Ordering, PriorFactor, Values, VarId, Variable,
 };
 use orianna_hw::{
     simulate_decoded, simulate_decoded_with, DecodedWorkload, DseContext, HwConfig, IssuePolicy,
     Objective, Resources, SimScratch, SweepMode, Workload,
 };
 use orianna_lie::Pose2;
-use orianna_math::{panel, Parallelism};
+use orianna_math::{panel, Mat, Parallelism};
 use orianna_solver::IncrementalSolver;
 use orianna_solver::{eliminate, SolvePlan};
 use std::fmt::Write as _;
@@ -229,13 +230,14 @@ fn to_json(mode: &str, reps: usize, results: &Results, speedups: &[(String, f64)
 
 /// Solver baselines: one Gauss-Newton solve iteration (eliminate +
 /// back-substitute) per benchmark application, on the reference path and
-/// the arena path.
+/// the arena path, in the min-degree order every production solve plans
+/// with.
 fn bench_solver(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)>) {
     let mut results = Results::new(reps, filter);
     let mut speedups = Vec::new();
     for app in all_apps(2024) {
         let algo = app.algorithm("localization");
-        let ordering = natural_ordering(&algo.graph);
+        let ordering = min_degree_ordering(&algo.graph);
         let sys = algo.graph.linearize();
         let plan = SolvePlan::for_system(&sys, ordering.as_slice()).unwrap();
         let name = app.name.replace(' ', "_");
@@ -548,6 +550,70 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
     ];
     results.record_interleaved(triangularize_family, 1);
 
+    // The blocked matrix product on the operands of every `Mm` of those
+    // programs, dispatched (AVX when available) vs forced scalar. Only
+    // four-column output chunks have an AVX kernel. The rows are
+    // compared to each other, so their reps interleave.
+    let products: Vec<(Mat, Mat)> = programs
+        .iter()
+        .flat_map(|(prog, values)| {
+            let run = execute(prog, values).unwrap();
+            prog.instrs
+                .iter()
+                .filter(|i| matches!(i.op, Op::Mm))
+                .map(|i| (run.reg(i.srcs[0]), run.reg(i.srcs[1])))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    type MatmulKernel = fn(&mut [f64], &[f64], &[f64], usize, usize, usize);
+    let product = |kernel: MatmulKernel, a: &Mat, b: &Mat, out: &mut [f64]| {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        kernel(&mut out[..m * n], a.as_slice(), b.as_slice(), m, k, n);
+    };
+    let max_out = products
+        .iter()
+        .map(|(a, b)| a.rows() * b.cols())
+        .max()
+        .unwrap_or(0);
+    let (mut simd_out, mut scalar_out) = (vec![0.0f64; max_out], vec![0.0f64; max_out]);
+    for (a, b) in &products {
+        product(panel::matmul_into, a, b, &mut simd_out);
+        product(panel::matmul_into_scalar, a, b, &mut scalar_out);
+        let len = a.rows() * b.cols();
+        assert!(
+            simd_out[..len]
+                .iter()
+                .zip(&scalar_out[..len])
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "matmul kernels disagree on a {}x{} · {}x{} product",
+            a.rows(),
+            a.cols(),
+            b.rows(),
+            b.cols()
+        );
+    }
+    let matmul_all = |kernel: MatmulKernel| {
+        let products = &products;
+        let mut out = vec![0.0f64; max_out];
+        move || {
+            for (a, b) in products {
+                product(kernel, a, b, &mut out);
+            }
+            std::hint::black_box(&out);
+        }
+    };
+    let matmul_family: Vec<(String, Box<dyn FnMut() + '_>)> = vec![
+        (
+            "matmul/simd".into(),
+            Box::new(matmul_all(panel::matmul_into)),
+        ),
+        (
+            "matmul/scalar".into(),
+            Box::new(matmul_all(panel::matmul_into_scalar)),
+        ),
+    ];
+    results.record_interleaved(matmul_family, 1);
+
     // DseContext sweeps: exhaustive at 1/2 threads, plus the
     // branch-and-bound mode. Each rep builds a fresh context from a
     // clone of the pre-decoded workload so no rep inherits the previous
@@ -663,6 +729,9 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
     }
     if let Some(ratio) = results.paired_speedup("triangularize/scalar", "triangularize/simd") {
         speedups.push(("simd_vs_scalar/triangularize".to_string(), ratio));
+    }
+    if let Some(ratio) = results.paired_speedup("matmul/scalar", "matmul/simd") {
+        speedups.push(("simd_vs_scalar/matmul".to_string(), ratio));
     }
     if let (Some(ex), Some(pr)) = (
         results.get_opt("dse_ladder_64/exhaustive"),

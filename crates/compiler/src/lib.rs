@@ -17,6 +17,10 @@
 //! 4. a final graph traversal in elimination order emits the `QRD` /
 //!    `BSUB` solving-phase instructions (Fig. 5/6).
 //!
+//! Steps 1–3 run once per distinct factor structure in a `compile` call;
+//! every factor is emitted by replaying its structure's emission template
+//! ([`codegen`]).
+//!
 //! The resulting [`Program`] is a register machine over small matrices —
 //! the contract between the compiler and the generated hardware. An
 //! ISA-level functional simulator ([`exec`]) pins down the semantics; the

@@ -71,164 +71,207 @@ fn col(values: &[f64]) -> Mat {
 /// Returns [`LowerError::Opaque`] for factors without a structural
 /// description and [`LowerError::Arity`] when `keys` has the wrong length.
 pub fn lower_factor(kind: &FactorKind, keys: &[VarId]) -> Result<LoweredFactor, LowerError> {
-    let need = |n: usize| {
-        if keys.len() == n {
-            Ok(())
-        } else {
-            Err(LowerError::Arity {
-                expected: n,
-                actual: keys.len(),
-            })
-        }
-    };
-    match kind {
-        FactorKind::PriorPose2 { z } => {
-            need(1)?;
-            let x = keys[0];
-            let rz = z.rotation().to_mat();
-            let tz = col(&z.translation());
-            Ok(LoweredFactor {
-                roots: prior_pose_exprs(x, rz, tz),
-                space_dim: 2,
-            })
-        }
-        FactorKind::PriorPose3 { z } => {
-            need(1)?;
-            let x = keys[0];
-            let rz = z.rotation().to_mat();
-            let tz = col(&z.translation());
-            Ok(LoweredFactor {
-                roots: prior_pose_exprs(x, rz, tz),
-                space_dim: 3,
-            })
-        }
-        FactorKind::BetweenPose2 { z } => {
-            need(2)?;
-            let rz = z.rotation().to_mat();
-            let tz = col(&z.translation());
-            Ok(LoweredFactor {
-                roots: between_pose_exprs(keys[0], keys[1], rz, tz),
-                space_dim: 2,
-            })
-        }
-        FactorKind::BetweenPose3 { z } => {
-            need(2)?;
-            let rz = z.rotation().to_mat();
-            let tz = col(&z.translation());
-            Ok(LoweredFactor {
-                roots: between_pose_exprs(keys[0], keys[1], rz, tz),
-                space_dim: 3,
-            })
-        }
-        FactorKind::Gps { z } => {
-            need(1)?;
-            let dim = z.len();
-            let e = Expr::Sub(
-                Box::new(Expr::VarTrans(keys[0])),
-                Box::new(Expr::Const(col(z.as_slice()))),
-            );
-            Ok(LoweredFactor {
-                roots: vec![e],
-                space_dim: dim,
-            })
-        }
-        FactorKind::Camera {
-            pixel,
-            fx,
-            fy,
-            cx,
-            cy,
-        } => {
-            need(2)?;
-            let x = keys[0];
-            let l = keys[1];
-            // p_c = Rᵀ (l − t); e = π(p_c) − uv.
-            let pc = Expr::Rv(
-                Box::new(Expr::Rt(Box::new(rot(x)))),
-                Box::new(Expr::Sub(
-                    Box::new(Expr::VarVec(l)),
-                    Box::new(Expr::VarTrans(x)),
-                )),
-            );
-            let e = Expr::Sub(
-                Box::new(Expr::Proj {
-                    fx: *fx,
-                    fy: *fy,
-                    cx: *cx,
-                    cy: *cy,
-                    src: Box::new(pc),
-                }),
-                Box::new(Expr::Const(col(pixel))),
-            );
-            Ok(LoweredFactor {
-                roots: vec![e],
-                space_dim: 3,
-            })
-        }
-        FactorKind::LinearVector { blocks, rhs } => {
-            need(blocks.len())?;
-            let mut acc: Option<Expr> = None;
-            for (k, a) in keys.iter().zip(blocks) {
-                let term = Expr::MatVec(a.clone(), Box::new(Expr::VarVec(*k)));
-                acc = Some(match acc {
-                    None => term,
-                    Some(prev) => Expr::Add(Box::new(prev), Box::new(term)),
-                });
+    FactorNumbers::of(kind.clone())?.lower(keys)
+}
+
+/// Which error expression a factor lowers to, apart from its numbers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Form {
+    /// `PriorPose2`/`PriorPose3` in `space_dim` dimensions.
+    Prior(usize),
+    /// `BetweenPose2`/`BetweenPose3` in `space_dim` dimensions.
+    Between(usize),
+    Gps,
+    Camera,
+    /// A linear factor; a zero `rhs` drops the subtraction.
+    Linear {
+        /// Every `rhs` entry compares equal to zero.
+        zero_rhs: bool,
+    },
+    Collision,
+}
+
+/// A factor's numbers, in the order its lowering reads them, beside the
+/// [`Form`] of the expression that reads them. Lowering takes every
+/// `Const` leaf and `MatVec` matrix from `mats` and every `Proj`
+/// intrinsic and `Hinge` threshold from `scalars`, so two factors of one
+/// form whose numbers match in shape and bit-equality pattern lower to
+/// MO-DFGs of one shape.
+#[derive(Debug, Clone)]
+pub(crate) struct FactorNumbers {
+    pub(crate) form: Form,
+    /// Matrix payloads: pose measurements `[Rz, tz]`, a GPS fix, a pixel,
+    /// linear blocks then `rhs`, or one centre per obstacle.
+    pub(crate) mats: Vec<Mat>,
+    /// Scalars: camera `[fx, fy, cx, cy]` or one threshold per obstacle.
+    pub(crate) scalars: Vec<f64>,
+}
+
+impl FactorNumbers {
+    /// Splits a factor description into its form and numbers.
+    ///
+    /// # Errors
+    /// Returns [`LowerError::Opaque`] for [`FactorKind::Opaque`].
+    pub(crate) fn of(kind: FactorKind) -> Result<Self, LowerError> {
+        let pose = |form, rz: Mat, tz: &[f64]| Self {
+            form,
+            mats: vec![rz, col(tz)],
+            scalars: Vec::new(),
+        };
+        Ok(match kind {
+            FactorKind::PriorPose2 { z } => {
+                pose(Form::Prior(2), z.rotation().to_mat(), &z.translation())
             }
-            let sum = acc.ok_or(LowerError::Empty)?;
-            let e = if rhs.as_slice().iter().all(|x| *x == 0.0) {
-                sum
+            FactorKind::PriorPose3 { z } => {
+                pose(Form::Prior(3), z.rotation().to_mat(), &z.translation())
+            }
+            FactorKind::BetweenPose2 { z } => {
+                pose(Form::Between(2), z.rotation().to_mat(), &z.translation())
+            }
+            FactorKind::BetweenPose3 { z } => {
+                pose(Form::Between(3), z.rotation().to_mat(), &z.translation())
+            }
+            FactorKind::Gps { z } => Self {
+                form: Form::Gps,
+                mats: vec![col(z.as_slice())],
+                scalars: Vec::new(),
+            },
+            FactorKind::Camera {
+                pixel,
+                fx,
+                fy,
+                cx,
+                cy,
+            } => Self {
+                form: Form::Camera,
+                mats: vec![col(&pixel)],
+                scalars: vec![fx, fy, cx, cy],
+            },
+            FactorKind::LinearVector { mut blocks, rhs } => {
+                let zero_rhs = rhs.as_slice().iter().all(|x| *x == 0.0);
+                blocks.push(col(rhs.as_slice()));
+                Self {
+                    form: Form::Linear { zero_rhs },
+                    mats: blocks,
+                    scalars: Vec::new(),
+                }
+            }
+            FactorKind::Collision { obstacles, safety } => Self {
+                form: Form::Collision,
+                mats: obstacles.iter().map(|(c, _)| col(c)).collect(),
+                scalars: obstacles.iter().map(|(_, r)| r + safety).collect(),
+            },
+            FactorKind::Opaque => return Err(LowerError::Opaque),
+        })
+    }
+
+    /// Lowers the factor over `keys` to error expressions.
+    ///
+    /// # Errors
+    /// Returns [`LowerError::Arity`] when `keys` has the wrong length and
+    /// [`LowerError::Empty`] for a linear factor without blocks.
+    pub(crate) fn lower(&self, keys: &[VarId]) -> Result<LoweredFactor, LowerError> {
+        let need = |n: usize| {
+            if keys.len() == n {
+                Ok(())
             } else {
-                Expr::Sub(Box::new(sum), Box::new(Expr::Const(col(rhs.as_slice()))))
-            };
-            Ok(LoweredFactor {
-                roots: vec![e],
-                space_dim: 2,
-            })
-        }
-        FactorKind::Collision { obstacles, safety } => {
-            need(1)?;
-            let x = keys[0];
-            let mut roots = Vec::with_capacity(obstacles.len());
-            for (c, r) in obstacles {
-                let p = Expr::Slice {
-                    start: 0,
-                    len: 2,
-                    src: Box::new(Expr::VarVec(x)),
-                };
-                let d = Expr::Norm(Box::new(Expr::Sub(
-                    Box::new(p),
-                    Box::new(Expr::Const(col(c))),
-                )));
-                roots.push(Expr::Hinge(r + safety, Box::new(d)));
+                Err(LowerError::Arity {
+                    expected: n,
+                    actual: keys.len(),
+                })
             }
-            Ok(LoweredFactor {
-                roots,
-                space_dim: 2,
-            })
-        }
-        FactorKind::Opaque => Err(LowerError::Opaque),
+        };
+        let konst = |i: usize| Expr::Const(self.mats[i].clone());
+        let (roots, space_dim) = match self.form {
+            Form::Prior(space_dim) => {
+                need(1)?;
+                (prior_pose_exprs(keys[0], konst(0), konst(1)), space_dim)
+            }
+            Form::Between(space_dim) => {
+                need(2)?;
+                let roots = between_pose_exprs(keys[0], keys[1], konst(0), konst(1));
+                (roots, space_dim)
+            }
+            Form::Gps => {
+                need(1)?;
+                let e = Expr::Sub(Box::new(Expr::VarTrans(keys[0])), Box::new(konst(0)));
+                (vec![e], self.mats[0].rows())
+            }
+            Form::Camera => {
+                need(2)?;
+                let x = keys[0];
+                let l = keys[1];
+                // p_c = Rᵀ (l − t); e = π(p_c) − uv.
+                let pc = Expr::Rv(
+                    Box::new(Expr::Rt(Box::new(rot(x)))),
+                    Box::new(Expr::Sub(
+                        Box::new(Expr::VarVec(l)),
+                        Box::new(Expr::VarTrans(x)),
+                    )),
+                );
+                let [fx, fy, cx, cy] = [0, 1, 2, 3].map(|i| self.scalars[i]);
+                let proj = Expr::Proj {
+                    fx,
+                    fy,
+                    cx,
+                    cy,
+                    src: Box::new(pc),
+                };
+                (vec![Expr::Sub(Box::new(proj), Box::new(konst(0)))], 3)
+            }
+            Form::Linear { zero_rhs } => {
+                let (rhs, blocks) = self.mats.split_last().expect("a linear factor has an rhs");
+                need(blocks.len())?;
+                let mut acc: Option<Expr> = None;
+                for (k, a) in keys.iter().zip(blocks) {
+                    let term = Expr::MatVec(a.clone(), Box::new(Expr::VarVec(*k)));
+                    acc = Some(match acc {
+                        None => term,
+                        Some(prev) => Expr::Add(Box::new(prev), Box::new(term)),
+                    });
+                }
+                let sum = acc.ok_or(LowerError::Empty)?;
+                let e = if zero_rhs {
+                    sum
+                } else {
+                    Expr::Sub(Box::new(sum), Box::new(Expr::Const(rhs.clone())))
+                };
+                (vec![e], 2)
+            }
+            Form::Collision => {
+                need(1)?;
+                let x = keys[0];
+                let roots = self.scalars.iter().enumerate().map(|(i, threshold)| {
+                    let p = Expr::Slice {
+                        start: 0,
+                        len: 2,
+                        src: Box::new(Expr::VarVec(x)),
+                    };
+                    let d = Expr::Norm(Box::new(Expr::Sub(Box::new(p), Box::new(konst(i)))));
+                    Expr::Hinge(*threshold, Box::new(d))
+                });
+                (roots.collect(), 2)
+            }
+        };
+        Ok(LoweredFactor { roots, space_dim })
     }
 }
 
-fn prior_pose_exprs(x: VarId, rz: Mat, tz: Mat) -> Vec<Expr> {
+fn prior_pose_exprs(x: VarId, rz: Expr, tz: Expr) -> Vec<Expr> {
     // e_o = Log(Rzᵀ Rx);  e_p = Rzᵀ (t − tz).
-    let rzt = Expr::Rt(Box::new(Expr::Const(rz)));
+    let rzt = Expr::Rt(Box::new(rz));
     let e_o = Expr::Log(Box::new(Expr::Rr(Box::new(rzt.clone()), Box::new(rot(x)))));
     let e_p = Expr::Rv(
         Box::new(rzt),
-        Box::new(Expr::Sub(
-            Box::new(Expr::VarTrans(x)),
-            Box::new(Expr::Const(tz)),
-        )),
+        Box::new(Expr::Sub(Box::new(Expr::VarTrans(x)), Box::new(tz))),
     );
     vec![e_o, e_p]
 }
 
-fn between_pose_exprs(i: VarId, j: VarId, rz: Mat, tz: Mat) -> Vec<Expr> {
+fn between_pose_exprs(i: VarId, j: VarId, rz: Expr, tz: Expr) -> Vec<Expr> {
     // Equ. 4: e_o = Log(ΔRᵀ Rᵢᵀ Rⱼ); e_p = ΔRᵀ (Rᵢᵀ(tⱼ − tᵢ) − Δt).
     let rit = Expr::Rt(Box::new(rot(i)));
-    let dzt = Expr::Rt(Box::new(Expr::Const(rz)));
+    let dzt = Expr::Rt(Box::new(rz));
     let e_o = Expr::Log(Box::new(Expr::Rr(
         Box::new(dzt.clone()),
         Box::new(Expr::Rr(Box::new(rit.clone()), Box::new(rot(j)))),
@@ -238,7 +281,7 @@ fn between_pose_exprs(i: VarId, j: VarId, rz: Mat, tz: Mat) -> Vec<Expr> {
         Box::new(dzt),
         Box::new(Expr::Sub(
             Box::new(Expr::Rv(Box::new(rit), Box::new(diff))),
-            Box::new(Expr::Const(tz)),
+            Box::new(tz),
         )),
     );
     vec![e_o, e_p]

@@ -345,25 +345,23 @@ impl ModFg {
     /// Sets the dimension of a vector-variable leaf (dims come from the
     /// graph's `Values`, not the expression).
     pub fn set_vec_dim(&mut self, var: VarId, dim: usize) {
-        let mut changed = vec![false; self.nodes.len()];
-        for (node, ch) in self.nodes.iter_mut().zip(changed.iter_mut()) {
+        for node in &mut self.nodes {
             if matches!(node.op, NodeOp::InputVec(v) if v == var) {
                 node.kind = ValKind::Vec(dim);
-                *ch = true;
             }
         }
         // Re-infer downstream kinds in topological (id) order: interning
         // guarantees args precede uses.
         for i in 0..self.nodes.len() {
-            if self.nodes[i].args.is_empty() {
+            let node = &self.nodes[i];
+            if node.args.is_empty() {
                 continue;
             }
-            let kinds: Vec<ValKind> = self.nodes[i]
-                .args
-                .iter()
-                .map(|a| self.nodes[a.0].kind)
-                .collect();
-            if let Ok(k) = infer_kind(&self.nodes[i].op, &kinds) {
+            let mut kinds = [ValKind::Vec(0); 2];
+            for (k, a) in kinds.iter_mut().zip(&node.args) {
+                *k = self.nodes[a.0].kind;
+            }
+            if let Ok(k) = infer_kind(&node.op, &kinds[..node.args.len()]) {
                 self.nodes[i].kind = k;
             }
         }
@@ -456,9 +454,14 @@ impl CseKey {
         Self { op, args: slots }
     }
 
-    /// The op's matrix payload (`Const` and `MatVec`).
-    pub(crate) fn matrix(&self) -> Option<&Mat> {
-        self.parts().1
+    /// Key of the constant matrix `m`.
+    pub(crate) fn constant(m: Mat) -> Self {
+        Self::new(NodeOp::Const(m), &[])
+    }
+
+    /// The matrix of a [`constant`](Self::constant) key.
+    pub(crate) fn matrix(&self) -> &Mat {
+        self.parts().1.expect("a constant key holds its matrix")
     }
 
     /// The op's scalar parameters as bits, and its matrix payload.
@@ -493,13 +496,7 @@ impl PartialEq for CseKey {
             && self.args == other.args
             && a == b
             && match (am, bm) {
-                (Some(x), Some(y)) => {
-                    x.shape() == y.shape()
-                        && x.as_slice()
-                            .iter()
-                            .zip(y.as_slice())
-                            .all(|(p, q)| p.to_bits() == q.to_bits())
-                }
+                (Some(x), Some(y)) => same_bits(x, y),
                 (x, y) => x.is_none() && y.is_none(),
             }
     }
@@ -520,6 +517,16 @@ impl Hash for CseKey {
             }
         }
     }
+}
+
+/// Equal shapes and element bits (`0.0` and `-0.0` differ), the equality
+/// of [`CseKey`] payloads.
+pub(crate) fn same_bits(a: &Mat, b: &Mat) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Postfix token stream of an expression (paper Sec. 5.2).

@@ -85,7 +85,6 @@ fn live_roots(prog: &Program) -> HashSet<Reg> {
 /// Removes instructions whose destinations are transitively unused.
 /// Returns the cleaned program and the number of removed instructions.
 pub fn dead_code_elimination(prog: &Program) -> (Program, usize) {
-    let producers = prog.producers();
     let mut live: HashSet<Reg> = live_roots(prog);
     // Propagate liveness backwards (ids are topological).
     for instr in prog.instrs.iter().rev() {
@@ -93,7 +92,6 @@ pub fn dead_code_elimination(prog: &Program) -> (Program, usize) {
             live.extend(instr.srcs.iter().copied());
         }
     }
-    let _ = producers;
     let mut out = clone_header(prog);
     let mut removed = 0;
     let mut id_map = HashMap::new();

@@ -442,7 +442,7 @@ impl Program {
                 defined[i.dst.0] = Some(i.dims);
             }
         }
-        check_instr(&instr, self.instrs.len(), &defined)?;
+        check_instr(&instr, self.instrs.len(), &defined, &mut Vec::new())?;
         Ok(self.push_unchecked(instr))
     }
 
@@ -469,8 +469,9 @@ impl Program {
     /// Returns the first [`ProgramError`] in program order.
     pub fn validate(&self) -> Result<(), ProgramError> {
         let mut defined: Vec<Option<(usize, usize)>> = vec![None; self.num_regs()];
+        let mut src_dims = Vec::new();
         for (id, instr) in self.instrs.iter().enumerate() {
-            check_instr(instr, id, &defined)?;
+            check_instr(instr, id, &defined, &mut src_dims)?;
             defined[instr.dst.0] = Some(instr.dims);
         }
         Ok(())
@@ -496,11 +497,13 @@ impl Program {
 }
 
 /// Structural checks of one instruction against the registers `defined`
-/// (declared dims per register written so far).
+/// (declared dims per register written so far). `src_dims` is scratch
+/// for the sources' dims.
 fn check_instr(
     instr: &Instruction,
     id: usize,
     defined: &[Option<(usize, usize)>],
+    src_dims: &mut Vec<(usize, usize)>,
 ) -> Result<(), ProgramError> {
     let mnemonic = instr.op.mnemonic();
     if instr.dst.0 >= defined.len() {
@@ -509,7 +512,7 @@ fn check_instr(
             reg: instr.dst,
         });
     }
-    let mut src_dims = Vec::with_capacity(instr.srcs.len());
+    src_dims.clear();
     for &s in &instr.srcs {
         if s.0 >= defined.len() {
             return Err(ProgramError::UnallocatedRegister { instr: id, reg: s });
