@@ -7,10 +7,11 @@
 //! arena) and `BENCH_sim.json` (scoreboard: fresh scratch vs
 //! reused [`SimScratch`] over a 200-config DSE sweep, beside the
 //! `compile/all_apps_2024` and `execute/all_apps_2024` compiler rows and
-//! the paired `triangularize/simd` vs `triangularize/scalar` and
-//! `matmul/simd` vs `matmul/scalar` kernel rows over those programs'
-//! QRD panels and `Mm` operands) — suitable for committing as a
-//! baseline and uploading from CI.
+//! the paired `triangularize/simd` vs `triangularize/scalar` kernel rows
+//! over those programs' QRD panels) — suitable for committing as a
+//! baseline and uploading from CI. `BENCH_solver.json` also holds the
+//! Gauss-Newton layer rows: `linearize/<app>` (construction alone) and
+//! `gn/<app>` (whole mission-settings solves).
 //!
 //! Usage: `orianna-bench [server] [--quick] [--out-dir DIR]`
 //!
@@ -32,9 +33,10 @@ use orianna_hw::{
     Objective, Resources, SimScratch, SweepMode, Workload,
 };
 use orianna_lie::Pose2;
-use orianna_math::{panel, Mat, Parallelism};
-use orianna_solver::IncrementalSolver;
-use orianna_solver::{eliminate, SolvePlan};
+use orianna_math::{panel, Parallelism};
+use orianna_solver::{
+    eliminate, GaussNewton, GaussNewtonSettings, IncrementalSolver, PlanCache, SolvePlan,
+};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -231,10 +233,41 @@ fn to_json(mode: &str, reps: usize, results: &Results, speedups: &[(String, f64)
 /// Solver baselines: one Gauss-Newton solve iteration (eliminate +
 /// back-substitute) per benchmark application, on the reference path and
 /// the arena path, in the min-degree order every production solve plans
-/// with.
+/// with; then the Gauss-Newton layers per application over its three
+/// graphs — `linearize/<app>`, one warm `linearize_into` of each, and
+/// `gn/<app>`, one mission-settings optimize of each (the algorithm's
+/// iteration budget, no line search) through a warm `PlanCache`.
 fn bench_solver(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)>) {
     let mut results = Results::new(reps, filter);
     let mut speedups = Vec::new();
+    for app in all_apps(2024) {
+        let name = app.name.replace(' ', "_");
+        let mut systems: Vec<LinearSystem> = app
+            .algorithms
+            .iter()
+            .map(|algo| algo.graph.linearize())
+            .collect();
+        results.record(&format!("linearize/{name}"), 3, || {
+            for (algo, sys) in app.algorithms.iter().zip(&mut systems) {
+                algo.graph.linearize_into(sys);
+            }
+            std::hint::black_box(&systems);
+        });
+
+        let mut cache = PlanCache::new();
+        results.record(&format!("gn/{name}"), 3, || {
+            for algo in &app.algorithms {
+                let mut graph = algo.graph.clone();
+                let report = GaussNewton::new(GaussNewtonSettings {
+                    max_iterations: algo.iterations as usize,
+                    max_step_halvings: 0,
+                    ..Default::default()
+                })
+                .optimize_with_cache(&mut graph, &mut cache);
+                std::hint::black_box(report.map(|r| r.final_error).ok());
+            }
+        });
+    }
     for app in all_apps(2024) {
         let algo = app.algorithm("localization");
         let ordering = min_degree_ordering(&algo.graph);
@@ -364,12 +397,9 @@ fn bench_incremental(results: &mut Results, speedups: &mut Vec<(String, f64)>) {
         var_dims: Vec::new(),
     };
     let push = |values: &mut Values, sys: &mut LinearSystem, f: &dyn Factor| {
-        let (blocks, err) = f.linearize(values);
-        sys.factors.push(LinearFactor {
-            keys: f.keys().to_vec(),
-            blocks,
-            rhs: -&err,
-        });
+        let mut row = LinearFactor::default();
+        f.linearize_into(values, &mut row);
+        sys.factors.push(row);
     };
     let v0 = values.insert(Variable::Pose2(Pose2::identity()));
     sys.var_dims.push(3);
@@ -550,70 +580,6 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
     ];
     results.record_interleaved(triangularize_family, 1);
 
-    // The blocked matrix product on the operands of every `Mm` of those
-    // programs, dispatched (AVX when available) vs forced scalar. Only
-    // four-column output chunks have an AVX kernel. The rows are
-    // compared to each other, so their reps interleave.
-    let products: Vec<(Mat, Mat)> = programs
-        .iter()
-        .flat_map(|(prog, values)| {
-            let run = execute(prog, values).unwrap();
-            prog.instrs
-                .iter()
-                .filter(|i| matches!(i.op, Op::Mm))
-                .map(|i| (run.reg(i.srcs[0]), run.reg(i.srcs[1])))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    type MatmulKernel = fn(&mut [f64], &[f64], &[f64], usize, usize, usize);
-    let product = |kernel: MatmulKernel, a: &Mat, b: &Mat, out: &mut [f64]| {
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        kernel(&mut out[..m * n], a.as_slice(), b.as_slice(), m, k, n);
-    };
-    let max_out = products
-        .iter()
-        .map(|(a, b)| a.rows() * b.cols())
-        .max()
-        .unwrap_or(0);
-    let (mut simd_out, mut scalar_out) = (vec![0.0f64; max_out], vec![0.0f64; max_out]);
-    for (a, b) in &products {
-        product(panel::matmul_into, a, b, &mut simd_out);
-        product(panel::matmul_into_scalar, a, b, &mut scalar_out);
-        let len = a.rows() * b.cols();
-        assert!(
-            simd_out[..len]
-                .iter()
-                .zip(&scalar_out[..len])
-                .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "matmul kernels disagree on a {}x{} · {}x{} product",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        );
-    }
-    let matmul_all = |kernel: MatmulKernel| {
-        let products = &products;
-        let mut out = vec![0.0f64; max_out];
-        move || {
-            for (a, b) in products {
-                product(kernel, a, b, &mut out);
-            }
-            std::hint::black_box(&out);
-        }
-    };
-    let matmul_family: Vec<(String, Box<dyn FnMut() + '_>)> = vec![
-        (
-            "matmul/simd".into(),
-            Box::new(matmul_all(panel::matmul_into)),
-        ),
-        (
-            "matmul/scalar".into(),
-            Box::new(matmul_all(panel::matmul_into_scalar)),
-        ),
-    ];
-    results.record_interleaved(matmul_family, 1);
-
     // DseContext sweeps: exhaustive at 1/2 threads, plus the
     // branch-and-bound mode. Each rep builds a fresh context from a
     // clone of the pre-decoded workload so no rep inherits the previous
@@ -729,9 +695,6 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
     }
     if let Some(ratio) = results.paired_speedup("triangularize/scalar", "triangularize/simd") {
         speedups.push(("simd_vs_scalar/triangularize".to_string(), ratio));
-    }
-    if let Some(ratio) = results.paired_speedup("matmul/scalar", "matmul/simd") {
-        speedups.push(("simd_vs_scalar/matmul".to_string(), ratio));
     }
     if let (Some(ex), Some(pr)) = (
         results.get_opt("dse_ladder_64/exhaustive"),

@@ -135,6 +135,7 @@ pub fn compile(graph: &FactorGraph, ordering: &Ordering) -> Result<Program, Comp
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
                 let lowered = nums.lower(keys).map_err(lower_error)?;
+                nums.check_variables(keys, values).map_err(lower_error)?;
                 let mut dfg = ModFg::from_exprs(&lowered.roots, lowered.space_dim)?;
                 // Resolve vector-variable dimensions from the graph.
                 for (v, _) in dfg.variable_leaves() {

@@ -221,6 +221,34 @@ mod tests {
     }
 
     #[test]
+    fn planar_gps_fix_on_a_spatial_pose_is_a_typed_lowering_error() {
+        let mut g = FactorGraph::new();
+        let p = g.add_pose3(Pose3::identity());
+        g.add_factor(PriorFactor::pose3(p, Pose3::identity(), 0.1));
+        g.add_factor(GpsFactor::new(p, &[1.0, 2.0], 0.5));
+        let err = compile(&g, &natural_ordering(&g)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CompileError::Lower {
+                    factor: 1,
+                    source: LowerError::GpsDimension { fix: 2, pose: 3 },
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "factor 1: GPS fix has 2 coordinates but its pose variable translates in 3"
+        );
+        // The matching fix on the same pose compiles.
+        let mut ok = FactorGraph::new();
+        let q = ok.add_pose3(Pose3::identity());
+        ok.add_factor(GpsFactor::new(q, &[1.0, 2.0, 0.0], 0.5));
+        compile(&ok, &natural_ordering(&ok)).expect("3-D fix on a Pose3 compiles");
+    }
+
+    #[test]
     fn instruction_mix_uses_paper_primitives() {
         let mut g = FactorGraph::new();
         let a = g.add_pose3(Pose3::identity());

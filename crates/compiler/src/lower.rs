@@ -8,7 +8,7 @@
 //! rotation matrices on its special-function unit.
 
 use crate::modfg::Expr;
-use orianna_graph::{FactorKind, VarId};
+use orianna_graph::{FactorKind, Values, VarId, Variable};
 use orianna_math::Mat;
 
 /// A factor lowered to expression form.
@@ -38,6 +38,14 @@ pub enum LowerError {
     /// The factor describes no measurement at all (e.g. a linear factor
     /// with zero coefficient blocks).
     Empty,
+    /// A GPS fix whose coordinate count differs from the translation
+    /// dimension of its pose variable (a planar fix on a spatial pose).
+    GpsDimension {
+        /// Coordinates in the fix.
+        fix: usize,
+        /// Translation dimension of the pose variable.
+        pose: usize,
+    },
 }
 
 impl std::fmt::Display for LowerError {
@@ -51,6 +59,10 @@ impl std::fmt::Display for LowerError {
                 )
             }
             LowerError::Empty => write!(f, "factor has no measurement blocks"),
+            LowerError::GpsDimension { fix, pose } => write!(
+                f,
+                "GPS fix has {fix} coordinates but its pose variable translates in {pose}"
+            ),
         }
     }
 }
@@ -168,6 +180,34 @@ impl FactorNumbers {
     /// Lowers the factor over `keys` to error expressions.
     ///
     /// # Errors
+    /// Checks what lowering cannot see from the keys alone: a GPS fix on a
+    /// pose must have one coordinate per translation axis of that pose.
+    /// (A fix on a non-pose variable fails later, at its `Input`, as a
+    /// variable without a translation component.)
+    ///
+    /// # Errors
+    /// [`LowerError::GpsDimension`] naming both dimensions.
+    pub(crate) fn check_variables(
+        &self,
+        keys: &[VarId],
+        values: &Values,
+    ) -> Result<(), LowerError> {
+        if self.form != Form::Gps {
+            return Ok(());
+        }
+        let pose = match keys.first().map(|&k| values.get(k)) {
+            Some(Variable::Pose2(_)) => 2,
+            Some(Variable::Pose3(_)) => 3,
+            _ => return Ok(()),
+        };
+        let fix = self.mats[0].rows();
+        if fix == pose {
+            Ok(())
+        } else {
+            Err(LowerError::GpsDimension { fix, pose })
+        }
+    }
+
     /// Returns [`LowerError::Arity`] when `keys` has the wrong length and
     /// [`LowerError::Empty`] for a linear factor without blocks.
     pub(crate) fn lower(&self, keys: &[VarId]) -> Result<LoweredFactor, LowerError> {

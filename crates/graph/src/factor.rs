@@ -7,16 +7,17 @@
 //! `J_i` blocks in the columns of its connected variables and `−e` on the
 //! right-hand side, both whitened by the measurement noise.
 
+use crate::linear::LinearFactor;
 use crate::values::Values;
 use crate::variable::VarId;
 use orianna_lie::{Pose2, Pose3};
-use orianna_math::{Mat, Vec64};
+use orianna_math::{macs, panel, Mat, Vec64};
 
 /// A factor node: a residual over one or more variables.
 ///
-/// Implementations must keep [`Factor::error`] and [`Factor::linearize`]
-/// consistent: the Jacobians returned by `linearize` are verified against
-/// finite differences of `error` throughout the test-suite.
+/// Implementations must keep [`Factor::error`], [`Factor::jacobians`] and
+/// [`Factor::linearize_into`] consistent: the Jacobians are verified
+/// against finite differences of `error` throughout the test-suite.
 pub trait Factor: Send + Sync {
     /// The variables this factor connects, in Jacobian-block order.
     fn keys(&self) -> &[VarId];
@@ -47,17 +48,24 @@ pub trait Factor: Send + Sync {
         FactorKind::Opaque
     }
 
-    /// Whitened linearization: `(J₁.., e)` scaled by `1/σ`. The solver
-    /// builds `A Δ = b` with `b = −e` from these blocks.
-    fn linearize(&self, values: &Values) -> (Vec<Mat>, Vec64) {
+    /// Whitened linearization written into `out`: block `i` becomes
+    /// `Jᵢ/σ` and the right-hand side `−e/σ` (the solver builds
+    /// `A Δ = b` from these rows). `out` may hold the row of an earlier
+    /// linearization; its buffers are reused when their shapes match.
+    ///
+    /// The default builds the row from [`Factor::jacobians`] and
+    /// [`Factor::error`], so custom factors only implement those two. The
+    /// built-in factors override it to write straight into `out` from
+    /// fixed-size temporaries, allocation-free once `out` is shaped and
+    /// bitwise identical (MAC counts included) to the default.
+    fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
         let w = 1.0 / self.sigma();
-        let jacs = self
-            .jacobians(values)
-            .into_iter()
-            .map(|j| j.scale(w))
-            .collect();
-        let err = self.error(values).scale(w);
-        (jacs, err)
+        let jacs = self.jacobians(values);
+        out.keys.clear();
+        out.keys.extend_from_slice(self.keys());
+        out.blocks.clear();
+        out.blocks.extend(jacs.iter().map(|j| j.scale(w)));
+        out.rhs = -&self.error(values).scale(w);
     }
 
     /// Whitened squared error `|f(x)/σ|²` — the quantity Gauss-Newton
@@ -68,6 +76,67 @@ pub trait Factor: Send + Sync {
         let we = e.scale(w);
         we.dot(&we)
     }
+}
+
+/// `|w·e|²` with the arithmetic and MAC record of the default
+/// [`Factor::weighted_squared_error`] (`e.scale(w)` then a dot product),
+/// for factors that evaluate `e` into a stack array.
+pub(crate) fn whitened_sq(e: &[f64], w: f64) -> f64 {
+    macs::record(2 * e.len());
+    e.iter().map(|x| x * w).map(|a| a * a).sum()
+}
+
+/// Fixed-size matrix product on row-major arrays through the same kernel
+/// as [`Mat::mul_mat`], so the result and the MAC record are identical.
+pub(crate) fn mat_mul<const M: usize, const K: usize, const N: usize>(
+    a: &[[f64; K]; M],
+    b: &[[f64; N]; K],
+) -> [[f64; N]; M] {
+    let mut out = [[0.0; N]; M];
+    panel::matmul_into(
+        out.as_flattened_mut(),
+        a.as_flattened(),
+        b.as_flattened(),
+        M,
+        K,
+        N,
+    );
+    macs::record(M * K * N);
+    out
+}
+
+/// `s·m` on a row-major array with the MAC record of [`Mat::scale`].
+pub(crate) fn scaled<const R: usize, const C: usize>(m: [[f64; C]; R], s: f64) -> [[f64; C]; R] {
+    macs::record(R * C);
+    m.map(|row| row.map(|x| x * s))
+}
+
+/// Copies `src` into `dst` with its top-left corner at `(r0, c0)`, like
+/// [`Mat::set_block`].
+pub(crate) fn set_block<const R: usize, const C: usize, const BR: usize, const BC: usize>(
+    dst: &mut [[f64; C]; R],
+    r0: usize,
+    c0: usize,
+    src: &[[f64; BC]; BR],
+) {
+    for (drow, srow) in dst[r0..r0 + BR].iter_mut().zip(src) {
+        drow[c0..c0 + BC].copy_from_slice(srow);
+    }
+}
+
+/// Fixed-size matrix–vector product with the arithmetic and MAC record of
+/// [`Mat::mul_vec`].
+pub(crate) fn mat_vec<const M: usize, const K: usize>(a: &[[f64; K]; M], v: &[f64; K]) -> [f64; M] {
+    macs::record(M * K);
+    let mut out = [0.0; M];
+    for (o, row) in out.iter_mut().zip(a) {
+        let mut acc = 0.0;
+        for (x, y) in row.iter().zip(v) {
+            acc += x * y;
+        }
+        *o = acc;
+    }
+    out
 }
 
 /// Structural description of a factor, consumed by `orianna-compiler` to

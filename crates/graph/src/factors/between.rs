@@ -14,10 +14,11 @@
 //! compiler re-derives symbolically by backward propagation on the MO-DFG
 //! (Fig. 11); equality of the two paths is asserted in integration tests.
 
-use crate::factor::{Factor, FactorKind};
+use crate::factor::{mat_mul, mat_vec, scaled, set_block, whitened_sq, Factor, FactorKind};
+use crate::linear::LinearFactor;
 use crate::values::Values;
 use crate::variable::VarId;
-use orianna_lie::{so2, so3, Pose2, Pose3};
+use orianna_lie::{so3, Pose2, Pose3};
 use orianna_math::{Mat, Vec64};
 
 /// Relative-pose ("between") factor over two pose variables.
@@ -71,6 +72,107 @@ impl BetweenFactor {
         self.name = name;
         self
     }
+
+    fn poses2<'v>(&self, values: &'v Values) -> (&'v Pose2, &'v Pose2) {
+        (
+            values.get(self.keys[0]).as_pose2(),
+            values.get(self.keys[1]).as_pose2(),
+        )
+    }
+
+    fn poses3<'v>(&self, values: &'v Values) -> (&'v Pose3, &'v Pose3) {
+        (
+            values.get(self.keys[0]).as_pose3(),
+            values.get(self.keys[1]).as_pose3(),
+        )
+    }
+}
+
+/// Planar error `(x_j ⊖ x_i) ⊖ z` as `[θ, x, y]`.
+fn error2(xi: &Pose2, xj: &Pose2, z: &Pose2) -> [f64; 3] {
+    let e = xj.between(xi).between(z);
+    [e.theta(), e.x(), e.y()]
+}
+
+/// Spatial error `(x_j ⊖ x_i) ⊖ z` as `[φ, t]`.
+fn error3(xi: &Pose3, xj: &Pose3, z: &Pose3) -> [f64; 6] {
+    let e = xj.between(xi).between(z);
+    let phi = e.phi();
+    let t = e.translation();
+    [phi[0], phi[1], phi[2], t[0], t[1], t[2]]
+}
+
+/// Planar Jacobian blocks `[∂e/∂δx_i, ∂e/∂δx_j]`.
+fn jacobians2(xi: &Pose2, xj: &Pose2, z: &Pose2) -> [[[f64; 3]; 3]; 2] {
+    let ri = xi.rotation();
+    let rzt = z.rotation().transpose();
+    // D = x_j ⊖ x_i.
+    let d = xj.between(xi);
+    let td = d.translation();
+    // The so(2) generator (`so2::generator`).
+    let gen = [[0.0, -1.0], [1.0, 0.0]];
+    // Jacobian w.r.t. x_i = [δθ_i, δt_i]:
+    //   e_o: −1
+    //   e_p: dδθ_i = −Rz^T J t_D; dδt_i = −Rz^T R_i^T R_i = −Rz^T
+    let mut ji = [[0.0; 3]; 3];
+    ji[0][0] = -1.0;
+    let jt = mat_vec(&gen, &td);
+    let rzjt = rzt.rotate(jt);
+    ji[1][0] = -rzjt[0];
+    ji[2][0] = -rzjt[1];
+    let rzm = rzt.matrix();
+    for r in 0..2 {
+        for c in 0..2 {
+            ji[1 + r][1 + c] = -rzm[r][c];
+        }
+    }
+    // Jacobian w.r.t. x_j:
+    //   e_o: +1
+    //   e_p: dδt_j = Rz^T R_i^T R_j
+    let mut jj = [[0.0; 3]; 3];
+    jj[0][0] = 1.0;
+    let rr = rzt
+        .compose(&ri.transpose())
+        .compose(&xj.rotation())
+        .matrix();
+    for r in 0..2 {
+        for c in 0..2 {
+            jj[1 + r][1 + c] = rr[r][c];
+        }
+    }
+    [ji, jj]
+}
+
+/// Spatial Jacobian blocks `[∂e/∂δx_i, ∂e/∂δx_j]`.
+fn jacobians3(xi: &Pose3, xj: &Pose3, z: &Pose3) -> [[[f64; 6]; 6]; 2] {
+    let ri = xi.rotation();
+    let rj = xj.rotation();
+    let rzt = z.rotation().transpose();
+    let e = xj.between(xi).between(z);
+    let eo = e.phi();
+    let jri = so3::right_jacobian_inv_array(eo);
+    let d = xj.between(xi);
+    let td = d.translation();
+    // w.r.t. x_i:
+    //   e_o: −Jr⁻¹(e_o) · R_jᵀ R_i
+    //   e_p: dδφ_i = Rzᵀ · hat(t_D);  dδt_i = −Rzᵀ
+    let rjt_ri = rj.transpose().compose(&ri).matrix();
+    let deo_dphii = scaled(mat_mul(&jri, &rjt_ri), -1.0);
+    let rzt_m = rzt.matrix();
+    let dep_dphii = mat_mul(&rzt_m, &so3::hat(td));
+    let dep_dti = scaled(rzt_m, -1.0);
+    let mut ji = [[0.0; 6]; 6];
+    set_block(&mut ji, 0, 0, &deo_dphii);
+    set_block(&mut ji, 3, 0, &dep_dphii);
+    set_block(&mut ji, 3, 3, &dep_dti);
+    // w.r.t. x_j:
+    //   e_o: Jr⁻¹(e_o)
+    //   e_p: dδt_j = Rzᵀ R_iᵀ R_j
+    let mut jj = [[0.0; 6]; 6];
+    set_block(&mut jj, 0, 0, &jri);
+    let dep_dtj = rzt.compose(&ri.transpose()).compose(&rj).matrix();
+    set_block(&mut jj, 3, 3, &dep_dtj);
+    [ji, jj]
 }
 
 impl Factor for BetweenFactor {
@@ -88,18 +190,12 @@ impl Factor for BetweenFactor {
     fn error(&self, values: &Values) -> Vec64 {
         match &self.z {
             BetweenTarget::Pose2(z) => {
-                let xi = values.get(self.keys[0]).as_pose2();
-                let xj = values.get(self.keys[1]).as_pose2();
-                let e = xj.between(xi).between(z); // (x_j ⊖ x_i) ⊖ z
-                Vec64::from_slice(&[e.theta(), e.x(), e.y()])
+                let (xi, xj) = self.poses2(values);
+                Vec64::from_slice(&error2(xi, xj, z))
             }
             BetweenTarget::Pose3(z) => {
-                let xi = values.get(self.keys[0]).as_pose3();
-                let xj = values.get(self.keys[1]).as_pose3();
-                let e = xj.between(xi).between(z);
-                let phi = e.phi();
-                let t = e.translation();
-                Vec64::from_slice(&[phi[0], phi[1], phi[2], t[0], t[1], t[2]])
+                let (xi, xj) = self.poses3(values);
+                Vec64::from_slice(&error3(xi, xj, z))
             }
         }
     }
@@ -107,78 +203,54 @@ impl Factor for BetweenFactor {
     fn jacobians(&self, values: &Values) -> Vec<Mat> {
         match &self.z {
             BetweenTarget::Pose2(z) => {
-                let xi = values.get(self.keys[0]).as_pose2();
-                let xj = values.get(self.keys[1]).as_pose2();
-                let ri = xi.rotation();
-                let rzt = z.rotation().transpose();
-                // D = x_j ⊖ x_i.
-                let d = xj.between(xi);
-                let td = d.translation();
-                let gen = so2::generator();
-                // Jacobian w.r.t. x_i = [δθ_i, δt_i]:
-                //   e_o: −1
-                //   e_p: dδθ_i = −Rz^T J t_D; dδt_i = −Rz^T R_i^T R_i = −Rz^T
-                let mut ji = Mat::zeros(3, 3);
-                ji[(0, 0)] = -1.0;
-                let jt = gen.mul_vec(&Vec64::from_slice(&td));
-                let rzjt = rzt.rotate([jt[0], jt[1]]);
-                ji[(1, 0)] = -rzjt[0];
-                ji[(2, 0)] = -rzjt[1];
-                let rzm = rzt.matrix();
-                for r in 0..2 {
-                    for c in 0..2 {
-                        ji[(1 + r, 1 + c)] = -rzm[r][c];
-                    }
-                }
-                // Jacobian w.r.t. x_j:
-                //   e_o: +1
-                //   e_p: dδt_j = Rz^T R_i^T R_j
-                let mut jj = Mat::zeros(3, 3);
-                jj[(0, 0)] = 1.0;
-                let rr = rzt
-                    .compose(&ri.transpose())
-                    .compose(&xj.rotation())
-                    .matrix();
-                for r in 0..2 {
-                    for c in 0..2 {
-                        jj[(1 + r, 1 + c)] = rr[r][c];
-                    }
-                }
-                vec![ji, jj]
+                let (xi, xj) = self.poses2(values);
+                jacobians2(xi, xj, z)
+                    .iter()
+                    .map(|j| Mat::from_row_major(3, 3, j.as_flattened()))
+                    .collect()
             }
             BetweenTarget::Pose3(z) => {
-                let xi = values.get(self.keys[0]).as_pose3();
-                let xj = values.get(self.keys[1]).as_pose3();
-                let ri = xi.rotation();
-                let rj = xj.rotation();
-                let rzt = z.rotation().transpose();
-                let e = xj.between(xi).between(z);
-                let eo = [e.phi()[0], e.phi()[1], e.phi()[2]];
-                let jri = so3::right_jacobian_inv(eo);
-                let d = xj.between(xi);
-                let td = d.translation();
-                // w.r.t. x_i:
-                //   e_o: −Jr⁻¹(e_o) · R_jᵀ R_i
-                //   e_p: dδφ_i = Rzᵀ · hat(t_D);  dδt_i = −Rzᵀ
-                let rjt_ri = rj.transpose().compose(&ri).to_mat();
-                let deo_dphii = jri.mul_mat(&rjt_ri).scale(-1.0);
-                let hat_td =
-                    Mat::from_rows(&[&so3::hat(td)[0], &so3::hat(td)[1], &so3::hat(td)[2]]);
-                let rzt_m = rzt.to_mat();
-                let dep_dphii = rzt_m.mul_mat(&hat_td);
-                let dep_dti = rzt_m.scale(-1.0);
-                let mut ji = Mat::zeros(6, 6);
-                ji.set_block(0, 0, &deo_dphii);
-                ji.set_block(3, 0, &dep_dphii);
-                ji.set_block(3, 3, &dep_dti);
-                // w.r.t. x_j:
-                //   e_o: Jr⁻¹(e_o)
-                //   e_p: dδt_j = Rzᵀ R_iᵀ R_j
-                let mut jj = Mat::zeros(6, 6);
-                jj.set_block(0, 0, &jri);
-                let dep_dtj = rzt.compose(&ri.transpose()).compose(&rj).to_mat();
-                jj.set_block(3, 3, &dep_dtj);
-                vec![ji, jj]
+                let (xi, xj) = self.poses3(values);
+                jacobians3(xi, xj, z)
+                    .iter()
+                    .map(|j| Mat::from_row_major(6, 6, j.as_flattened()))
+                    .collect()
+            }
+        }
+    }
+
+    fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
+        let w = 1.0 / self.sigma;
+        match &self.z {
+            BetweenTarget::Pose2(z) => {
+                let (xi, xj) = self.poses2(values);
+                let [ji, jj] = jacobians2(xi, xj, z);
+                out.reshape(&self.keys, 3, [3, 3]);
+                out.put_block(0, ji.as_flattened(), w);
+                out.put_block(1, jj.as_flattened(), w);
+                out.put_rhs(&error2(xi, xj, z), w);
+            }
+            BetweenTarget::Pose3(z) => {
+                let (xi, xj) = self.poses3(values);
+                let [ji, jj] = jacobians3(xi, xj, z);
+                out.reshape(&self.keys, 6, [6, 6]);
+                out.put_block(0, ji.as_flattened(), w);
+                out.put_block(1, jj.as_flattened(), w);
+                out.put_rhs(&error3(xi, xj, z), w);
+            }
+        }
+    }
+
+    fn weighted_squared_error(&self, values: &Values) -> f64 {
+        let w = 1.0 / self.sigma;
+        match &self.z {
+            BetweenTarget::Pose2(z) => {
+                let (xi, xj) = self.poses2(values);
+                whitened_sq(&error2(xi, xj, z), w)
+            }
+            BetweenTarget::Pose3(z) => {
+                let (xi, xj) = self.poses3(values);
+                whitened_sq(&error3(xi, xj, z), w)
             }
         }
     }

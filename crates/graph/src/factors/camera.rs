@@ -6,7 +6,8 @@
 //! and three columns, along with one vector of length two" (Sec. 5.1) —
 //! exactly the shapes produced here.
 
-use crate::factor::{Factor, FactorKind};
+use crate::factor::{mat_mul, scaled, set_block, whitened_sq, Factor, FactorKind};
+use crate::linear::LinearFactor;
 use crate::values::Values;
 use crate::variable::VarId;
 use orianna_lie::so3;
@@ -91,6 +92,41 @@ impl CameraFactor {
     }
 }
 
+impl CameraFactor {
+    /// Reprojection error `π(p_c) − uv`.
+    fn eval_error(&self, values: &Values) -> [f64; 2] {
+        let pc = self.point_in_camera(values);
+        // Clamp depth away from the image plane so the error stays finite
+        // during aggressive Gauss-Newton steps; the Jacobian uses the same
+        // clamped depth for consistency.
+        let z = pc[2].max(1e-3);
+        let u = self.model.fx * pc[0] / z + self.model.cx;
+        let v = self.model.fy * pc[1] / z + self.model.cy;
+        [u - self.pixel[0], v - self.pixel[1]]
+    }
+
+    /// Jacobian blocks w.r.t. the pose (2×6) and the landmark (2×3).
+    fn eval_jacobians(&self, values: &Values) -> ([[f64; 6]; 2], [[f64; 3]; 2]) {
+        let x = values.get(self.keys[0]).as_pose3();
+        let pc = self.point_in_camera(values);
+        let z = pc[2].max(1e-3);
+        // Projection Jacobian ∂π/∂p_c (2×3).
+        let jproj = [
+            [self.model.fx / z, 0.0, -self.model.fx * pc[0] / (z * z)],
+            [0.0, self.model.fy / z, -self.model.fy * pc[1] / (z * z)],
+        ];
+        // p_c = Rᵀ(l − t):
+        //   δφ (R ← R·Exp(δ)): p_c ← Exp(−δ)·p_c ⇒ ∂p_c/∂δφ = hat(p_c)
+        //   δt (t ← t + R δt): p_c ← p_c − δt   ⇒ ∂p_c/∂δt = −I
+        //   landmark:                              ∂p_c/∂l  = Rᵀ
+        let mut jpose = [[0.0; 6]; 2];
+        set_block(&mut jpose, 0, 0, &mat_mul(&jproj, &so3::hat(pc)));
+        set_block(&mut jpose, 0, 3, &scaled(jproj, -1.0));
+        let jlm = mat_mul(&jproj, &x.rotation().transpose().matrix());
+        (jpose, jlm)
+    }
+}
+
 impl Factor for CameraFactor {
     fn keys(&self) -> &[VarId] {
         &self.keys
@@ -101,35 +137,28 @@ impl Factor for CameraFactor {
     }
 
     fn error(&self, values: &Values) -> Vec64 {
-        let pc = self.point_in_camera(values);
-        // Clamp depth away from the image plane so the error stays finite
-        // during aggressive Gauss-Newton steps; the Jacobian uses the same
-        // clamped depth for consistency.
-        let z = pc[2].max(1e-3);
-        let u = self.model.fx * pc[0] / z + self.model.cx;
-        let v = self.model.fy * pc[1] / z + self.model.cy;
-        Vec64::from_slice(&[u - self.pixel[0], v - self.pixel[1]])
+        Vec64::from_slice(&self.eval_error(values))
     }
 
     fn jacobians(&self, values: &Values) -> Vec<Mat> {
-        let x = values.get(self.keys[0]).as_pose3();
-        let pc = self.point_in_camera(values);
-        let z = pc[2].max(1e-3);
-        // Projection Jacobian ∂π/∂p_c (2×3).
-        let jproj = Mat::from_rows(&[
-            &[self.model.fx / z, 0.0, -self.model.fx * pc[0] / (z * z)],
-            &[0.0, self.model.fy / z, -self.model.fy * pc[1] / (z * z)],
-        ]);
-        // p_c = Rᵀ(l − t):
-        //   δφ (R ← R·Exp(δ)): p_c ← Exp(−δ)·p_c ⇒ ∂p_c/∂δφ = hat(p_c)
-        //   δt (t ← t + R δt): p_c ← p_c − δt   ⇒ ∂p_c/∂δt = −I
-        //   landmark:                              ∂p_c/∂l  = Rᵀ
-        let hat_pc = Mat::from_rows(&[&so3::hat(pc)[0], &so3::hat(pc)[1], &so3::hat(pc)[2]]);
-        let mut jpose = Mat::zeros(2, 6);
-        jpose.set_block(0, 0, &jproj.mul_mat(&hat_pc));
-        jpose.set_block(0, 3, &jproj.scale(-1.0));
-        let jlm = jproj.mul_mat(&x.rotation().transpose().to_mat());
-        vec![jpose, jlm]
+        let (jpose, jlm) = self.eval_jacobians(values);
+        vec![
+            Mat::from_row_major(2, 6, jpose.as_flattened()),
+            Mat::from_row_major(2, 3, jlm.as_flattened()),
+        ]
+    }
+
+    fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
+        let w = 1.0 / self.sigma;
+        let (jpose, jlm) = self.eval_jacobians(values);
+        out.reshape(&self.keys, 2, [6, 3]);
+        out.put_block(0, jpose.as_flattened(), w);
+        out.put_block(1, jlm.as_flattened(), w);
+        out.put_rhs(&self.eval_error(values), w);
+    }
+
+    fn weighted_squared_error(&self, values: &Values) -> f64 {
+        whitened_sq(&self.eval_error(values), 1.0 / self.sigma)
     }
 
     fn sigma(&self) -> f64 {

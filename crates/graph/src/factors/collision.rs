@@ -6,9 +6,10 @@
 //! margin of a circular obstacle and is zero outside it.
 
 use crate::factor::{Factor, FactorKind};
+use crate::linear::LinearFactor;
 use crate::values::Values;
 use crate::variable::{VarId, Variable};
-use orianna_math::{Mat, Vec64};
+use orianna_math::{macs, Mat, Vec64};
 
 /// Hinge-loss obstacle factor over the position slice of a trajectory
 /// state (a vector variable whose first `pos_dim` entries are position).
@@ -68,6 +69,22 @@ impl CollisionFactor {
             other => panic!("CollisionFactor expects a vector state, found {other:?}"),
         }
     }
+
+    /// Hinge error `max(0, (radius + safety) − |p − center|)`.
+    fn hinge(&self, p: [f64; 2], c: [f64; 2], r: f64) -> f64 {
+        let d = ((p[0] - c[0]).powi(2) + (p[1] - c[1]).powi(2)).sqrt();
+        ((r + self.safety) - d).max(0.0)
+    }
+
+    /// `∂e/∂p` of one obstacle's hinge while it is active, `None` (a zero
+    /// row) outside the margin or at the centre.
+    fn gradient(&self, p: [f64; 2], c: [f64; 2], r: f64) -> Option<[f64; 2]> {
+        let dx = p[0] - c[0];
+        let dy = p[1] - c[1];
+        let d = (dx * dx + dy * dy).sqrt();
+        // e = (r+s) − d ⇒ ∂e/∂p = −(p − c)/d.
+        (d < r + self.safety && d > 1e-9).then(|| [-dx / d, -dy / d])
+    }
 }
 
 impl Factor for CollisionFactor {
@@ -83,10 +100,7 @@ impl Factor for CollisionFactor {
         let p = self.position(values);
         self.obstacles
             .iter()
-            .map(|(c, r)| {
-                let d = ((p[0] - c[0]).powi(2) + (p[1] - c[1]).powi(2)).sqrt();
-                ((r + self.safety) - d).max(0.0)
-            })
+            .map(|&(c, r)| self.hinge(p, c, r))
             .collect()
     }
 
@@ -94,17 +108,46 @@ impl Factor for CollisionFactor {
         let p = self.position(values);
         let n = values.get(self.keys[0]).as_vector().len();
         let mut j = Mat::zeros(self.obstacles.len(), n);
-        for (row, (c, r)) in self.obstacles.iter().enumerate() {
-            let dx = p[0] - c[0];
-            let dy = p[1] - c[1];
-            let d = (dx * dx + dy * dy).sqrt();
-            if d < r + self.safety && d > 1e-9 {
-                // e = (r+s) − d ⇒ ∂e/∂p = −(p − c)/d.
-                j[(row, 0)] = -dx / d;
-                j[(row, 1)] = -dy / d;
+        for (row, &(c, r)) in self.obstacles.iter().enumerate() {
+            if let Some(g) = self.gradient(p, c, r) {
+                j[(row, 0)] = g[0];
+                j[(row, 1)] = g[1];
             }
         }
         vec![j]
+    }
+
+    fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
+        let w = 1.0 / self.sigma;
+        let p = self.position(values);
+        let n = values.get(self.keys[0]).as_vector().len();
+        let m = self.obstacles.len();
+        out.reshape(&self.keys, m, [n]);
+        // Whitening scales the whole m×n block, structural zeros included.
+        macs::record(m * n);
+        let block = out.blocks[0].as_mut_slice();
+        block.fill(0.0 * w);
+        for (row, &(c, r)) in self.obstacles.iter().enumerate() {
+            if let Some(g) = self.gradient(p, c, r) {
+                block[row * n] = g[0] * w;
+                block[row * n + 1] = g[1] * w;
+            }
+        }
+        macs::record(m);
+        for (dst, &(c, r)) in out.rhs.as_mut_slice().iter_mut().zip(&self.obstacles) {
+            *dst = -(self.hinge(p, c, r) * w);
+        }
+    }
+
+    fn weighted_squared_error(&self, values: &Values) -> f64 {
+        let w = 1.0 / self.sigma;
+        let p = self.position(values);
+        macs::record(2 * self.obstacles.len());
+        self.obstacles
+            .iter()
+            .map(|&(c, r)| self.hinge(p, c, r) * w)
+            .map(|a| a * a)
+            .sum()
     }
 
     fn sigma(&self) -> f64 {

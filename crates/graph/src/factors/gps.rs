@@ -1,6 +1,7 @@
 //! GPS / absolute-position factors.
 
-use crate::factor::{Factor, FactorKind};
+use crate::factor::{whitened_sq, Factor, FactorKind};
+use crate::linear::LinearFactor;
 use crate::values::Values;
 use crate::variable::{VarId, Variable};
 use orianna_math::{Mat, Vec64};
@@ -38,6 +39,52 @@ impl GpsFactor {
     }
 }
 
+impl GpsFactor {
+    /// The error `t(x) − z` in the first `n` entries.
+    fn eval_error(&self, values: &Values) -> ([f64; 3], usize) {
+        match values.get(self.keys[0]) {
+            Variable::Pose2(p) => {
+                assert_eq!(self.z.len(), 2, "planar GPS fix must be 2D");
+                let t = p.translation();
+                ([t[0] - self.z[0], t[1] - self.z[1], 0.0], 2)
+            }
+            Variable::Pose3(p) => {
+                assert_eq!(self.z.len(), 3, "spatial GPS fix must be 3D");
+                let t = p.translation();
+                ([t[0] - self.z[0], t[1] - self.z[1], t[2] - self.z[2]], 3)
+            }
+            other => panic!("GpsFactor expects a pose variable, found {other:?}"),
+        }
+    }
+
+    /// The row-major `n × cols` Jacobian in the first `n·cols` entries.
+    fn eval_jacobian(&self, values: &Values) -> ([f64; 18], usize, usize) {
+        // t ← t + R δt  ⇒  de/dδt = R; orientation does not move t.
+        let mut j = [0.0; 18];
+        match values.get(self.keys[0]) {
+            Variable::Pose2(p) => {
+                let rm = p.rotation().matrix();
+                for r in 0..2 {
+                    for c in 0..2 {
+                        j[r * 3 + 1 + c] = rm[r][c];
+                    }
+                }
+                (j, 2, 3)
+            }
+            Variable::Pose3(p) => {
+                let rm = p.rotation().matrix();
+                for r in 0..3 {
+                    for c in 0..3 {
+                        j[r * 6 + 3 + c] = rm[r][c];
+                    }
+                }
+                (j, 3, 6)
+            }
+            other => panic!("GpsFactor expects a pose variable, found {other:?}"),
+        }
+    }
+}
+
 impl Factor for GpsFactor {
     fn keys(&self) -> &[VarId] {
         &self.keys
@@ -48,42 +95,27 @@ impl Factor for GpsFactor {
     }
 
     fn error(&self, values: &Values) -> Vec64 {
-        match values.get(self.keys[0]) {
-            Variable::Pose2(p) => {
-                assert_eq!(self.z.len(), 2, "planar GPS fix must be 2D");
-                let t = p.translation();
-                Vec64::from_slice(&[t[0] - self.z[0], t[1] - self.z[1]])
-            }
-            Variable::Pose3(p) => {
-                assert_eq!(self.z.len(), 3, "spatial GPS fix must be 3D");
-                let t = p.translation();
-                Vec64::from_slice(&[t[0] - self.z[0], t[1] - self.z[1], t[2] - self.z[2]])
-            }
-            other => panic!("GpsFactor expects a pose variable, found {other:?}"),
-        }
+        let (e, n) = self.eval_error(values);
+        Vec64::from_slice(&e[..n])
     }
 
     fn jacobians(&self, values: &Values) -> Vec<Mat> {
-        // t ← t + R δt  ⇒  de/dδt = R; orientation does not move t.
-        match values.get(self.keys[0]) {
-            Variable::Pose2(p) => {
-                let rm = p.rotation().matrix();
-                let mut j = Mat::zeros(2, 3);
-                for r in 0..2 {
-                    for c in 0..2 {
-                        j[(r, 1 + c)] = rm[r][c];
-                    }
-                }
-                vec![j]
-            }
-            Variable::Pose3(p) => {
-                let rm = p.rotation().to_mat();
-                let mut j = Mat::zeros(3, 6);
-                j.set_block(0, 3, &rm);
-                vec![j]
-            }
-            other => panic!("GpsFactor expects a pose variable, found {other:?}"),
-        }
+        let (j, n, cols) = self.eval_jacobian(values);
+        vec![Mat::from_row_major(n, cols, &j[..n * cols])]
+    }
+
+    fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
+        let w = 1.0 / self.sigma;
+        let (j, n, cols) = self.eval_jacobian(values);
+        let (e, _) = self.eval_error(values);
+        out.reshape(&self.keys, n, [cols]);
+        out.put_block(0, &j[..n * cols], w);
+        out.put_rhs(&e[..n], w);
+    }
+
+    fn weighted_squared_error(&self, values: &Values) -> f64 {
+        let (e, n) = self.eval_error(values);
+        whitened_sq(&e[..n], 1.0 / self.sigma)
     }
 
     fn sigma(&self) -> f64 {

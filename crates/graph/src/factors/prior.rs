@@ -4,10 +4,11 @@
 //! pose of the first keyframe (factor `f₆` in Fig. 4); in control graphs the
 //! same machinery anchors the initial state.
 
-use crate::factor::{Factor, FactorKind};
+use crate::factor::{set_block, whitened_sq, Factor, FactorKind};
+use crate::linear::LinearFactor;
 use crate::values::Values;
 use crate::variable::VarId;
-use orianna_lie::{so2, so3, Pose2, Pose3};
+use orianna_lie::{so3, Pose2, Pose3};
 use orianna_math::{Mat, Vec64};
 
 /// Anchors a pose or point variable at a measured value `z`:
@@ -74,6 +75,78 @@ impl PriorFactor {
     }
 }
 
+impl PriorFactor {
+    /// The error `x ⊖ z` (or `x − z`) in the first `n` entries.
+    fn eval_error(&self, values: &Values) -> ([f64; 6], usize) {
+        let x = values.get(self.keys[0]);
+        match &self.target {
+            PriorTarget::Pose2(z) => {
+                let d = x.as_pose2().between(z); // x ⊖ z
+                ([d.theta(), d.x(), d.y(), 0.0, 0.0, 0.0], 3)
+            }
+            PriorTarget::Pose3(z) => {
+                let d = x.as_pose3().between(z);
+                let phi = d.phi();
+                let t = d.translation();
+                ([phi[0], phi[1], phi[2], t[0], t[1], t[2]], 6)
+            }
+            PriorTarget::Point2(z) => {
+                let p = x.as_point2();
+                ([p[0] - z[0], p[1] - z[1], 0.0, 0.0, 0.0, 0.0], 2)
+            }
+            PriorTarget::Point3(z) => {
+                let p = x.as_point3();
+                ([p[0] - z[0], p[1] - z[1], p[2] - z[2], 0.0, 0.0, 0.0], 3)
+            }
+        }
+    }
+
+    /// The row-major `n × n` Jacobian in the first `n²` entries.
+    fn eval_jacobian(&self, values: &Values) -> ([f64; 36], usize) {
+        let mut j = [0.0; 36];
+        match &self.target {
+            PriorTarget::Pose2(z) => {
+                // e_o = θx − θz (wrapped); e_p = Rz^T (tx − tz).
+                // δθ: de_o = 1. δt: tx ← tx + Rx δt ⇒ de_p = Rz^T Rx.
+                let x = values.get(self.keys[0]).as_pose2();
+                let rzt = z.rotation().transpose();
+                let rr = rzt.compose(&x.rotation()).matrix();
+                j[0] = 1.0;
+                for r in 0..2 {
+                    for c in 0..2 {
+                        j[(1 + r) * 3 + 1 + c] = rr[r][c];
+                    }
+                }
+                (j, 3)
+            }
+            PriorTarget::Pose3(z) => {
+                // e_o = Log(Rz^T Rx): de_o/dδφ = Jr⁻¹(e_o).
+                // e_p = Rz^T (tx − tz): de_p/dδt = Rz^T Rx.
+                let x = values.get(self.keys[0]).as_pose3();
+                let d = x.between(z);
+                let jri = so3::right_jacobian_inv_array(d.phi());
+                let rr = z.rotation().transpose().compose(&x.rotation()).matrix();
+                let mut b = [[0.0; 6]; 6];
+                set_block(&mut b, 0, 0, &jri);
+                set_block(&mut b, 3, 3, &rr);
+                j.copy_from_slice(b.as_flattened());
+                (j, 6)
+            }
+            PriorTarget::Point2(_) => {
+                j[0] = 1.0;
+                j[3] = 1.0;
+                (j, 2)
+            }
+            PriorTarget::Point3(_) => {
+                j[0] = 1.0;
+                j[4] = 1.0;
+                j[8] = 1.0;
+                (j, 3)
+            }
+        }
+    }
+}
+
 impl Factor for PriorFactor {
     fn keys(&self) -> &[VarId] {
         &self.keys
@@ -89,62 +162,27 @@ impl Factor for PriorFactor {
     }
 
     fn error(&self, values: &Values) -> Vec64 {
-        match &self.target {
-            PriorTarget::Pose2(z) => {
-                let x = values.get(self.keys[0]).as_pose2();
-                let d = x.between(z); // x ⊖ z
-                Vec64::from_slice(&[d.theta(), d.x(), d.y()])
-            }
-            PriorTarget::Pose3(z) => {
-                let x = values.get(self.keys[0]).as_pose3();
-                let d = x.between(z);
-                let phi = d.phi();
-                let t = d.translation();
-                Vec64::from_slice(&[phi[0], phi[1], phi[2], t[0], t[1], t[2]])
-            }
-            PriorTarget::Point2(z) => {
-                let p = values.get(self.keys[0]).as_point2();
-                Vec64::from_slice(&[p[0] - z[0], p[1] - z[1]])
-            }
-            PriorTarget::Point3(z) => {
-                let p = values.get(self.keys[0]).as_point3();
-                Vec64::from_slice(&[p[0] - z[0], p[1] - z[1], p[2] - z[2]])
-            }
-        }
+        let (e, n) = self.eval_error(values);
+        Vec64::from_slice(&e[..n])
     }
 
     fn jacobians(&self, values: &Values) -> Vec<Mat> {
-        match &self.target {
-            PriorTarget::Pose2(z) => {
-                // e_o = θx − θz (wrapped); e_p = Rz^T (tx − tz).
-                // δθ: de_o = 1. δt: tx ← tx + Rx δt ⇒ de_p = Rz^T Rx.
-                let x = values.get(self.keys[0]).as_pose2();
-                let rzt = z.rotation().transpose();
-                let rr = rzt.compose(&x.rotation()).matrix();
-                let mut j = Mat::zeros(3, 3);
-                j[(0, 0)] = 1.0;
-                for r in 0..2 {
-                    for c in 0..2 {
-                        j[(1 + r, 1 + c)] = rr[r][c];
-                    }
-                }
-                vec![j]
-            }
-            PriorTarget::Pose3(z) => {
-                // e_o = Log(Rz^T Rx): de_o/dδφ = Jr⁻¹(e_o).
-                // e_p = Rz^T (tx − tz): de_p/dδt = Rz^T Rx.
-                let x = values.get(self.keys[0]).as_pose3();
-                let d = x.between(z);
-                let jri = so3::right_jacobian_inv(d.phi());
-                let rr = z.rotation().transpose().compose(&x.rotation()).to_mat();
-                let mut j = Mat::zeros(6, 6);
-                j.set_block(0, 0, &jri);
-                j.set_block(3, 3, &rr);
-                vec![j]
-            }
-            PriorTarget::Point2(_) => vec![Mat::identity(2)],
-            PriorTarget::Point3(_) => vec![Mat::identity(3)],
-        }
+        let (j, n) = self.eval_jacobian(values);
+        vec![Mat::from_row_major(n, n, &j[..n * n])]
+    }
+
+    fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
+        let w = 1.0 / self.sigma;
+        let (j, n) = self.eval_jacobian(values);
+        let (e, _) = self.eval_error(values);
+        out.reshape(&self.keys, n, [n]);
+        out.put_block(0, &j[..n * n], w);
+        out.put_rhs(&e[..n], w);
+    }
+
+    fn weighted_squared_error(&self, values: &Values) -> f64 {
+        let (e, n) = self.eval_error(values);
+        whitened_sq(&e[..n], 1.0 / self.sigma)
     }
 
     fn sigma(&self) -> f64 {
@@ -168,10 +206,6 @@ impl Factor for PriorFactor {
         }
     }
 }
-
-// Silence unused-import warning for so2 used only in docs/tests context.
-#[allow(unused_imports)]
-use so2 as _so2;
 
 #[cfg(test)]
 mod tests {

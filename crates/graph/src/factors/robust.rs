@@ -11,6 +11,7 @@
 //! robust problem.
 
 use crate::factor::{Factor, FactorKind};
+use crate::linear::LinearFactor;
 use crate::values::Values;
 use crate::variable::VarId;
 use orianna_math::{Mat, Vec64};
@@ -92,11 +93,12 @@ impl<F: Factor> RobustFactor<F> {
         self.loss
     }
 
+    /// Whitened residual norm `|e/σ|`. The inner factor's
+    /// `weighted_squared_error` sums the same squares in the same order
+    /// as `e.scale(1/σ).norm()` (and records the same MACs), so its root
+    /// is that norm bit for bit — and allocation-free for built-ins.
     fn whitened_norm(&self, values: &Values) -> f64 {
-        self.inner
-            .error(values)
-            .scale(1.0 / self.inner.sigma())
-            .norm()
+        self.inner.weighted_squared_error(values).sqrt()
     }
 }
 
@@ -131,16 +133,12 @@ impl<F: Factor> Factor for RobustFactor<F> {
         self.inner.kind()
     }
 
-    fn linearize(&self, values: &Values) -> (Vec<Mat>, Vec64) {
-        let (jacs, err) = self.inner.linearize(values);
+    fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
+        self.inner.linearize_into(values, out);
         let sw = self.loss.weight(self.whitened_norm(values)).sqrt();
-        if sw == 1.0 {
-            return (jacs, err);
+        if sw != 1.0 {
+            out.scale_in_place(sw);
         }
-        (
-            jacs.into_iter().map(|j| j.scale(sw)).collect(),
-            err.scale(sw),
-        )
     }
 
     fn weighted_squared_error(&self, values: &Values) -> f64 {
@@ -180,8 +178,12 @@ mod tests {
         let a = g.add_pose2(Pose2::new(0.1, 0.5, 0.2));
         let plain = PriorFactor::pose2(a, Pose2::identity(), 0.1);
         let wrapped = RobustFactor::new(plain.clone(), Loss::L2);
-        let (j1, e1) = plain.linearize(g.values());
-        let (j2, e2) = wrapped.linearize(g.values());
+        let mut l1 = LinearFactor::default();
+        let mut l2 = LinearFactor::default();
+        plain.linearize_into(g.values(), &mut l1);
+        wrapped.linearize_into(g.values(), &mut l2);
+        let (j1, e1) = (l1.blocks, l1.rhs);
+        let (j2, e2) = (l2.blocks, l2.rhs);
         assert!((&e1 - &e2).norm() < 1e-15);
         assert!((&j1[0] - &j2[0]).max_abs() < 1e-15);
         assert!(

@@ -8,10 +8,11 @@
 //! compiler emits constant-matrix loads for them rather than derivative
 //! chains.
 
-use crate::factor::{Factor, FactorKind};
+use crate::factor::{whitened_sq, Factor, FactorKind};
+use crate::linear::LinearFactor;
 use crate::values::Values;
 use crate::variable::VarId;
-use orianna_math::{Mat, Vec64};
+use orianna_math::{macs, Mat, Vec64};
 
 /// Shared implementation of affine factors `e = Σᵢ Aᵢ xᵢ − b` over vector
 /// variables.
@@ -37,6 +38,67 @@ impl AffineCore {
         }
         e
     }
+
+    /// Row `r` of [`AffineCore::error`] with the same arithmetic: `−b_r`
+    /// plus, key by key, the row's ascending dot product. The MACs are
+    /// recorded once per evaluation by [`AffineCore::record_error_macs`].
+    fn error_row(&self, values: &Values, r: usize) -> f64 {
+        let mut e = -self.rhs[r];
+        for (key, a) in self.keys.iter().zip(&self.blocks) {
+            let x = values.get(*key).as_vector();
+            assert_eq!(a.cols(), x.len(), "matvec dimension mismatch");
+            let mut acc = 0.0;
+            for (aij, xj) in a.row(r).iter().zip(x.as_slice()) {
+                acc += aij * xj;
+            }
+            e += acc;
+        }
+        e
+    }
+
+    /// The MACs [`AffineCore::error`] records: one mat-vec and one vector
+    /// add per key.
+    fn record_error_macs(&self) {
+        for a in &self.blocks {
+            macs::record(a.rows() * a.cols() + a.rows());
+        }
+    }
+
+    fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
+        let w = 1.0 / self.sigma;
+        let rows = self.dim();
+        out.reshape(&self.keys, rows, self.blocks.iter().map(Mat::cols));
+        for (k, a) in self.blocks.iter().enumerate() {
+            out.put_block(k, a.as_slice(), w);
+        }
+        self.record_error_macs();
+        macs::record(rows);
+        for r in 0..rows {
+            out.rhs[r] = -(self.error_row(values, r) * w);
+        }
+    }
+
+    fn weighted_squared_error(&self, values: &Values) -> f64 {
+        let w = 1.0 / self.sigma;
+        self.record_error_macs();
+        macs::record(2 * self.dim());
+        (0..self.dim())
+            .map(|r| self.error_row(values, r) * w)
+            .map(|a| a * a)
+            .sum()
+    }
+}
+
+/// Norm of `x[start .. start + len]` with the arithmetic and MAC record
+/// of `x.segment(start, len).norm()`.
+fn speed(x: &Vec64, start: usize, len: usize) -> f64 {
+    assert!(start + len <= x.len(), "segment out of range");
+    macs::record(len);
+    x.as_slice()[start..start + len]
+        .iter()
+        .map(|v| v * v)
+        .sum::<f64>()
+        .sqrt()
 }
 
 /// Gaussian-process–style smoothness factor between consecutive trajectory
@@ -87,6 +149,12 @@ impl Factor for SmoothFactor {
     }
     fn jacobians(&self, _values: &Values) -> Vec<Mat> {
         self.0.blocks.clone()
+    }
+    fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
+        self.0.linearize_into(values, out);
+    }
+    fn weighted_squared_error(&self, values: &Values) -> f64 {
+        self.0.weighted_squared_error(values)
     }
     fn sigma(&self) -> f64 {
         self.0.sigma
@@ -191,7 +259,7 @@ impl Factor for KinematicsFactor {
                 ..
             } => {
                 let x = values.get(keys[0]).as_vector();
-                let speed = x.segment(*vel_start, *vel_len).norm();
+                let speed = speed(x, *vel_start, *vel_len);
                 Vec64::from_slice(&[(speed - vmax).max(0.0)])
             }
         }
@@ -208,15 +276,61 @@ impl Factor for KinematicsFactor {
                 ..
             } => {
                 let x = values.get(keys[0]).as_vector();
-                let v = x.segment(*vel_start, *vel_len);
-                let speed = v.norm();
+                let speed = speed(x, *vel_start, *vel_len);
                 let mut j = Mat::zeros(1, x.len());
                 if speed > *vmax && speed > 1e-12 {
-                    for i in 0..*vel_len {
-                        j[(0, vel_start + i)] = v[i] / speed;
+                    for i in *vel_start..vel_start + vel_len {
+                        j[(0, i)] = x[i] / speed;
                     }
                 }
                 vec![j]
+            }
+        }
+    }
+
+    fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
+        match &self.inner {
+            KinematicsInner::Transition(c) => c.linearize_into(values, out),
+            KinematicsInner::SpeedLimit {
+                keys,
+                vel_start,
+                vel_len,
+                vmax,
+                sigma,
+            } => {
+                let w = 1.0 / sigma;
+                let x = values.get(keys[0]).as_vector();
+                let n = x.len();
+                // The Jacobian and the error each take the speed's norm.
+                let jspeed = speed(x, *vel_start, *vel_len);
+                let espeed = speed(x, *vel_start, *vel_len);
+                out.reshape(keys, 1, [n]);
+                macs::record(n);
+                let block = out.blocks[0].as_mut_slice();
+                block.fill(0.0 * w);
+                if jspeed > *vmax && jspeed > 1e-12 {
+                    for i in *vel_start..vel_start + vel_len {
+                        block[i] = (x[i] / jspeed) * w;
+                    }
+                }
+                out.put_rhs(&[(espeed - vmax).max(0.0)], w);
+            }
+        }
+    }
+
+    fn weighted_squared_error(&self, values: &Values) -> f64 {
+        match &self.inner {
+            KinematicsInner::Transition(c) => c.weighted_squared_error(values),
+            KinematicsInner::SpeedLimit {
+                keys,
+                vel_start,
+                vel_len,
+                vmax,
+                sigma,
+            } => {
+                let x = values.get(keys[0]).as_vector();
+                let e = (speed(x, *vel_start, *vel_len) - vmax).max(0.0);
+                whitened_sq(&[e], 1.0 / sigma)
             }
         }
     }
@@ -279,6 +393,12 @@ impl Factor for DynamicsFactor {
     }
     fn jacobians(&self, _values: &Values) -> Vec<Mat> {
         self.0.blocks.clone()
+    }
+    fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
+        self.0.linearize_into(values, out);
+    }
+    fn weighted_squared_error(&self, values: &Values) -> f64 {
+        self.0.weighted_squared_error(values)
     }
     fn sigma(&self) -> f64 {
         self.0.sigma
@@ -345,6 +465,12 @@ impl Factor for VectorPriorFactor {
     }
     fn jacobians(&self, _values: &Values) -> Vec<Mat> {
         self.0.blocks.clone()
+    }
+    fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
+        self.0.linearize_into(values, out);
+    }
+    fn weighted_squared_error(&self, values: &Values) -> f64 {
+        self.0.weighted_squared_error(values)
     }
     fn sigma(&self) -> f64 {
         self.0.sigma

@@ -183,29 +183,29 @@ impl FactorGraph {
     /// Linearizes every factor at the current estimates, producing the
     /// block-sparse `A Δ = b` (paper Fig. 4; `b = −e`).
     pub fn linearize(&self) -> LinearSystem {
-        let mut sys = LinearSystem {
-            factors: Vec::new(),
-            var_dims: Vec::new(),
-        };
+        let mut sys = LinearSystem::default();
         self.linearize_into(&mut sys);
         sys
     }
 
     /// [`FactorGraph::linearize`] into a caller-owned buffer.
     ///
-    /// Iterative solvers re-linearize the same topology every iteration;
-    /// reusing the `LinearSystem` spine avoids re-allocating the factor
-    /// and dimension vectors each time.
+    /// Iterative solvers re-linearize the same topology every iteration.
+    /// Each row of `sys` is overwritten in place by
+    /// [`Factor::linearize_into`], which reuses the row's key, block and
+    /// RHS buffers whenever their shapes still match, so a `sys` that
+    /// already holds this graph's structure is refilled without a single
+    /// allocation by the built-in factors. Rows whose keys or dimensions
+    /// differ are rebuilt; surplus rows are dropped.
     pub fn linearize_into(&self, sys: &mut LinearSystem) {
         sys.var_dims.clear();
         sys.var_dims
             .extend(self.values.iter().map(|(_, v)| v.dim()));
-        sys.factors.clear();
-        sys.factors.extend(
-            self.factors
-                .iter()
-                .map(|f| linearize_factor(f.as_ref(), &self.values)),
-        );
+        sys.factors
+            .resize_with(self.factors.len(), LinearFactor::default);
+        for (f, row) in self.factors.iter().zip(&mut sys.factors) {
+            f.linearize_into(&self.values, row);
+        }
     }
 
     /// Hash of the graph's *structure*: variable dimensions plus each
@@ -246,16 +246,6 @@ impl FactorGraph {
     /// Applies a stacked tangent step to all variables: `x ← x ⊕ Δ`.
     pub fn retract_all(&mut self, delta: &Vec64) {
         self.values = self.values.retract_all(delta);
-    }
-}
-
-/// Linearizes one factor at `values`.
-fn linearize_factor(f: &dyn Factor, values: &Values) -> LinearFactor {
-    let (jacs, err) = f.linearize(values);
-    LinearFactor {
-        keys: f.keys().to_vec(),
-        blocks: jacs,
-        rhs: -&err,
     }
 }
 

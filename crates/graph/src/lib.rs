@@ -26,8 +26,9 @@
 //! (Sec. 5.1, "Customized factors") — see [`factors::CustomFactor`].
 //!
 //! Mathematical details (coefficient matrix and RHS construction) are hidden
-//! from users: [`Factor::linearize`] produces whitened Jacobian blocks and
-//! error vectors that downstream crates consume — `orianna-solver` for the
+//! from users: [`Factor::linearize_into`] writes whitened Jacobian blocks
+//! and the negated whitened error into a reusable [`LinearFactor`] that
+//! downstream crates consume — `orianna-solver` for the
 //! software Gauss-Newton path and `orianna-compiler` for instruction
 //! generation.
 //!

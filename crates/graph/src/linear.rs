@@ -12,10 +12,15 @@
 //! (operation sizes) and Fig. 18 (densities).
 
 use crate::variable::VarId;
-use orianna_math::{Mat, Vec64};
+use orianna_math::{macs, Mat, Vec64};
 
 /// One whitened block row of the linear system: `Σᵢ Jᵢ Δᵢ = rhs`.
-#[derive(Debug, Clone)]
+///
+/// Rows are filled by [`Factor::linearize_into`](crate::Factor::linearize_into),
+/// which overwrites an existing row in place: [`LinearFactor::reshape`]
+/// keeps every buffer whose shape already matches, so re-linearizing the
+/// same topology allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct LinearFactor {
     /// Connected variables, aligned with `blocks`.
     pub keys: Vec<VarId>,
@@ -31,6 +36,77 @@ impl LinearFactor {
         self.rhs.len()
     }
 
+    /// Shapes this row as `rows` rows over `keys`, block `i` being
+    /// `rows × widths[i]`. Buffers whose shape already matches are kept
+    /// with their old contents — the caller overwrites every entry — and
+    /// only mismatched ones are reallocated (as zeros).
+    pub fn reshape(
+        &mut self,
+        keys: &[VarId],
+        rows: usize,
+        widths: impl IntoIterator<Item = usize>,
+    ) {
+        if self.keys != keys {
+            self.keys.clear();
+            self.keys.extend_from_slice(keys);
+        }
+        self.blocks.truncate(keys.len());
+        // Rows stay resident in warm buffers: size the spine exactly.
+        self.blocks.reserve_exact(keys.len() - self.blocks.len());
+        for (i, w) in widths.into_iter().enumerate() {
+            match self.blocks.get_mut(i) {
+                Some(b) if b.shape() == (rows, w) => {}
+                Some(b) => *b = Mat::zeros(rows, w),
+                None => self.blocks.push(Mat::zeros(rows, w)),
+            }
+        }
+        debug_assert_eq!(self.blocks.len(), keys.len(), "one width per key");
+        if self.rhs.len() != rows {
+            self.rhs = Vec64::zeros(rows);
+        }
+    }
+
+    /// Writes the whitened block `w·src` (row-major, the block's shape)
+    /// into block `k`, recording the MACs of the equivalent
+    /// [`Mat::scale`].
+    pub(crate) fn put_block(&mut self, k: usize, src: &[f64], w: f64) {
+        let dst = self.blocks[k].as_mut_slice();
+        debug_assert_eq!(dst.len(), src.len(), "block shape mismatch");
+        macs::record(src.len());
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = s * w;
+        }
+    }
+
+    /// Writes the whitened right-hand side `−(w·e)`, recording the MACs of
+    /// the equivalent [`Vec64::scale`].
+    pub(crate) fn put_rhs(&mut self, e: &[f64], w: f64) {
+        let dst = self.rhs.as_mut_slice();
+        debug_assert_eq!(dst.len(), e.len(), "rhs length mismatch");
+        macs::record(e.len());
+        for (d, x) in dst.iter_mut().zip(e) {
+            *d = -(x * w);
+        }
+    }
+
+    /// Multiplies every block and the right-hand side by `s` in place
+    /// (the robust IRLS re-weighting), recording the MACs of the
+    /// equivalent [`Mat::scale`]/[`Vec64::scale`] calls.
+    pub(crate) fn scale_in_place(&mut self, s: f64) {
+        for b in &mut self.blocks {
+            let data = b.as_mut_slice();
+            macs::record(data.len());
+            for x in data {
+                *x *= s;
+            }
+        }
+        let rhs = self.rhs.as_mut_slice();
+        macs::record(rhs.len());
+        for x in rhs {
+            *x *= s;
+        }
+    }
+
     /// Residual `Σᵢ Jᵢ δᵢ − rhs` for a candidate solution given per-key
     /// tangent slices.
     pub fn residual(&self, delta_of: impl Fn(VarId) -> Vec64) -> Vec64 {
@@ -43,7 +119,7 @@ impl LinearFactor {
 }
 
 /// The full linearized system: all block rows plus the variable layout.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LinearSystem {
     /// Block rows in factor order.
     pub factors: Vec<LinearFactor>,

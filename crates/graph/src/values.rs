@@ -94,6 +94,44 @@ impl Values {
         }
         Values { vars: out }
     }
+
+    /// Overwrites `self` with a copy of `other`, reusing the buffers of
+    /// vector variables whose size matches (an allocation-free
+    /// `clone_from` once the two share a structure).
+    pub fn copy_from(&mut self, other: &Values) {
+        self.vars.truncate(other.vars.len());
+        self.vars.reserve_exact(other.vars.len() - self.vars.len());
+        for (i, v) in other.vars.iter().enumerate() {
+            match self.vars.get_mut(i) {
+                Some(slot) => slot.copy_from(v),
+                None => self.vars.push(v.clone()),
+            }
+        }
+    }
+
+    /// [`Values::retract_all`] into a caller-owned buffer: `out` becomes
+    /// `self ⊕ delta` bit for bit. Variables whose slot in `out` already
+    /// has the same kind and size are overwritten in place, so a buffer
+    /// that held an earlier step of the same graph is refilled without
+    /// allocating.
+    ///
+    /// # Panics
+    /// Panics if `delta.len() != self.total_dim()`.
+    pub fn retract_all_into(&self, delta: &Vec64, out: &mut Values) {
+        assert_eq!(delta.len(), self.total_dim(), "step length mismatch");
+        out.vars.truncate(self.vars.len());
+        out.vars.reserve_exact(self.vars.len() - out.vars.len());
+        let mut at = 0;
+        for (i, v) in self.vars.iter().enumerate() {
+            let d = v.dim();
+            let step = &delta.as_slice()[at..at + d];
+            match out.vars.get_mut(i) {
+                Some(slot) => v.retract_into(step, slot),
+                None => out.vars.push(v.retract(step)),
+            }
+            at += d;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -127,6 +165,32 @@ mod tests {
         let stepped = vals.retract_all(&Vec64::from_slice(&[0.5, 0.0, 0.0, -1.0]));
         assert_eq!(stepped.get(a).as_point2(), [0.5, 0.0]);
         assert_eq!(stepped.get(b).as_point2(), [1.0, 0.0]);
+    }
+
+    #[test]
+    fn retract_all_into_matches_retract_all_and_reuses_the_buffer() {
+        let mut vals = Values::new();
+        vals.insert(Variable::Pose2(Pose2::new(0.1, 1.0, 2.0)));
+        vals.insert(Variable::Vector(Vec64::from_slice(&[1.0, -2.0])));
+        vals.insert(Variable::Point3([0.5, 0.0, -0.5]));
+        let delta = Vec64::from_slice(&[0.01, 0.2, -0.3, 0.5, 0.25, 1.0, -1.0, 0.0]);
+        let mut out = Values::new();
+        vals.retract_all_into(&delta, &mut out);
+        assert_eq!(out, vals.retract_all(&delta));
+        // A stale buffer of another shape is rebuilt, not trusted.
+        let mut stale = Values::new();
+        stale.insert(Variable::Vector(Vec64::zeros(5)));
+        for _ in 0..4 {
+            stale.insert(Variable::Point2([9.0, 9.0]));
+        }
+        vals.retract_all_into(&delta, &mut stale);
+        assert_eq!(stale, out);
+        let mut copy = Values::new();
+        copy.insert(Variable::Point2([0.0, 0.0]));
+        copy.copy_from(&out);
+        assert_eq!(copy, out);
+        copy.copy_from(&vals);
+        assert_eq!(copy, vals);
     }
 
     #[test]

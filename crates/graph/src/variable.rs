@@ -68,6 +68,34 @@ impl Variable {
         }
     }
 
+    /// [`Variable::retract`] written into `out`: a vector of the same
+    /// length is overwritten in place, any other slot is replaced.
+    ///
+    /// # Panics
+    /// Panics if `delta.len() != self.dim()`.
+    pub(crate) fn retract_into(&self, delta: &[f64], out: &mut Variable) {
+        match (self, &mut *out) {
+            (Variable::Vector(v), Variable::Vector(o)) if o.len() == v.len() => {
+                assert_eq!(delta.len(), v.len(), "retract dimension mismatch");
+                for ((o, a), d) in o.as_mut_slice().iter_mut().zip(v.as_slice()).zip(delta) {
+                    *o = a + d;
+                }
+            }
+            _ => *out = self.retract(delta),
+        }
+    }
+
+    /// Overwrites `self` with a copy of `other`; a vector of the same
+    /// length is copied into its existing buffer.
+    pub(crate) fn copy_from(&mut self, other: &Variable) {
+        match (&mut *self, other) {
+            (Variable::Vector(a), Variable::Vector(b)) if a.len() == b.len() => {
+                a.as_mut_slice().copy_from_slice(b.as_slice());
+            }
+            _ => *self = other.clone(),
+        }
+    }
+
     /// Local (tangent) coordinates of `other` relative to `self`; the
     /// inverse of [`Variable::retract`].
     ///

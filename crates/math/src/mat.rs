@@ -504,6 +504,14 @@ impl Vec64 {
         }
     }
 
+    /// [`Vec64::scale`] into a caller-owned buffer (resized to this
+    /// length, reusing its capacity): identical values and MAC record.
+    pub fn scale_into(&self, s: f64, out: &mut Vec64) {
+        macs::record(self.data.len());
+        out.data.clear();
+        out.data.extend(self.data.iter().map(|x| x * s));
+    }
+
     /// Copies `seg` into `self` starting at index `at`.
     ///
     /// # Panics

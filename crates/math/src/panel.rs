@@ -22,20 +22,24 @@
 //!
 //! ## SIMD dispatch
 //!
-//! The two hot inner loops — the matmul accumulate and the Householder
-//! apply ([`reflect_left`]) — have AVX f64×4 variants selected at runtime
-//! via [`crate::simd::enabled`] (the apply also runs 16-column chunks in
-//! four accumulators). Both vectorize **across output columns**:
-//! each of the four lanes owns one column and accumulates its `k` (or row)
-//! terms in the same ascending order as the scalar loop, with a separate
-//! multiply and add per term (no FMA). Lane-independent vectorization plus
-//! unfused arithmetic means every output element sees the identical IEEE
+//! The Householder apply ([`reflect_left`]) — the hot inner loop of
+//! triangularization — has AVX f64×4 variants selected at runtime via
+//! [`crate::simd::enabled`] (it also runs 16-column chunks in four
+//! accumulators). They vectorize **across output columns**: each of the
+//! four lanes owns one column and accumulates its row terms in the same
+//! ascending order as the scalar loop, with a separate multiply and add
+//! per term (no FMA). Lane-independent vectorization plus unfused
+//! arithmetic means every output element sees the identical IEEE
 //! operation sequence, so the AVX kernels are bitwise identical to the
-//! scalar fallbacks ([`matmul_into_scalar`], [`reflect_left_scalar`],
-//! [`triangularize_scalar`] — kept public as conformance references). The
-//! Householder *norm* ([`householder_vector`]) is deliberately left scalar:
-//! it is a sequential reduction whose summation order defines the bitwise
+//! scalar fallbacks ([`reflect_left_scalar`], [`triangularize_scalar`] —
+//! kept public as conformance references). The Householder *norm*
+//! ([`householder_vector`]) is deliberately left scalar: it is a
+//! sequential reduction whose summation order defines the bitwise
 //! contract, and it is O(rows) against the apply's O(rows × width).
+//!
+//! [`matmul_into`] is scalar only: the construction products it serves
+//! are mostly narrower than four output columns, and an AVX chunk never
+//! beat the scalar chunks on them.
 //!
 //! All kernels record MACs identically to the `Mat`-based paths they mirror
 //! so the paper's arithmetic-saving accounting is unaffected.
@@ -44,39 +48,18 @@ use crate::macs;
 use crate::simd;
 
 /// Width of the column chunk held in register accumulators by
-/// [`matmul_into`]. Four `f64`s fill a 256-bit vector register; the chunk is
-/// narrowed at the right edge of the output, never widened.
+/// [`matmul_into`]; the chunk is narrowed at the right edge of the
+/// output, never widened.
 const CHUNK: usize = 4;
 
 /// Blocked matrix product `out = a · b` on flat row-major buffers where `a`
 /// is `m×k`, `b` is `k×n` and `out` is `m×n`. Zero rows of `a` are skipped
-/// exactly like the naive kernel. Uses the AVX f64×4 accumulate kernel when
-/// available (bitwise identical to the scalar chunks — see the module
-/// docs). Does **not** record MACs — callers that model arithmetic cost
-/// record `m·k·n` themselves.
+/// exactly like the naive kernel. Does **not** record MACs — callers that
+/// model arithmetic cost record `m·k·n` themselves.
 ///
 /// # Panics
 /// Panics (in debug builds) when the slice lengths disagree with the shapes.
 pub fn matmul_into(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    matmul_into_impl(out, a, b, m, k, n, simd::enabled());
-}
-
-/// The scalar reference for [`matmul_into`]: identical arithmetic, never
-/// dispatches to SIMD. Public so conformance tests can compare the two
-/// paths bitwise regardless of the host CPU.
-pub fn matmul_into_scalar(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    matmul_into_impl(out, a, b, m, k, n, false);
-}
-
-fn matmul_into_impl(
-    out: &mut [f64],
-    a: &[f64],
-    b: &[f64],
-    m: usize,
-    k: usize,
-    n: usize,
-    use_simd: bool,
-) {
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -85,17 +68,7 @@ fn matmul_into_impl(
     while c0 < n {
         let w = CHUNK.min(n - c0);
         match w {
-            4 => {
-                #[cfg(target_arch = "x86_64")]
-                if use_simd {
-                    // Safety: `use_simd` implies AVX was detected.
-                    unsafe { avx::matmul_chunk4(out, a, b, m, k, n, c0) };
-                    c0 += w;
-                    continue;
-                }
-                let _ = use_simd;
-                matmul_chunk::<4>(out, a, b, m, k, n, c0);
-            }
+            4 => matmul_chunk::<4>(out, a, b, m, k, n, c0),
             3 => matmul_chunk::<3>(out, a, b, m, k, n, c0),
             2 => matmul_chunk::<2>(out, a, b, m, k, n, c0),
             _ => matmul_chunk::<1>(out, a, b, m, k, n, c0),
@@ -292,7 +265,7 @@ fn reflect_col(panel: &mut [f64], rows: usize, width: usize, v: &[f64], k: usize
     }
 }
 
-/// AVX f64×4 variants of the hot inner loops. Every kernel vectorizes
+/// AVX f64×4 variants of the Householder apply. Every kernel vectorizes
 /// across four output columns — one column per lane — with separate
 /// multiply and add intrinsics, so each element's IEEE operation sequence
 /// is exactly the scalar one (see the module docs).
@@ -302,37 +275,6 @@ mod avx {
         _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
         _mm256_storeu_pd, _mm256_sub_pd,
     };
-
-    /// Output columns `c0..c0 + 4` of `out = a · b`, lane `j` owning
-    /// column `c0 + j`: ascending-`k` accumulation with the naive
-    /// zero-row skip, bitwise identical to `matmul_chunk::<4>`.
-    ///
-    /// # Safety
-    /// Requires AVX; `c0 + 4 <= n` and the shapes must match the slices.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn matmul_chunk4(
-        out: &mut [f64],
-        a: &[f64],
-        b: &[f64],
-        m: usize,
-        k: usize,
-        n: usize,
-        c0: usize,
-    ) {
-        debug_assert!(c0 + 4 <= n);
-        for r in 0..m {
-            let arow = &a[r * k..(r + 1) * k];
-            let mut acc = _mm256_setzero_pd();
-            for (kk, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = _mm256_loadu_pd(b.as_ptr().add(kk * n + c0));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(av), brow));
-            }
-            _mm256_storeu_pd(out.as_mut_ptr().add(r * n + c0), acc);
-        }
-    }
 
     /// Householder apply to columns `c0..c0 + 4`, lane `j` owning column
     /// `c0 + j`: per lane the dot accumulates in ascending row order and
@@ -516,29 +458,6 @@ mod tests {
         let mut blocked = vec![0.0f64; 4 * 6];
         matmul_into(&mut blocked, a.as_slice(), b.as_slice(), 4, 4, 6);
         assert_eq!(blocked.as_slice(), naive.as_slice());
-    }
-
-    #[test]
-    fn simd_matmul_is_bitwise_identical_to_scalar() {
-        // Both dispatch outcomes must agree bitwise whatever this CPU
-        // supports; when AVX is active this exercises the real mixed
-        // (SIMD body + scalar remainder) path over odd widths.
-        for (m, k, n, seed) in [
-            (1, 1, 4, 21),
-            (5, 7, 8, 22),
-            (6, 3, 9, 23),
-            (9, 9, 11, 24),
-            (4, 16, 17, 25),
-            (13, 2, 19, 26),
-        ] {
-            let a = random_like(m, k, seed);
-            let b = random_like(k, n, seed + 100);
-            let mut dispatched = vec![0.0f64; m * n];
-            let mut scalar = vec![0.0f64; m * n];
-            matmul_into(&mut dispatched, a.as_slice(), b.as_slice(), m, k, n);
-            matmul_into_scalar(&mut scalar, a.as_slice(), b.as_slice(), m, k, n);
-            assert_eq!(dispatched, scalar, "{m}x{k}x{n}");
-        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! collision costs, camera projections).
 
 use crate::elimination::{EliminationStats, SolveError};
+use crate::levenberg::append_damping;
 use crate::plan::{PlanCache, SolvePlan};
-use crate::workspace::Workspace;
-use orianna_graph::{min_degree_ordering, FactorGraph, LinearSystem, Values};
-use orianna_math::Vec64;
+use crate::workspace::{WarmBuffers, Workspace};
+use orianna_graph::{min_degree_ordering, FactorGraph, LinearSystem};
 use std::sync::Arc;
 
 /// Settings of the Gauss-Newton driver.
@@ -141,6 +141,10 @@ impl GaussNewton {
     }
 
     /// The Gauss-Newton iteration loop behind every entry point.
+    ///
+    /// Construction, objective and retraction run in the checked-out
+    /// workspace's warm buffers, so a steady-state iteration allocates
+    /// nothing outside the arena solve (which allocates nothing either).
     fn iterate(
         &self,
         graph: &mut FactorGraph,
@@ -151,45 +155,46 @@ impl GaussNewton {
         let mut error = initial_error;
         let mut converged = error <= s.abs_tol;
         let mut iterations = 0;
-        let mut sys = LinearSystem {
-            factors: Vec::new(),
-            var_dims: Vec::new(),
-        };
 
         while iterations < s.max_iterations && !converged {
             iterations += 1;
-            graph.linearize_into(&mut sys);
-            let delta = source.solve(&sys, graph)?;
+            let ws = source.solve(graph, None)?;
+            let (delta, warm) = (&ws.delta, &mut *ws.warm);
 
             // Step-halving line search. Trial steps only move the
             // estimates, so each candidate is scored by re-evaluating the
-            // objective at retracted values — the factor storage is never
-            // cloned — and the scored values of the accepted candidate
-            // become the new estimates.
+            // objective at retracted values in `warm.trial` — the factor
+            // storage is never cloned. A candidate that is not accepted
+            // outright but scores best so far moves to `warm.best`. The
+            // accepted estimates are copied into the graph's own buffers,
+            // so the workspace's buffers never change hands.
             let mut scale = 1.0;
-            let mut best: Option<(f64, Values)> = None;
+            let mut best: Option<f64> = None;
+            let mut accepted = None;
             for _ in 0..=s.max_step_halvings {
-                let candidate = graph.values().retract_all(&delta.scale(scale));
-                let e = graph.total_error_with(&candidate);
+                delta.scale_into(scale, &mut warm.step);
+                graph.values().retract_all_into(&warm.step, &mut warm.trial);
+                let e = graph.total_error_with(&warm.trial);
                 if e < error || s.max_step_halvings == 0 {
-                    best = Some((e, candidate));
+                    accepted = Some(e);
                     break;
                 }
                 // A NaN candidate never displaces a finite one, and any
                 // non-NaN candidate displaces a NaN.
-                if best
-                    .as_ref()
-                    .is_none_or(|(be, _)| e < *be || (be.is_nan() && !e.is_nan()))
-                {
-                    best = Some((e, candidate));
+                if best.is_none_or(|be| e < be || (be.is_nan() && !e.is_nan())) {
+                    best = Some(e);
+                    std::mem::swap(&mut warm.trial, &mut warm.best);
                 }
                 scale *= 0.5;
             }
-            let (new_error, candidate) = best.expect("at least one candidate evaluated");
+            let (new_error, chosen) = match accepted {
+                Some(e) => (e, &warm.trial),
+                None => (best.expect("at least one candidate evaluated"), &warm.best),
+            };
             if !new_error.is_finite() {
                 return Err(SolveError::NonFinite);
             }
-            *graph.values_mut() = candidate;
+            graph.values_mut().copy_from(chosen);
 
             let improvement = (error - new_error).abs() / error.max(1e-300);
             error = new_error;
@@ -223,27 +228,65 @@ pub(crate) enum PlanSource<'a> {
 }
 
 impl PlanSource<'_> {
-    /// Solves `sys` in the arena, checking the plan out on first use.
+    /// Linearizes `graph` into the workspace's warm system — appending
+    /// LM's `√λ·I` rows when `damping` is `Some(λ)` — and solves it in
+    /// the arena, checking the plan out on first use. Returns the
+    /// workspace, whose `delta` holds the solved step.
+    ///
+    /// An undamped first checkout is keyed by
+    /// [`FactorGraph::structure_fingerprint`] (equal to the system's), so
+    /// a workspace parked by an earlier solve of this topology is taken
+    /// *before* linearizing and even the first iteration refills its warm
+    /// buffers. Otherwise the first system is built fresh and moved into
+    /// the checked-out workspace.
     pub(crate) fn solve(
         &mut self,
-        sys: &LinearSystem,
         graph: &FactorGraph,
-    ) -> Result<&Vec64, SolveError> {
+        damping: Option<f64>,
+    ) -> Result<&mut Workspace, SolveError> {
         let (plan, ws) = match self {
-            Self::Held(plan, ws) => (&**plan, &mut **ws),
+            Self::Held(plan, ws) => {
+                fill_system(ws, graph, damping);
+                (&**plan, &mut **ws)
+            }
             Self::Cache { cache, checkout } => {
                 if checkout.is_none() {
-                    let plan = cache.get_or_build(sys.structure_fingerprint(), || {
-                        SolvePlan::for_system(sys, min_degree_ordering(graph).as_slice())
-                    })?;
-                    let ws = cache.checkout_workspace(&plan);
+                    let parked = match damping {
+                        None => cache.take_workspace(graph.structure_fingerprint()),
+                        Some(_) => None,
+                    };
+                    let (plan, ws) = match parked {
+                        Some(mut ws) => {
+                            fill_system(&mut ws, graph, damping);
+                            (plan_for(cache, &ws.warm.sys, graph)?, ws)
+                        }
+                        None => {
+                            let mut sys = LinearSystem::default();
+                            graph.linearize_into(&mut sys);
+                            if let Some(lambda) = damping {
+                                append_damping(&mut sys, &mut Vec::new(), lambda);
+                            }
+                            let plan = plan_for(cache, &sys, graph)?;
+                            let mut ws = cache.checkout_workspace(&plan);
+                            ws.warm.sys = sys;
+                            (plan, ws)
+                        }
+                    };
                     *checkout = Some((plan, ws));
+                } else {
+                    let (_, ws) = checkout.as_mut().expect("checked out");
+                    fill_system(ws, graph, damping);
                 }
                 let (plan, ws) = checkout.as_mut().expect("checked out above");
                 (&**plan, ws)
             }
         };
-        plan.solve_in(sys, ws)
+        // The system lives in the workspace it is solved in; lend it out
+        // for the solve (moving a `Vec` header, not its contents).
+        let sys = std::mem::take(&mut ws.warm.sys);
+        let solved = plan.solve_in(&sys, ws).map(|_| ());
+        ws.warm.sys = sys;
+        solved.map(|()| ws)
     }
 
     /// Stats of the workspace's last solve (empty before the first).
@@ -260,15 +303,45 @@ impl PlanSource<'_> {
     }
 
     /// Ends a run, successful or not: parks a checked-out workspace for
-    /// the next solve over this topology.
+    /// the next solve over this topology. A workspace on its first solve
+    /// parks without its warm buffers; they are kept once the topology
+    /// recurs (see `Workspace::reused`).
     pub(crate) fn park(self) {
         if let Self::Cache {
             cache,
-            checkout: Some((plan, ws)),
+            checkout: Some((plan, mut ws)),
         } = self
         {
+            if !ws.reused {
+                *ws.warm = WarmBuffers::default();
+            }
             cache.store_workspace(plan.fingerprint(), ws);
         }
+    }
+}
+
+/// The cached plan for `sys`, built in min-degree order on a miss.
+fn plan_for(
+    cache: &mut PlanCache,
+    sys: &LinearSystem,
+    graph: &FactorGraph,
+) -> Result<Arc<SolvePlan>, SolveError> {
+    cache.get_or_build(sys.structure_fingerprint(), || {
+        SolvePlan::for_system(sys, min_degree_ordering(graph).as_slice())
+    })
+}
+
+/// Refills the workspace's system in place from `graph`, with LM damping
+/// rows when `damping` is `Some(λ)`. The damping rows are parked while
+/// the graph rows are refilled, so no row is dropped and rebuilt.
+fn fill_system(ws: &mut Workspace, graph: &FactorGraph, damping: Option<f64>) {
+    let warm = &mut *ws.warm;
+    let graph_rows = graph.num_factors().min(warm.sys.factors.len());
+    warm.damping.extend(warm.sys.factors.drain(graph_rows..));
+    graph.linearize_into(&mut warm.sys);
+    match damping {
+        Some(lambda) => append_damping(&mut warm.sys, &mut warm.damping, lambda),
+        None => warm.damping.clear(),
     }
 }
 
@@ -280,6 +353,7 @@ mod tests {
         PriorFactor,
     };
     use orianna_lie::{Pose2, Pose3};
+    use orianna_math::Vec64;
 
     #[test]
     fn converges_on_noisy_pose_chain() {
@@ -411,6 +485,50 @@ mod tests {
         assert!(report.converged);
         assert_eq!(cache.misses(), 0);
         assert_eq!(cache.parked_workspaces(), 0);
+    }
+
+    #[test]
+    fn warm_buffers_are_kept_once_a_topology_recurs() {
+        let chain = |offset: f64| {
+            let mut g = FactorGraph::new();
+            let ids: Vec<_> = (0..4)
+                .map(|i| g.add_pose2(Pose2::new(0.1, i as f64 + offset, -0.2)))
+                .collect();
+            g.add_factor(PriorFactor::pose2(ids[0], Pose2::identity(), 0.01));
+            for w in ids.windows(2) {
+                g.add_factor(BetweenFactor::pose2(
+                    w[0],
+                    w[1],
+                    Pose2::new(0.0, 1.0, 0.0),
+                    0.05,
+                ));
+            }
+            g
+        };
+        let fp = chain(0.0).structure_fingerprint();
+        let mut cache = PlanCache::new();
+        let parked_rows = |cache: &mut PlanCache| {
+            let ws = cache.take_workspace(fp).expect("parked");
+            let rows = ws.warm.sys.factors.len();
+            cache.store_workspace(fp, ws);
+            rows
+        };
+        let gn = GaussNewton::default();
+        gn.optimize_with_cache(&mut chain(0.3), &mut cache).unwrap();
+        // One solve on a fresh workspace: parked without its system.
+        let mut fresh = cache.take_workspace(fp).expect("parked");
+        assert!(fresh.warm.sys.factors.is_empty());
+        fresh.reused = false;
+        cache.store_workspace(fp, fresh);
+        gn.optimize_with_cache(&mut chain(0.3), &mut cache).unwrap();
+        // Taken back out of the pool: the system stays warm at park.
+        assert_eq!(parked_rows(&mut cache), 4);
+        // Warm or cold, the results are bitwise those of a fresh cache.
+        let mut warm = chain(0.4);
+        let mut cold = chain(0.4);
+        gn.optimize_with_cache(&mut warm, &mut cache).unwrap();
+        gn.optimize(&mut cold).unwrap();
+        assert_eq!(warm.values(), cold.values());
     }
 
     #[test]

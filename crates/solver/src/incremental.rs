@@ -541,12 +541,9 @@ impl IncrementalSolver {
 
 /// The whitened block row of `f` at `at`.
 fn linearize(f: &dyn Factor, at: &Values) -> LinearFactor {
-    let (blocks, err) = f.linearize(at);
-    LinearFactor {
-        keys: f.keys().to_vec(),
-        blocks,
-        rhs: -&err,
-    }
+    let mut row = LinearFactor::default();
+    f.linearize_into(at, &mut row);
+    row
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@ use crate::elimination::SolveError;
 use crate::gauss_newton::PlanSource;
 use crate::plan::{PlanCache, SolvePlan};
 use crate::workspace::Workspace;
-use orianna_graph::{min_degree_ordering, FactorGraph, LinearFactor, LinearSystem};
-use orianna_math::{Mat, Vec64};
+use orianna_graph::{min_degree_ordering, FactorGraph, LinearFactor, LinearSystem, VarId};
+use orianna_math::macs;
 
 /// Settings of the Levenberg-Marquardt driver.
 #[derive(Debug, Clone, Copy)]
@@ -130,12 +130,9 @@ impl LevenbergMarquardt {
     /// Propagates [`SolveError`] from the symbolic analysis.
     pub fn plan(&self, graph: &FactorGraph) -> Result<SolvePlan, SolveError> {
         let s = &self.settings;
-        let mut sys = LinearSystem {
-            factors: Vec::new(),
-            var_dims: Vec::new(),
-        };
+        let mut sys = LinearSystem::default();
         graph.linearize_into(&mut sys);
-        append_damping(&mut sys, s.initial_lambda);
+        append_damping(&mut sys, &mut Vec::new(), s.initial_lambda);
         SolvePlan::for_system(&sys, min_degree_ordering(graph).as_slice())
     }
 
@@ -194,21 +191,16 @@ impl LevenbergMarquardt {
         let mut iterations = 0;
         // The linearization buffer, the plan and its workspace all persist
         // across iterations: λ changes only the *values* of the damping
-        // rows, never the damped system's structure.
-        let mut sys = LinearSystem {
-            factors: Vec::new(),
-            var_dims: Vec::new(),
-        };
-
+        // rows, never the damped system's structure. The candidate lives
+        // in the workspace too; an accepted one is copied into the graph.
         while iterations < s.max_iterations && !converged && lambda <= s.max_lambda {
             iterations += 1;
-            graph.linearize_into(&mut sys);
-            append_damping(&mut sys, lambda);
-            let delta = source.solve(&sys, graph)?;
-            let candidate = graph.values().retract_all(delta);
-            let new_error = graph.total_error_with(&candidate);
+            let ws = source.solve(graph, Some(lambda))?;
+            let trial = &mut ws.warm.trial;
+            graph.values().retract_all_into(&ws.delta, trial);
+            let new_error = graph.total_error_with(trial);
             if new_error < error {
-                *graph.values_mut() = candidate;
+                graph.values_mut().copy_from(trial);
                 let improvement = (error - new_error) / error.max(1e-300);
                 error = new_error;
                 lambda = (lambda * s.lambda_down).max(1e-12);
@@ -230,16 +222,29 @@ impl LevenbergMarquardt {
     }
 }
 
-/// Appends `√λ·I` damping rows for every variable, in place.
-fn append_damping(sys: &mut LinearSystem, lambda: f64) {
+/// Appends `√λ·I` damping rows for every variable. Rows are taken from
+/// `spare` (rows parked from an earlier damped system) and overwritten in
+/// place when their shape still matches; the rest are built fresh.
+pub(crate) fn append_damping(sys: &mut LinearSystem, spare: &mut Vec<LinearFactor>, lambda: f64) {
     let sqrt_l = lambda.sqrt();
+    let first = sys.factors.len();
+    sys.factors.append(spare);
+    sys.factors.truncate(first + sys.var_dims.len());
     for v in 0..sys.var_dims.len() {
         let d = sys.var_dims[v];
-        sys.factors.push(LinearFactor {
-            keys: vec![orianna_graph::VarId(v)],
-            blocks: vec![Mat::identity(d).scale(sqrt_l)],
-            rhs: Vec64::zeros(d),
-        });
+        if sys.factors.len() == first + v {
+            sys.factors.push(LinearFactor::default());
+        }
+        let row = &mut sys.factors[first + v];
+        row.reshape(&[VarId(v)], d, [d]);
+        // `Mat::identity(d).scale(√λ)`, zeros included.
+        macs::record(d * d);
+        let block = row.blocks[0].as_mut_slice();
+        for (i, x) in block.iter_mut().enumerate() {
+            let identity = if i % (d + 1) == 0 { 1.0 } else { 0.0 };
+            *x = identity * sqrt_l;
+        }
+        row.rhs.as_mut_slice().fill(0.0);
     }
 }
 
@@ -348,7 +353,7 @@ mod tests {
         assert!(report.converged);
 
         let mut sys = g_natural.linearize();
-        append_damping(&mut sys, lm.settings.initial_lambda);
+        append_damping(&mut sys, &mut Vec::new(), lm.settings.initial_lambda);
         let plan = SolvePlan::for_system(&sys, natural_ordering(&g_natural).as_slice()).unwrap();
         let mut ws = plan.workspace();
         lm.optimize_with_plan(&mut g_natural, &plan, &mut ws)

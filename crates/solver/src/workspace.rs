@@ -33,7 +33,7 @@
 //! solve only.
 
 use crate::elimination::{Conditional, EliminationStep, SolveError};
-use orianna_graph::{EliminationSchedule, LinearSystem, VarId};
+use orianna_graph::{EliminationSchedule, LinearFactor, LinearSystem, Values, VarId};
 use orianna_math::{macs, panel, Vec64};
 
 /// One separator column group of a panel: where its block lives in the
@@ -226,6 +226,8 @@ impl WorkspaceLayout {
             live_rows: vec![0; self.panels.len()],
             delta: Vec64::zeros(self.delta_len),
             stats: Vec::with_capacity(self.panels.len()),
+            warm: Box::default(),
+            reused: false,
         }
     }
 
@@ -476,6 +478,34 @@ pub struct Workspace {
     pub(crate) delta: Vec64,
     /// Per-step size/density records of the latest run.
     pub(crate) stats: Vec<EliminationStep>,
+    /// The GN/LM construction buffers (boxed: they travel with the
+    /// workspace through every park and checkout, and stay warm).
+    pub(crate) warm: Box<WarmBuffers>,
+    /// Whether this workspace has been taken back out of a `PlanCache`
+    /// pool, i.e. its topology recurred. The solvers' own cache path
+    /// keeps [`WarmBuffers`] across solves only for such workspaces, so a
+    /// one-shot cache (a single solve per topology, then dropped) never
+    /// holds a second copy of each linearized system.
+    pub(crate) reused: bool,
+}
+
+/// The Gauss-Newton / Levenberg-Marquardt buffers around the arena solve,
+/// warm across iterations and across solves that check their workspace
+/// out again. Their shapes follow the first solve; a system of another
+/// structure is simply rebuilt.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WarmBuffers {
+    /// The linearized system, refilled in place by
+    /// `FactorGraph::linearize_into`.
+    pub(crate) sys: LinearSystem,
+    /// LM's damping rows, parked while the graph rows are refilled.
+    pub(crate) damping: Vec<LinearFactor>,
+    /// The scaled line-search step.
+    pub(crate) step: Vec64,
+    /// The candidate estimates being scored (`Values::retract_all_into`).
+    pub(crate) trial: Values,
+    /// The best-scoring GN line-search candidate so far.
+    pub(crate) best: Values,
 }
 
 impl Clone for Workspace {
@@ -492,6 +522,8 @@ impl Clone for Workspace {
             live_rows: self.live_rows.clone(),
             delta: self.delta.clone(),
             stats: self.stats.clone(),
+            warm: self.warm.clone(),
+            reused: false,
         }
     }
 }

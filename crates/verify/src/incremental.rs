@@ -110,14 +110,7 @@ pub fn batch_reference(solver: &IncrementalSolver) -> Result<orianna_math::Vec64
     let lin_point = solver.lin_point();
     let factors: Vec<LinearFactor> = solver
         .factors()
-        .map(|f| {
-            let (blocks, err) = f.linearize(lin_point);
-            LinearFactor {
-                keys: f.keys().to_vec(),
-                blocks,
-                rhs: -&err,
-            }
-        })
+        .map(|f| linearize(f.as_ref(), lin_point))
         .collect();
     let var_dims: Vec<usize> = (0..lin_point.len())
         .map(|i| lin_point.get(VarId(i)).dim())
@@ -128,6 +121,13 @@ pub fn batch_reference(solver: &IncrementalSolver) -> Result<orianna_math::Vec64
     let mut ws = plan.workspace();
     let delta = plan.solve_in(&sys, &mut ws).map_err(|e| e.to_string())?;
     Ok(delta.clone())
+}
+
+/// The whitened block row of `f` at `at`.
+fn linearize(f: &dyn Factor, at: &Values) -> LinearFactor {
+    let mut row = LinearFactor::default();
+    f.linearize_into(at, &mut row);
+    row
 }
 
 /// Prefix boundaries after which no variable referenced so far is left
@@ -143,17 +143,7 @@ fn valid_boundaries(factors: &[Arc<dyn Factor>], init: &Values) -> Vec<usize> {
             .flat_map(|f| f.keys().iter().map(|v| v.0))
             .max()
             .unwrap_or(0);
-        let lin: Vec<LinearFactor> = prefix
-            .iter()
-            .map(|f| {
-                let (blocks, err) = f.linearize(init);
-                LinearFactor {
-                    keys: f.keys().to_vec(),
-                    blocks,
-                    rhs: -&err,
-                }
-            })
-            .collect();
+        let lin: Vec<LinearFactor> = prefix.iter().map(|f| linearize(f.as_ref(), init)).collect();
         let var_dims: Vec<usize> = (0..=max_key).map(|i| init.get(VarId(i)).dim()).collect();
         let sys = LinearSystem {
             factors: lin,

@@ -374,7 +374,9 @@ fn pose_edges() -> FactorGraph {
 }
 
 /// Graphs the compiler rejects: a GPS prior on a point (which has no
-/// translation component) and a planar GPS fix on a spatial pose.
+/// translation component) and a planar GPS fix on a spatial pose (a
+/// typed lowering error naming both dimensions; the digest folds the
+/// error's text).
 fn error_edges() -> Vec<FactorGraph> {
     let mut point = FactorGraph::new();
     let x = point.add_point2([1.0, 2.0]);
@@ -401,6 +403,6 @@ fn edge_programs_match_recorded_digest() {
     {
         instructions += digest_graph(&mut digest, g);
     }
-    assert_eq!(digest, 0x5B88_5E93_80F8_988F, "digest {digest:#018X}");
+    assert_eq!(digest, 0x256C_F0BA_322C_EA9B, "digest {digest:#018X}");
     assert_eq!(instructions, 1_100, "instructions");
 }
