@@ -177,9 +177,6 @@ impl FactorNumbers {
         })
     }
 
-    /// Lowers the factor over `keys` to error expressions.
-    ///
-    /// # Errors
     /// Checks what lowering cannot see from the keys alone: a GPS fix on a
     /// pose must have one coordinate per translation axis of that pose.
     /// (A fix on a non-pose variable fails later, at its `Input`, as a
@@ -208,6 +205,9 @@ impl FactorNumbers {
         }
     }
 
+    /// Lowers the factor over `keys` to error expressions.
+    ///
+    /// # Errors
     /// Returns [`LowerError::Arity`] when `keys` has the wrong length and
     /// [`LowerError::Empty`] for a linear factor without blocks.
     pub(crate) fn lower(&self, keys: &[VarId]) -> Result<LoweredFactor, LowerError> {

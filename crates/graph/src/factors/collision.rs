@@ -85,6 +85,18 @@ impl CollisionFactor {
         // e = (r+s) − d ⇒ ∂e/∂p = −(p − c)/d.
         (d < r + self.safety && d > 1e-9).then(|| [-dx / d, -dy / d])
     }
+
+    /// Writes `w · ∂e/∂x` into the row-major `m × n` `block`: each active
+    /// hinge's gradient in the position columns, zero elsewhere.
+    fn jacobian_into(&self, p: [f64; 2], n: usize, w: f64, block: &mut [f64]) {
+        block.fill(0.0 * w);
+        for (row, &(c, r)) in self.obstacles.iter().enumerate() {
+            if let Some(g) = self.gradient(p, c, r) {
+                block[row * n] = g[0] * w;
+                block[row * n + 1] = g[1] * w;
+            }
+        }
+    }
 }
 
 impl Factor for CollisionFactor {
@@ -108,12 +120,7 @@ impl Factor for CollisionFactor {
         let p = self.position(values);
         let n = values.get(self.keys[0]).as_vector().len();
         let mut j = Mat::zeros(self.obstacles.len(), n);
-        for (row, &(c, r)) in self.obstacles.iter().enumerate() {
-            if let Some(g) = self.gradient(p, c, r) {
-                j[(row, 0)] = g[0];
-                j[(row, 1)] = g[1];
-            }
-        }
+        self.jacobian_into(p, n, 1.0, j.as_mut_slice());
         vec![j]
     }
 
@@ -125,14 +132,7 @@ impl Factor for CollisionFactor {
         out.reshape(&self.keys, m, [n]);
         // Whitening scales the whole m×n block, structural zeros included.
         macs::record(m * n);
-        let block = out.blocks[0].as_mut_slice();
-        block.fill(0.0 * w);
-        for (row, &(c, r)) in self.obstacles.iter().enumerate() {
-            if let Some(g) = self.gradient(p, c, r) {
-                block[row * n] = g[0] * w;
-                block[row * n + 1] = g[1] * w;
-            }
-        }
+        self.jacobian_into(p, n, w, out.blocks[0].as_mut_slice());
         macs::record(m);
         for (dst, &(c, r)) in out.rhs.as_mut_slice().iter_mut().zip(&self.obstacles) {
             *dst = -(self.hinge(p, c, r) * w);

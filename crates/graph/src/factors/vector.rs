@@ -31,17 +31,13 @@ impl AffineCore {
     }
 
     fn error(&self, values: &Values) -> Vec64 {
-        let mut e = -&self.rhs;
-        for (key, a) in self.keys.iter().zip(&self.blocks) {
-            let x = values.get(*key).as_vector();
-            e = &e + &a.mul_vec(x);
-        }
-        e
+        self.record_error_macs();
+        (0..self.dim()).map(|r| self.error_row(values, r)).collect()
     }
 
-    /// Row `r` of [`AffineCore::error`] with the same arithmetic: `−b_r`
-    /// plus, key by key, the row's ascending dot product. The MACs are
-    /// recorded once per evaluation by [`AffineCore::record_error_macs`].
+    /// Row `r` of the error: `−b_r` plus, key by key, the row's ascending
+    /// dot product. The MACs are recorded once per evaluation by
+    /// [`AffineCore::record_error_macs`].
     fn error_row(&self, values: &Values, r: usize) -> f64 {
         let mut e = -self.rhs[r];
         for (key, a) in self.keys.iter().zip(&self.blocks) {
@@ -56,8 +52,8 @@ impl AffineCore {
         e
     }
 
-    /// The MACs [`AffineCore::error`] records: one mat-vec and one vector
-    /// add per key.
+    /// The MACs of one error evaluation: one mat-vec and one vector add
+    /// per key.
     fn record_error_macs(&self) {
         for a in &self.blocks {
             macs::record(a.rows() * a.cols() + a.rows());
@@ -87,18 +83,6 @@ impl AffineCore {
             .map(|a| a * a)
             .sum()
     }
-}
-
-/// Norm of `x[start .. start + len]` with the arithmetic and MAC record
-/// of `x.segment(start, len).norm()`.
-fn speed(x: &Vec64, start: usize, len: usize) -> f64 {
-    assert!(start + len <= x.len(), "segment out of range");
-    macs::record(len);
-    x.as_slice()[start..start + len]
-        .iter()
-        .map(|v| v * v)
-        .sum::<f64>()
-        .sqrt()
 }
 
 /// Gaussian-process–style smoothness factor between consecutive trajectory
@@ -185,13 +169,52 @@ pub struct KinematicsFactor {
 #[derive(Debug, Clone)]
 enum KinematicsInner {
     Transition(AffineCore),
-    SpeedLimit {
-        keys: [VarId; 1],
-        vel_start: usize,
-        vel_len: usize,
-        vmax: f64,
-        sigma: f64,
-    },
+    SpeedLimit(SpeedLimit),
+}
+
+/// `e = max(0, |x[vel_start .. vel_start + vel_len]| − vmax)`.
+#[derive(Debug, Clone)]
+struct SpeedLimit {
+    keys: [VarId; 1],
+    vel_start: usize,
+    vel_len: usize,
+    vmax: f64,
+    sigma: f64,
+}
+
+impl SpeedLimit {
+    fn state<'v>(&self, values: &'v Values) -> &'v Vec64 {
+        values.get(self.keys[0]).as_vector()
+    }
+
+    /// Norm of the velocity slice, with the arithmetic and MAC record of
+    /// `x.segment(vel_start, vel_len).norm()`.
+    fn speed(&self, x: &Vec64) -> f64 {
+        let (start, len) = (self.vel_start, self.vel_len);
+        assert!(start + len <= x.len(), "segment out of range");
+        macs::record(len);
+        x.as_slice()[start..start + len]
+            .iter()
+            .map(|v| v * v)
+            .sum::<f64>()
+            .sqrt()
+    }
+
+    fn error(&self, x: &Vec64) -> f64 {
+        (self.speed(x) - self.vmax).max(0.0)
+    }
+
+    /// Writes `w · ∂e/∂x` into `row`: `x_i / |v|` on the velocity slice
+    /// while the limit is active, zero elsewhere.
+    fn jacobian_row(&self, x: &Vec64, w: f64, row: &mut [f64]) {
+        let speed = self.speed(x);
+        row.fill(0.0 * w);
+        if speed > self.vmax && speed > 1e-12 {
+            for i in self.vel_start..self.vel_start + self.vel_len {
+                row[i] = (x[i] / speed) * w;
+            }
+        }
+    }
 }
 
 impl KinematicsFactor {
@@ -222,13 +245,13 @@ impl KinematicsFactor {
         sigma: f64,
     ) -> Self {
         Self {
-            inner: KinematicsInner::SpeedLimit {
+            inner: KinematicsInner::SpeedLimit(SpeedLimit {
                 keys: [key],
                 vel_start,
                 vel_len,
                 vmax,
                 sigma,
-            },
+            }),
         }
     }
 }
@@ -237,52 +260,31 @@ impl Factor for KinematicsFactor {
     fn keys(&self) -> &[VarId] {
         match &self.inner {
             KinematicsInner::Transition(c) => &c.keys,
-            KinematicsInner::SpeedLimit { keys, .. } => keys,
+            KinematicsInner::SpeedLimit(s) => &s.keys,
         }
     }
 
     fn dim(&self) -> usize {
         match &self.inner {
             KinematicsInner::Transition(c) => c.dim(),
-            KinematicsInner::SpeedLimit { .. } => 1,
+            KinematicsInner::SpeedLimit(_) => 1,
         }
     }
 
     fn error(&self, values: &Values) -> Vec64 {
         match &self.inner {
             KinematicsInner::Transition(c) => c.error(values),
-            KinematicsInner::SpeedLimit {
-                keys,
-                vel_start,
-                vel_len,
-                vmax,
-                ..
-            } => {
-                let x = values.get(keys[0]).as_vector();
-                let speed = speed(x, *vel_start, *vel_len);
-                Vec64::from_slice(&[(speed - vmax).max(0.0)])
-            }
+            KinematicsInner::SpeedLimit(s) => Vec64::from_slice(&[s.error(s.state(values))]),
         }
     }
 
     fn jacobians(&self, values: &Values) -> Vec<Mat> {
         match &self.inner {
             KinematicsInner::Transition(c) => c.blocks.clone(),
-            KinematicsInner::SpeedLimit {
-                keys,
-                vel_start,
-                vel_len,
-                vmax,
-                ..
-            } => {
-                let x = values.get(keys[0]).as_vector();
-                let speed = speed(x, *vel_start, *vel_len);
+            KinematicsInner::SpeedLimit(s) => {
+                let x = s.state(values);
                 let mut j = Mat::zeros(1, x.len());
-                if speed > *vmax && speed > 1e-12 {
-                    for i in *vel_start..vel_start + vel_len {
-                        j[(0, i)] = x[i] / speed;
-                    }
-                }
+                s.jacobian_row(x, 1.0, j.as_mut_slice());
                 vec![j]
             }
         }
@@ -291,29 +293,16 @@ impl Factor for KinematicsFactor {
     fn linearize_into(&self, values: &Values, out: &mut LinearFactor) {
         match &self.inner {
             KinematicsInner::Transition(c) => c.linearize_into(values, out),
-            KinematicsInner::SpeedLimit {
-                keys,
-                vel_start,
-                vel_len,
-                vmax,
-                sigma,
-            } => {
-                let w = 1.0 / sigma;
-                let x = values.get(keys[0]).as_vector();
+            KinematicsInner::SpeedLimit(s) => {
+                let w = 1.0 / s.sigma;
+                let x = s.state(values);
                 let n = x.len();
-                // The Jacobian and the error each take the speed's norm.
-                let jspeed = speed(x, *vel_start, *vel_len);
-                let espeed = speed(x, *vel_start, *vel_len);
-                out.reshape(keys, 1, [n]);
+                out.reshape(&s.keys, 1, [n]);
+                // The Jacobian and the error each take the speed's norm;
+                // scaling the row by `w` is `n` MACs.
+                s.jacobian_row(x, w, out.blocks[0].as_mut_slice());
                 macs::record(n);
-                let block = out.blocks[0].as_mut_slice();
-                block.fill(0.0 * w);
-                if jspeed > *vmax && jspeed > 1e-12 {
-                    for i in *vel_start..vel_start + vel_len {
-                        block[i] = (x[i] / jspeed) * w;
-                    }
-                }
-                out.put_rhs(&[(espeed - vmax).max(0.0)], w);
+                out.put_rhs(&[s.error(x)], w);
             }
         }
     }
@@ -321,16 +310,8 @@ impl Factor for KinematicsFactor {
     fn weighted_squared_error(&self, values: &Values) -> f64 {
         match &self.inner {
             KinematicsInner::Transition(c) => c.weighted_squared_error(values),
-            KinematicsInner::SpeedLimit {
-                keys,
-                vel_start,
-                vel_len,
-                vmax,
-                sigma,
-            } => {
-                let x = values.get(keys[0]).as_vector();
-                let e = (speed(x, *vel_start, *vel_len) - vmax).max(0.0);
-                whitened_sq(&[e], 1.0 / sigma)
+            KinematicsInner::SpeedLimit(s) => {
+                whitened_sq(&[s.error(s.state(values))], 1.0 / s.sigma)
             }
         }
     }
@@ -338,7 +319,7 @@ impl Factor for KinematicsFactor {
     fn sigma(&self) -> f64 {
         match &self.inner {
             KinematicsInner::Transition(c) => c.sigma,
-            KinematicsInner::SpeedLimit { sigma, .. } => *sigma,
+            KinematicsInner::SpeedLimit(s) => s.sigma,
         }
     }
 
@@ -352,7 +333,7 @@ impl Factor for KinematicsFactor {
                 blocks: c.blocks.clone(),
                 rhs: c.rhs.clone(),
             },
-            KinematicsInner::SpeedLimit { .. } => FactorKind::Opaque,
+            KinematicsInner::SpeedLimit(_) => FactorKind::Opaque,
         }
     }
 }

@@ -9,7 +9,7 @@
 use crate::elimination::{EliminationStats, SolveError};
 use crate::levenberg::append_damping;
 use crate::plan::{PlanCache, SolvePlan};
-use crate::workspace::{WarmBuffers, Workspace};
+use crate::workspace::Workspace;
 use orianna_graph::{min_degree_ordering, FactorGraph, LinearSystem};
 use std::sync::Arc;
 
@@ -302,19 +302,14 @@ impl PlanSource<'_> {
         EliminationStats { steps }
     }
 
-    /// Ends a run, successful or not: parks a checked-out workspace for
-    /// the next solve over this topology. A workspace on its first solve
-    /// parks without its warm buffers; they are kept once the topology
-    /// recurs (see `Workspace::reused`).
+    /// Ends a run, successful or not: parks a checked-out workspace, warm
+    /// buffers included, for the next solve over this topology.
     pub(crate) fn park(self) {
         if let Self::Cache {
             cache,
-            checkout: Some((plan, mut ws)),
+            checkout: Some((plan, ws)),
         } = self
         {
-            if !ws.reused {
-                *ws.warm = WarmBuffers::default();
-            }
             cache.store_workspace(plan.fingerprint(), ws);
         }
     }
@@ -488,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_buffers_are_kept_once_a_topology_recurs() {
+    fn warm_buffers_are_parked_with_the_workspace() {
         let chain = |offset: f64| {
             let mut g = FactorGraph::new();
             let ids: Vec<_> = (0..4)
@@ -507,22 +502,12 @@ mod tests {
         };
         let fp = chain(0.0).structure_fingerprint();
         let mut cache = PlanCache::new();
-        let parked_rows = |cache: &mut PlanCache| {
-            let ws = cache.take_workspace(fp).expect("parked");
-            let rows = ws.warm.sys.factors.len();
-            cache.store_workspace(fp, ws);
-            rows
-        };
         let gn = GaussNewton::default();
         gn.optimize_with_cache(&mut chain(0.3), &mut cache).unwrap();
-        // One solve on a fresh workspace: parked without its system.
-        let mut fresh = cache.take_workspace(fp).expect("parked");
-        assert!(fresh.warm.sys.factors.is_empty());
-        fresh.reused = false;
-        cache.store_workspace(fp, fresh);
-        gn.optimize_with_cache(&mut chain(0.3), &mut cache).unwrap();
-        // Taken back out of the pool: the system stays warm at park.
-        assert_eq!(parked_rows(&mut cache), 4);
+        // The workspace parks with its linearized system.
+        let ws = cache.take_workspace(fp).expect("parked");
+        assert_eq!(ws.warm.sys.factors.len(), 4);
+        cache.store_workspace(fp, ws);
         // Warm or cold, the results are bitwise those of a fresh cache.
         let mut warm = chain(0.4);
         let mut cold = chain(0.4);

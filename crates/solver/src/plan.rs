@@ -316,10 +316,9 @@ impl PlanCache {
     /// caller owns it for the duration of a solve and should park it back
     /// with [`PlanCache::store_workspace`].
     pub fn take_workspace(&mut self, fingerprint: u64) -> Option<Workspace> {
-        let mut ws = self.workspaces.get_mut(&fingerprint).and_then(Vec::pop);
-        if let Some(ws) = &mut ws {
+        let ws = self.workspaces.get_mut(&fingerprint).and_then(Vec::pop);
+        if ws.is_some() {
             self.workspace_reuses += 1;
-            ws.reused = true;
         }
         ws
     }

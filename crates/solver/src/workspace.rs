@@ -227,7 +227,6 @@ impl WorkspaceLayout {
             delta: Vec64::zeros(self.delta_len),
             stats: Vec::with_capacity(self.panels.len()),
             warm: Box::default(),
-            reused: false,
         }
     }
 
@@ -481,12 +480,6 @@ pub struct Workspace {
     /// The GN/LM construction buffers (boxed: they travel with the
     /// workspace through every park and checkout, and stay warm).
     pub(crate) warm: Box<WarmBuffers>,
-    /// Whether this workspace has been taken back out of a `PlanCache`
-    /// pool, i.e. its topology recurred. The solvers' own cache path
-    /// keeps [`WarmBuffers`] across solves only for such workspaces, so a
-    /// one-shot cache (a single solve per topology, then dropped) never
-    /// holds a second copy of each linearized system.
-    pub(crate) reused: bool,
 }
 
 /// The Gauss-Newton / Levenberg-Marquardt buffers around the arena solve,
@@ -523,7 +516,6 @@ impl Clone for Workspace {
             delta: self.delta.clone(),
             stats: self.stats.clone(),
             warm: self.warm.clone(),
-            reused: false,
         }
     }
 }

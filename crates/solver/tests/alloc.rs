@@ -193,15 +193,11 @@ fn recurring_topology_solve_allocates_only_its_report() {
     for (app, next) in all_apps(2024).iter().zip(all_apps(2025)) {
         for (algo, reseeded) in app.algorithms.iter().zip(&next.algorithms) {
             let gn = mission_gn(algo.iterations);
-            // Warm-up: the first solve builds the plan and parks the
-            // workspace (a workspace's first park drops its warm buffers,
-            // so one-shot caches stay lean); the second takes it back,
-            // so it parks with a system and candidate buffers of this
-            // topology's shapes.
-            for _ in 0..2 {
-                gn.optimize_with_cache(&mut algo.graph.clone(), &mut cache)
-                    .expect("warm-up solves");
-            }
+            // Warm-up: one solve builds the plan and parks the workspace
+            // with a system and candidate buffers of this topology's
+            // shapes.
+            gn.optimize_with_cache(&mut algo.graph.clone(), &mut cache)
+                .expect("warm-up solve");
             let mut g = reseeded.graph.clone();
             let (report, allocs) = count_allocs(|| gn.optimize_with_cache(&mut g, &mut cache));
             let report = report.expect("re-seeded solve");
