@@ -84,26 +84,34 @@ fn parse_args() -> Args {
     }
 }
 
-/// Median wall time of `reps` timed calls (after `warmup` untimed ones).
-fn median_ns(warmup: usize, reps: usize, mut f: impl FnMut()) -> u128 {
+/// Wall times of `reps` timed calls (after `warmup` untimed ones), in
+/// run order.
+fn time_reps(warmup: usize, reps: usize, mut f: impl FnMut()) -> Vec<u128> {
     for _ in 0..warmup {
         f();
     }
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos()
+        })
+        .collect()
+}
+
+/// The `q`-quantile (nearest rank below) of a sample.
+fn quantile(samples: &[u128], q: f64) -> u128 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    sorted[((sorted.len() - 1) as f64 * q) as usize]
 }
 
 struct Results {
     entries: Vec<(String, u128)>,
-    /// Raw per-rep samples for rows recorded via
-    /// [`record_interleaved`](Self::record_interleaved), kept so ratios
-    /// within the family can be computed *paired* (rep i vs rep i).
+    /// Raw per-rep samples of every timed row, in run order: they give
+    /// each row's quartiles, and ratios within a
+    /// [`record_interleaved`](Self::record_interleaved) family are
+    /// computed *paired* (rep i vs rep i).
     samples: Vec<(String, Vec<u128>)>,
     reps: usize,
     /// `--filter` substring: rows whose names do not contain it are
@@ -130,9 +138,21 @@ impl Results {
         if !self.admits(name) {
             return;
         }
-        let ns = median_ns(warmup, self.reps, f);
-        println!("  {name}: {ns} ns");
-        self.entries.push((name.to_string(), ns));
+        let samples = time_reps(warmup, self.reps, f);
+        self.push_samples(name.to_string(), samples);
+    }
+
+    /// Records a row from its per-rep samples: the median as the row's
+    /// value, the samples for its quartiles.
+    fn push_samples(&mut self, name: String, samples: Vec<u128>) {
+        let ns = quantile(&samples, 0.5);
+        println!(
+            "  {name}: {ns} ns [{}, {}]",
+            quantile(&samples, 0.25),
+            quantile(&samples, 0.75)
+        );
+        self.entries.push((name.clone(), ns));
+        self.samples.push((name, samples));
     }
 
     /// Records a family of rows whose medians will be *compared to each
@@ -165,12 +185,7 @@ impl Results {
             }
         }
         for ((name, _), s) in rows.into_iter().zip(samples) {
-            let mut sorted = s.clone();
-            sorted.sort_unstable();
-            let ns = sorted[sorted.len() / 2];
-            println!("  {name}: {ns} ns");
-            self.entries.push((name.clone(), ns));
-            self.samples.push((name, s));
+            self.push_samples(name, s);
         }
     }
 
@@ -202,9 +217,10 @@ impl Results {
     }
 }
 
-/// Hand-rolled JSON: `{"schema":…, "mode":…, "results":{name:ns…},
-/// "speedups":{name:ratio…}}`. Names are plain ASCII identifiers so no
-/// string escaping is needed.
+/// Hand-rolled JSON: `{"schema":…, "mode":…, "median_ns":{name:ns…},
+/// "quartiles_ns":{name:[q1,q3]…}, "speedups":{name:ratio…}}`, with
+/// quartiles for every row timed rep by rep. Names are plain ASCII
+/// identifiers so no string escaping is needed.
 fn to_json(mode: &str, reps: usize, results: &Results, speedups: &[(String, f64)]) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -221,6 +237,19 @@ fn to_json(mode: &str, reps: usize, results: &Results, speedups: &[(String, f64)
         let _ = writeln!(s, "    \"{name}\": {ns}{comma}");
     }
     s.push_str("  },\n");
+    if !results.samples.is_empty() {
+        s.push_str("  \"quartiles_ns\": {\n");
+        for (i, (name, samples)) in results.samples.iter().enumerate() {
+            let comma = if i + 1 < results.samples.len() {
+                ","
+            } else {
+                ""
+            };
+            let (q1, q3) = (quantile(samples, 0.25), quantile(samples, 0.75));
+            let _ = writeln!(s, "    \"{name}\": [{q1}, {q3}]{comma}");
+        }
+        s.push_str("  },\n");
+    }
     s.push_str("  \"speedups\": {\n");
     for (i, (name, ratio)) in speedups.iter().enumerate() {
         let comma = if i + 1 < speedups.len() { "," } else { "" };
@@ -916,13 +945,18 @@ fn bench_server(reps: usize, quick: bool, filter: Option<String>) -> (Results, V
 ///   the per-workload pruned-sweep baseline (12 full sweeps + winner
 ///   cross-evaluation), with `objective_margin` = baseline / search
 ///   best-found aggregate (≥1.0 means search found an equal-or-better
-///   design).
+///   design). Per layer, `dse_rank/10k` times one bound-guided ranking
+///   of that space for one app's three algorithms under ZC706.
 fn bench_dse_search(
     reps: usize,
     quick: bool,
     filter: Option<String>,
 ) -> (Results, Vec<(String, f64)>) {
-    use orianna_hw::{search_default, Combine, SearchSpace, WorkloadSet};
+    use orianna_hw::{
+        search_default, BoundGuidedProposer, BoundTable, Combine, Proposer, ProposerCtx,
+        SearchSpace, TrialLog, WorkloadSet,
+    };
+    use std::collections::HashSet;
 
     let mut results = Results::new(reps, filter);
     let mut speedups = Vec::new();
@@ -1080,22 +1114,48 @@ fn bench_dse_search(
     // baseline once (it dominates the runtime).
     let baseline_reps = if quick { 1 } else { reps };
     if results.admits("dse_search_10k/search") {
-        let ns = median_ns(0, reps, || {
+        let samples = time_reps(0, reps, || {
             let mut set = make_set();
             let got = search_default(&mut set, &space10k, &roomy, 42);
             std::hint::black_box(got.best.map(|b| b.score));
         });
-        println!("  dse_search_10k/search: {ns} ns");
-        results.entries.push(("dse_search_10k/search".into(), ns));
+        results.push_samples("dse_search_10k/search".into(), samples);
+    }
+    // Per layer: one bound-guided ranking of the whole space, scored
+    // through the search's bound table, on a warm proposer (its ranking
+    // buffer is reused across calls, as within a search). The set is
+    // one app's three algorithms under the ZC706 budget, as in each
+    // search of perfbench's `accel_codesign`.
+    if results.admits("dse_rank/10k") {
+        let mut set = WorkloadSet::new(Objective::Latency, Combine::Max);
+        for (name, wl) in &workloads[..3] {
+            set.push(
+                name.clone(),
+                DseContext::with_parallelism(wl, Parallelism::default()),
+            );
+        }
+        let table = BoundTable::new(&set, &space10k);
+        let bound = table.bind(&set);
+        let (log, seen) = (TrialLog::default(), HashSet::new());
+        let ctx = ProposerCtx {
+            space: &space10k,
+            budget: &Resources::zc706(),
+            log: &log,
+            frontiers: &[],
+            seen: &seen,
+            bound: &bound,
+            best_score: None,
+        };
+        let mut proposer = BoundGuidedProposer::new(42);
+        results.record("dse_rank/10k", 3, || {
+            std::hint::black_box(proposer.propose(6, &ctx));
+        });
     }
     if results.admits("dse_search_10k/pruned_sweep") {
-        let ns = median_ns(0, baseline_reps, || {
+        let samples = time_reps(0, baseline_reps, || {
             std::hint::black_box(sweep_baseline(&enum10k));
         });
-        println!("  dse_search_10k/pruned_sweep: {ns} ns");
-        results
-            .entries
-            .push(("dse_search_10k/pruned_sweep".into(), ns));
+        results.push_samples("dse_search_10k/pruned_sweep".into(), samples);
     }
     if results.admits("dse_search_10k/search") && results.admits("dse_search_10k/pruned_sweep") {
         let mut set = make_set();
@@ -1137,7 +1197,7 @@ fn main() {
         let (mode, reps) = if args.quick {
             ("dse-search-quick", 2)
         } else {
-            ("dse-search-full", 5)
+            ("dse-search-full", 11)
         };
         println!("orianna-bench ({mode} mode, {reps} reps)");
         println!("dse-search:");

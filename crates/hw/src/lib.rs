@@ -54,9 +54,10 @@ pub use generator::{
     GeneratorResult, Objective, ParetoPoint, SweepMode, SweepReport,
 };
 pub use search::{
-    canon_key, canonical_hash, default_proposers, search, search_default, BoundGuidedProposer,
-    CanonKey, Combine, EvolutionProposer, Proposer, ProposerCtx, SearchBest, SearchConfig,
-    SearchOutcome, SearchSpace, SearchStats, SplitMix64, Trial, TrialLog, TrialPhase, WorkloadSet,
+    canon_key, canonical_hash, default_proposers, search, search_default, Bound,
+    BoundGuidedProposer, BoundTable, CanonKey, Combine, EvolutionProposer, Proposer, ProposerCtx,
+    SearchBest, SearchConfig, SearchOutcome, SearchSpace, SearchStats, SplitMix64, TableBound,
+    Trial, TrialLog, TrialPhase, WorkloadSet,
 };
 pub use sim::{
     critical_path_cycles, simulate, simulate_batch, simulate_decoded, simulate_decoded_with,

@@ -34,7 +34,7 @@
 
 use crate::config::HwConfig;
 use crate::generator::{score, DseContext, Objective, ParetoPoint, SweepMode};
-use crate::sim::{IssuePolicy, SimReport};
+use crate::sim::{DecodedWorkload, IssuePolicy, SimReport};
 use crate::templates::Resources;
 use orianna_compiler::UnitClass;
 use std::collections::HashSet;
@@ -79,13 +79,6 @@ pub type CanonKey = ([usize; UnitClass::COUNT], u64);
 /// The canonical key of a configuration (dedup identity).
 pub fn canon_key(config: &HwConfig) -> CanonKey {
     (*config.counts(), config.clock_mhz.to_bits())
-}
-
-/// The configuration a canonical key identifies.
-fn config_of((counts, clock_bits): CanonKey) -> HwConfig {
-    let mut config = HwConfig::from_counts(counts);
-    config.clock_mhz = f64::from_bits(clock_bits);
-    config
 }
 
 /// FNV-1a hash of the canonical key — the compact trial-log fingerprint.
@@ -175,6 +168,25 @@ impl SearchSpace {
         let mut out = Vec::with_capacity(n);
         self.for_each_config(|c| out.push(c));
         out
+    }
+
+    /// The rank of an in-space configuration in lexicographic count order
+    /// (the first class is the most significant digit): for
+    /// configurations at one clock, the order of their [`canon_key`]s.
+    fn lex_rank(&self, config: &HwConfig) -> u128 {
+        UnitClass::ALL.iter().fold(0, |rank, &c| {
+            rank * self.max[c.index()] as u128 + (config.count(c) - 1) as u128
+        })
+    }
+
+    /// The configuration (default clock) of a [`Self::lex_rank`].
+    fn config_at_lex(&self, mut rank: u128) -> HwConfig {
+        let mut counts = [1usize; UnitClass::COUNT];
+        for (n, &m) in counts.iter_mut().zip(&self.max).rev() {
+            *n = (rank % m as u128) as usize + 1;
+            rank /= m as u128;
+        }
+        HwConfig::from_counts(counts)
     }
 
     /// Visits every configuration in [`Self::config_at`] order by
@@ -499,22 +511,31 @@ impl WorkloadSet {
     /// energy evaluated at that bound) folded with the same aggregate —
     /// max and non-negative weighted sums of admissible bounds stay
     /// admissible, so a candidate whose aggregate bound meets the
-    /// incumbent can be gated without simulation.
+    /// incumbent can be gated without simulation. [`search`] scores the
+    /// same bound through a [`BoundTable`], bit for bit.
     pub fn bound_score(&self, config: &HwConfig) -> f64 {
-        self.bound_with(config, &[])
+        self.bound_from(config, &[], |_, ctx| {
+            ctx.decoded().lower_bound_cycles(config)
+        })
     }
 
-    /// [`Self::bound_score`] with some workloads already walked:
-    /// `walked[i]` holds workload `i`'s exact score, and workloads without
-    /// one contribute their decode-time bound. Rounding is monotone, so
-    /// replacing any bound by the score it bounds never lowers the fold:
-    /// the result stays admissible, and equals [`Self::aggregate`]
-    /// bitwise once every workload is walked.
-    fn bound_with(&self, config: &HwConfig, walked: &[Option<f64>]) -> f64 {
+    /// The fold behind every bound: `walked[i]` holds workload `i`'s
+    /// exact score, and a workload without one contributes its objective
+    /// at `lb_cycles(i, ctx)` cycles, an admissible bound on its makespan
+    /// on `config`. Rounding is monotone, so replacing any bound by the
+    /// score it bounds never lowers the fold: the result stays
+    /// admissible, and equals [`Self::aggregate`] bitwise once every
+    /// workload is walked.
+    fn bound_from(
+        &self,
+        config: &HwConfig,
+        walked: &[Option<f64>],
+        lb_cycles: impl Fn(usize, &DseContext) -> u64,
+    ) -> f64 {
         self.fold(|i, ctx| match walked.get(i).copied().flatten() {
             Some(s) => s,
             None => {
-                let lb = ctx.decoded().lower_bound_cycles(config);
+                let lb = lb_cycles(i, ctx);
                 match self.objective {
                     Objective::Latency => lb as f64,
                     Objective::Energy => ctx.decoded().energy_mj_at(config, lb),
@@ -580,6 +601,168 @@ impl WorkloadSet {
     }
 }
 
+/// An admissible aggregate lower bound on candidates, the score a
+/// [`Proposer`] ranks by ([`ProposerCtx::bound`]). Every
+/// `Fn(&HwConfig) -> f64` is one; [`search`] hands its proposers a
+/// [`TableBound`].
+pub trait Bound {
+    /// The bound of one candidate.
+    fn score(&self, config: &HwConfig) -> f64;
+
+    /// Visits every configuration of `space` with its bound. The default
+    /// scores each one in [`SearchSpace::config_at`] order; an
+    /// implementation may share work between candidates and visit them
+    /// in another order, as long as each keeps the bits [`Self::score`]
+    /// gives it.
+    fn for_each_score(&self, space: &SearchSpace, visit: &mut dyn FnMut(HwConfig, f64)) {
+        space.for_each_config(|c| {
+            let s = self.score(&c);
+            visit(c, s);
+        });
+    }
+}
+
+impl<F: Fn(&HwConfig) -> f64> Bound for F {
+    fn score(&self, config: &HwConfig) -> f64 {
+        self(config)
+    }
+}
+
+/// The decode-time bounds of a [`WorkloadSet`], tabulated over a
+/// [`SearchSpace`]: [`DecodedWorkload::class_term`] for every workload,
+/// class and count `1..=space.max_of(class)`, built once per [`search`]
+/// run. A workload's bound on a candidate is then a maximum of one table
+/// entry per class — the integer
+/// [`DecodedWorkload::lower_bound_cycles`] computes with a division per
+/// class — so the bound-guided ranking, the search-phase gate and the
+/// polish all score [`WorkloadSet::bound_score`]'s bits.
+#[derive(Debug, Clone)]
+pub struct BoundTable {
+    /// Per-class maxima of the tabulated space.
+    max: [usize; UnitClass::COUNT],
+    /// Workload `w`'s class-`c` entry at `n` units sits at
+    /// `w * row + class_off[c] + n - 1`, with `row = class_off[COUNT]`;
+    /// each entry is already maxed with the workload's critical path.
+    terms: Vec<u64>,
+    /// Start of each class's counts within a workload's row.
+    class_off: [usize; UnitClass::COUNT + 1],
+}
+
+impl BoundTable {
+    /// Tabulates every workload of `set` over `space`.
+    pub fn new(set: &WorkloadSet, space: &SearchSpace) -> Self {
+        let mut class_off = [0; UnitClass::COUNT + 1];
+        for c in UnitClass::ALL {
+            class_off[c.index() + 1] = class_off[c.index()] + space.max_of(c);
+        }
+        let mut terms = Vec::with_capacity(set.len() * class_off[UnitClass::COUNT]);
+        for (_, ctx) in &set.entries {
+            let decoded = ctx.decoded();
+            for c in UnitClass::ALL {
+                terms.extend(
+                    (1..=space.max_of(c))
+                        .map(|n| decoded.class_term(c, n).max(decoded.critical_path())),
+                );
+            }
+        }
+        Self {
+            max: space.max,
+            terms,
+            class_off,
+        }
+    }
+
+    /// The table scoring `set`, the set it was built from.
+    pub fn bind<'a>(&'a self, set: &'a WorkloadSet) -> TableBound<'a> {
+        debug_assert_eq!(
+            self.terms.len(),
+            set.len() * self.class_off[UnitClass::COUNT]
+        );
+        TableBound { table: self, set }
+    }
+
+    /// Workload `w`'s entry for class index `i` at an in-space count `n`.
+    fn entry(&self, w: usize, i: usize, n: usize) -> u64 {
+        self.terms[w * self.class_off[UnitClass::COUNT] + self.class_off[i] + n - 1]
+    }
+
+    /// Workload `w`'s decode-time bound on `config`: exactly
+    /// `decoded.lower_bound_cycles(config)`, where `decoded` is that
+    /// workload's trace. Counts beyond the tabulated space are computed
+    /// from `decoded` directly.
+    fn cycles_of(&self, w: usize, decoded: &DecodedWorkload, config: &HwConfig) -> u64 {
+        let mut lb = 0;
+        for (i, &n) in config.counts().iter().enumerate() {
+            let term = if (1..=self.max[i]).contains(&n) {
+                self.entry(w, i, n)
+            } else {
+                decoded
+                    .class_term(UnitClass::ALL[i], n)
+                    .max(decoded.critical_path())
+            };
+            lb = lb.max(term);
+        }
+        lb
+    }
+}
+
+/// A [`BoundTable`] bound to the [`WorkloadSet`] it was built from: the
+/// [`Bound`] [`search`] ranks and gates with.
+#[derive(Debug, Clone, Copy)]
+pub struct TableBound<'a> {
+    table: &'a BoundTable,
+    set: &'a WorkloadSet,
+}
+
+impl TableBound<'_> {
+    /// Workload `w`'s decode-time bound on `config`, bitwise
+    /// [`DecodedWorkload::lower_bound_cycles`].
+    pub fn cycles(&self, w: usize, config: &HwConfig) -> u64 {
+        self.table
+            .cycles_of(w, self.set.context(w).decoded(), config)
+    }
+}
+
+impl Bound for TableBound<'_> {
+    /// Bitwise [`WorkloadSet::bound_score`].
+    fn score(&self, config: &HwConfig) -> f64 {
+        self.set.bound_from(config, &[], |i, ctx| {
+            self.table.cycles_of(i, ctx.decoded(), config)
+        })
+    }
+
+    /// Over the tabulated space, each workload's maximum over every
+    /// class but the first is taken once per run of the first class's
+    /// counts (the odometer's fastest digit), so a candidate costs one
+    /// table entry per workload before the fold.
+    fn for_each_score(&self, space: &SearchSpace, visit: &mut dyn FnMut(HwConfig, f64)) {
+        if space.max != self.table.max {
+            return space.for_each_config(|c| {
+                let s = self.score(&c);
+                visit(c, s);
+            });
+        }
+        let n = self.set.len();
+        let (mut rest, mut lb) = (vec![0u64; n], vec![0u64; n]);
+        let mut outer = space.clone();
+        outer.max[0] = 1;
+        outer.for_each_config(|mut config| {
+            for (w, r) in rest.iter_mut().enumerate() {
+                *r = (1..UnitClass::COUNT)
+                    .fold(0, |m, i| m.max(self.table.entry(w, i, config.counts()[i])));
+            }
+            for k in 1..=space.max[0] {
+                config.set_count(UnitClass::ALL[0], k);
+                for (w, (l, r)) in lb.iter_mut().zip(&rest).enumerate() {
+                    *l = (*r).max(self.table.entry(w, 0, k));
+                }
+                let s = self.set.bound_from(&config, &[], |i, _| lb[i]);
+                visit(config.clone(), s);
+            }
+        });
+    }
+}
+
 /// Read-only view a [`Proposer`] receives each round.
 pub struct ProposerCtx<'a> {
     /// The searchable space.
@@ -593,9 +776,9 @@ pub struct ProposerCtx<'a> {
     /// Canonical keys of every candidate already disposed of (evaluated,
     /// gated, or rejected) — proposals hitting this set are duplicates.
     pub seen: &'a HashSet<CanonKey>,
-    /// Admissible aggregate lower bound of a candidate (cheap: decode-time
-    /// arithmetic, no simulation).
-    pub bound: &'a dyn Fn(&HwConfig) -> f64,
+    /// Admissible aggregate lower bound of a candidate (cheap: a few
+    /// [`BoundTable`] lookups, no simulation).
+    pub bound: &'a dyn Bound,
     /// Aggregate score of the incumbent, when one exists.
     pub best_score: Option<f64>,
 }
@@ -751,6 +934,9 @@ pub struct BoundGuidedProposer {
     enum_cap: u128,
     /// Random-pool multiplier on larger spaces.
     oversample: usize,
+    /// `(bound bits, lexicographic rank)` per ranked candidate, reused
+    /// across calls.
+    ranked: Vec<(u64, u128)>,
 }
 
 impl BoundGuidedProposer {
@@ -761,6 +947,7 @@ impl BoundGuidedProposer {
             rng: SplitMix64::new(seed),
             enum_cap: 65_536,
             oversample: 16,
+            ranked: Vec::new(),
         }
     }
 }
@@ -776,7 +963,9 @@ impl Proposer for BoundGuidedProposer {
     /// are seen, so the first `n + seen.len()` entries hold the answer
     /// unless pool repeats crowd it out, in which case the head grows.
     /// Keys are unique per candidate, so this picks exactly what a full
-    /// sort of the filtered, deduplicated pool would.
+    /// sort of the filtered, deduplicated pool would. A pool candidate is
+    /// in the space at the default clock, so its lexicographic rank
+    /// stands in for its key: same order, half the bytes.
     fn propose(&mut self, n: usize, ctx: &ProposerCtx<'_>) -> Vec<HwConfig> {
         if n == 0 {
             return Vec::new();
@@ -787,17 +976,21 @@ impl Proposer for BoundGuidedProposer {
         } else {
             n.saturating_mul(self.oversample)
         };
-        let mut ranked: Vec<(u64, CanonKey)> = Vec::with_capacity(pool_len);
-        let mut rank = |c: HwConfig| {
-            if c.resources().fits(ctx.budget) {
-                ranked.push(((ctx.bound)(&c).to_bits(), canon_key(&c)));
-            }
-        };
+        let ranked = &mut self.ranked;
+        ranked.clear();
+        ranked.reserve(pool_len);
         if enumerable {
-            ctx.space.for_each_config(&mut rank);
+            ctx.bound.for_each_score(ctx.space, &mut |c, bound| {
+                if c.resources().fits(ctx.budget) {
+                    ranked.push((bound.to_bits(), ctx.space.lex_rank(&c)));
+                }
+            });
         } else {
             for _ in 0..pool_len {
-                rank(ctx.space.random(&mut self.rng));
+                let c = ctx.space.random(&mut self.rng);
+                if c.resources().fits(ctx.budget) {
+                    ranked.push((ctx.bound.score(&c).to_bits(), ctx.space.lex_rank(&c)));
+                }
             }
         }
         let mut head = n.saturating_add(ctx.seen.len()).min(ranked.len());
@@ -809,16 +1002,17 @@ impl Proposer for BoundGuidedProposer {
             ranked[..head].sort_unstable();
             out.clear();
             let mut prev = None;
-            for &(_, key) in &ranked[..head] {
+            for &(_, lex) in &ranked[..head] {
                 if out.len() == n {
                     break;
                 }
-                if prev == Some(key) {
+                if prev == Some(lex) {
                     continue;
                 }
-                prev = Some(key);
-                if !ctx.seen.contains(&key) {
-                    out.push(config_of(key));
+                prev = Some(lex);
+                let config = ctx.space.config_at_lex(lex);
+                if !ctx.seen.contains(&canon_key(&config)) {
+                    out.push(config);
                 }
             }
             if out.len() == n || head == ranked.len() {
@@ -989,6 +1183,7 @@ pub fn search(
     let mut stats = SearchStats::default();
     let mut seen: HashSet<CanonKey> = HashSet::new();
     let mut best: Option<SearchBest> = None;
+    let table = BoundTable::new(set, space);
 
     let evaluate_batch = |set: &mut WorkloadSet,
                           log: &mut TrialLog,
@@ -1070,7 +1265,7 @@ pub fn search(
             .min(cfg.max_simulated - stats.seeded - stats.accepted);
         let proposals = {
             let frontiers = set.frontiers();
-            let bound = |c: &HwConfig| set.bound_score(c);
+            let bound = table.bind(set);
             let ctx = ProposerCtx {
                 space,
                 budget,
@@ -1107,7 +1302,7 @@ pub fn search(
             // Admissible gate: a candidate whose aggregate bound already
             // meets the incumbent cannot *improve* the objective value —
             // log it (score = bound) without spending a simulation.
-            let bound = set.bound_score(&c);
+            let bound = table.bind(set).score(&c);
             if let Some(b) = &best {
                 if bound >= b.score {
                     stats.bound_gated += 1;
@@ -1214,10 +1409,12 @@ pub fn search(
         // everything swept before, so "strictly better key replaces the
         // incumbent" reproduces a single sweep over the accumulated union
         // (earlier index wins ties, exactly like the sweep's selection
-        // key).
+        // key). `line` names the class a polish line varies through the
+        // incumbent, in ascending count order (`None` for the tops).
         let sweep_chunk = |set: &mut WorkloadSet,
                            stats: &mut SearchStats,
                            chunk: &[HwConfig],
+                           line: Option<UnitClass>,
                            incumbent: Option<&PolishBest>|
          -> Option<PolishBest> {
             if set.len() == 1 {
@@ -1249,11 +1446,20 @@ pub fn search(
             // down lets the most-provisioned candidate, whose scoreboard
             // is never slower, set the tightest threshold first; the
             // winner is still the argmin of `(key, position)`.
+            //
+            // Line floors: on a line every candidate walked so far has a
+            // larger count, and below the incumbent's count the
+            // incumbent itself dominates the candidate too. Their cycles
+            // on a workload are a floor on the candidate's, tighter than
+            // the decode-time bound. The energy score is not monotone in
+            // the counts, so the floors serve the latency objective only.
             let n = set.len();
             let lead = incumbent.map_or(0, |b| set.lead(&b.per_workload));
             let order: Vec<usize> = std::iter::once(lead)
                 .chain((0..n).filter(|&i| i != lead))
                 .collect();
+            let floors = line.filter(|_| set.objective() == Objective::Latency);
+            let mut floor: Vec<u64> = vec![0; n];
             let mut walked: Vec<Option<f64>> = vec![None; n];
             let mut per: Vec<(u64, f64)> = vec![(0, 0.0); n];
             let mut w: Option<(PolishBest, usize)> = None;
@@ -1262,11 +1468,20 @@ pub fn search(
                     .into_iter()
                     .flatten()
                     .min();
+                if let (Some(class), Some(inc)) = (floors, incumbent) {
+                    if config.count(class) < inc.config.count(class) {
+                        for (f, &(cycles, _)) in floor.iter_mut().zip(&inc.per_workload) {
+                            *f = (*f).max(cycles);
+                        }
+                    }
+                }
                 let r = config.resources();
                 walked.fill(None);
                 let mut retired = false;
                 for &i in &order {
-                    let bound = set.bound_with(config, &walked);
+                    let bound = set.bound_from(config, &walked, |j, ctx| {
+                        table.cycles_of(j, ctx.decoded(), config).max(floor[j])
+                    });
                     if threshold.is_some_and(|t| {
                         (bound.to_bits(), r.lut, r.ff, r.bram, r.dsp) > (t.0, t.1, t.2, t.3, t.4)
                     }) {
@@ -1276,14 +1491,18 @@ pub fn search(
                     let report = set.context_mut(i).simulate(config, IssuePolicy::OutOfOrder);
                     walked[i] = Some(set.score_of(&report));
                     per[i] = (report.cycles, report.energy_mj);
+                    if floors.is_some() {
+                        floor[i] = floor[i].max(report.cycles);
+                    }
                 }
                 if retired {
                     stats.polish_bound_skipped += 1;
                     continue;
                 }
                 stats.polish_evaluated += 1;
-                // Every workload walked: the fold is the aggregate.
-                let agg = set.bound_with(config, &walked);
+                // Every workload walked: the fold is the aggregate and
+                // reads no bound.
+                let agg = set.bound_from(config, &walked, |_, _| 0);
                 let key = polish_key(config, agg, &per);
                 if w.as_ref().is_none_or(|(c, p)| (key, pos) < (c.key, *p)) {
                     w = Some((
@@ -1313,7 +1532,7 @@ pub fn search(
         }
         if !first.is_empty() {
             polish_neighborhood.extend(first.iter().cloned());
-            incumbent = sweep_chunk(set, &mut stats, &first, None);
+            incumbent = sweep_chunk(set, &mut stats, &first, None, None);
         }
 
         // Coordinate-descent passes from the incumbent.
@@ -1347,7 +1566,8 @@ pub fn search(
                     continue;
                 }
                 polish_neighborhood.extend(line.iter().cloned());
-                if let Some(w) = sweep_chunk(set, &mut stats, &line, incumbent.as_ref()) {
+                let won = sweep_chunk(set, &mut stats, &line, Some(class), incumbent.as_ref());
+                if let Some(w) = won {
                     let better = incumbent.as_ref().is_none_or(|b| w.key < b.key);
                     if better {
                         incumbent = Some(w);

@@ -450,17 +450,23 @@ impl DecodedWorkload {
     /// configuration whose bound already exceeds an evaluated incumbent
     /// can be skipped without simulating it.
     pub fn lower_bound_cycles(&self, config: &HwConfig) -> u64 {
-        let mut lb = self.critical_path;
-        for c in UnitClass::ALL {
-            let i = c.index();
-            if self.class_work[i] == 0 {
-                continue;
-            }
-            let units = config.count(c).max(1) as u64;
-            let busy = self.class_work[i].div_ceil(units);
-            lb = lb.max(self.class_ready_min[i] + busy + self.class_tail_min[i]);
+        UnitClass::ALL.iter().fold(self.critical_path, |lb, &c| {
+            lb.max(self.class_term(c, config.count(c)))
+        })
+    }
+
+    /// The work bound of one class at `units` instances (term 2 of
+    /// [`Self::lower_bound_cycles`]; at least one unit): `ready_min +
+    /// ⌈work / units⌉ + tail_min`, or `0` for a class with no work. It
+    /// depends on the class's count alone, so a search tabulates it once
+    /// per count instead of dividing per candidate.
+    pub fn class_term(&self, class: UnitClass, units: usize) -> u64 {
+        let i = class.index();
+        if self.class_work[i] == 0 {
+            return 0;
         }
-        lb
+        let busy = self.class_work[i].div_ceil(units.max(1) as u64);
+        self.class_ready_min[i] + busy + self.class_tail_min[i]
     }
 
     /// Energy (mJ) of a report whose makespan is `cycles` — the exact

@@ -3,15 +3,17 @@
 //! This file is its own integration-test binary on purpose: it installs a
 //! counting `#[global_allocator]`, which must not be shared with other
 //! tests. The single test builds its inputs first, then asserts that
-//! building, pricing, keying and bounding a candidate, and answering a
-//! simulation from the memo, perform **zero** heap allocations (a
-//! memoized `evaluate` batch is allowed only those of its `simulate_many`
-//! calls and the vectors it transposes them into).
+//! building, pricing, keying and bounding a candidate (directly or
+//! through a `BoundTable`), and answering a simulation from the memo,
+//! perform **zero** heap allocations (a memoized `evaluate` batch is
+//! allowed only those of its `simulate_many` calls and the vectors it
+//! transposes them into).
 
 use orianna_compiler::{compile, UnitClass};
 use orianna_graph::{natural_ordering, BetweenFactor, FactorGraph, PriorFactor};
 use orianna_hw::{
-    canon_key, Combine, DseContext, HwConfig, IssuePolicy, Objective, Workload, WorkloadSet,
+    canon_key, Bound, BoundTable, Combine, DseContext, HwConfig, IssuePolicy, Objective,
+    SearchSpace, Workload, WorkloadSet,
 };
 use orianna_lie::Pose2;
 use orianna_math::Parallelism;
@@ -119,6 +121,11 @@ fn candidates_are_allocation_free_in_steady_state() {
     let (n, bound) = count_allocs(|| black_box(set.bound_score(black_box(&config))));
     assert_eq!(n, 0, "bound_score allocated {n} times");
     assert!(bound > 0.0);
+
+    let table = BoundTable::new(&set, &SearchSpace::uniform(4));
+    let (n, tabled) = count_allocs(|| black_box(table.bind(&set).score(black_box(&config))));
+    assert_eq!(n, 0, "TableBound::score allocated {n} times");
+    assert_eq!(tabled.to_bits(), bound.to_bits());
 
     // A memo hit clones the stored report: flat per-class tallies and
     // shared phase/shape data, so nothing is allocated.

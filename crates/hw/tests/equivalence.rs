@@ -3,12 +3,16 @@
 //! odometer enumeration must visit exactly `config_at` order, and the
 //! proposer's partial ranking must pick exactly what filtering the whole
 //! pool and fully sorting it by `(bound bits, canonical key)` picks.
+//! The search's bound table must score every candidate with the bits
+//! of the decode-time bound it tabulates.
 
+use orianna_apps::all_apps;
 use orianna_compiler::{compile, UnitClass};
 use orianna_graph::{natural_ordering, BetweenFactor, FactorGraph, PriorFactor};
 use orianna_hw::{
-    canon_key, BoundGuidedProposer, CanonKey, DseContext, HwConfig, Objective, Proposer,
-    ProposerCtx, Resources, SearchSpace, SplitMix64, TrialLog, Workload, WorkloadSet,
+    canon_key, Bound, BoundGuidedProposer, BoundTable, CanonKey, Combine, DseContext, HwConfig,
+    Objective, Proposer, ProposerCtx, Resources, SearchSpace, SplitMix64, TrialLog, Workload,
+    WorkloadSet,
 };
 use orianna_lie::Pose2;
 use orianna_math::Parallelism;
@@ -55,7 +59,7 @@ fn reference_pick(
     n: usize,
     seen: &HashSet<CanonKey>,
     budget: &Resources,
-    bound: &dyn Fn(&HwConfig) -> f64,
+    bound: &dyn Bound,
 ) -> Vec<HwConfig> {
     let mut fresh: Vec<(u64, CanonKey, HwConfig)> = Vec::new();
     let mut batch: HashSet<CanonKey> = HashSet::new();
@@ -65,7 +69,7 @@ fn reference_pick(
             continue;
         }
         batch.insert(key);
-        fresh.push((bound(&c).to_bits(), key, c));
+        fresh.push((bound.score(&c).to_bits(), key, c));
     }
     fresh.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
     fresh.into_iter().take(n).map(|(_, _, c)| c).collect()
@@ -99,7 +103,7 @@ fn chain_set(poses: usize) -> WorkloadSet {
 fn assert_proposer_matches_reference(
     space: &SearchSpace,
     budget: &Resources,
-    bound: &dyn Fn(&HwConfig) -> f64,
+    bound: &dyn Bound,
     n: usize,
     extra_seen: &[HwConfig],
     seed: u64,
@@ -171,7 +175,11 @@ fn bound_guided_proposer_matches_full_sort_reference() {
     let mut rng = SplitMix64::new(99);
     let stray: Vec<HwConfig> = (0..40).map(|_| oversampled.random(&mut rng)).collect();
 
-    let bounds: [&dyn Fn(&HwConfig) -> f64; 2] = [&model_bound, &tied_bound];
+    // The search's own bound: a table over the enumerable space, which
+    // scores a whole space at once, and per candidate elsewhere.
+    let table = BoundTable::new(&set, &enumerable);
+    let table_bound = table.bind(&set);
+    let bounds: [&dyn Bound; 3] = [&model_bound, &tied_bound, &table_bound];
     let mut cases = 0;
     for space in [&enumerable, &small, &oversampled] {
         // Seen sets: empty, the first configurations in `config_at`
@@ -190,5 +198,70 @@ fn bound_guided_proposer_matches_full_sort_reference() {
             }
         }
     }
-    assert_eq!(cases, 3 * 3 * 2 * 4 * 3);
+    assert_eq!(cases, 3 * 3 * 3 * 4 * 3);
+}
+
+#[test]
+fn bound_table_scores_bound_score_bits_over_the_codesign_space() {
+    let space = SearchSpace::with_max(&[
+        (UnitClass::Qr, 10),
+        (UnitClass::MatMul, 10),
+        (UnitClass::Vector, 10),
+        (UnitClass::Memory, 10),
+    ]);
+    let all = space.enumerate();
+    // Counts beyond the tabulated space: the table computes those terms
+    // directly, with the same bits.
+    let beyond = [
+        space.max_corner().plus_one(UnitClass::Qr),
+        HwConfig::with_counts(&UnitClass::ALL.map(|c| (c, 3))),
+        HwConfig::with_counts(&[(UnitClass::Memory, 40)]),
+    ];
+    for app in all_apps(1) {
+        let programs: Vec<_> = app
+            .algorithms
+            .iter()
+            .map(|a| compile(&a.graph, &natural_ordering(&a.graph)).expect("compiles"))
+            .collect();
+        for objective in [Objective::Latency, Objective::Energy] {
+            for combine in [Combine::Max, Combine::WeightedSum] {
+                let mut set = WorkloadSet::new(objective, combine);
+                for (i, prog) in programs.iter().enumerate() {
+                    set.push_weighted(
+                        "algo",
+                        DseContext::with_parallelism(
+                            &Workload::single("algo", prog),
+                            Parallelism::serial(),
+                        ),
+                        0.5 + 0.75 * i as f64,
+                    );
+                }
+                let table = BoundTable::new(&set, &space);
+                let table = table.bind(&set);
+                // Scoring the whole space at once keeps every bit, in
+                // `config_at` order.
+                let mut visited = Vec::with_capacity(all.len());
+                table.for_each_score(&space, &mut |c, s| visited.push((c, s.to_bits())));
+                assert_eq!(visited.len(), all.len());
+                for ((c, bits), want) in visited.iter().zip(&all) {
+                    assert_eq!(c, want);
+                    assert_eq!(*bits, set.bound_score(c).to_bits(), "{c:?}");
+                }
+                for config in all.iter().chain(&beyond) {
+                    assert_eq!(
+                        table.score(config).to_bits(),
+                        set.bound_score(config).to_bits(),
+                        "{}: {objective:?}/{combine:?} on {config:?}",
+                        app.name
+                    );
+                    for w in 0..set.len() {
+                        assert_eq!(
+                            table.cycles(w, config),
+                            set.context(w).decoded().lower_bound_cycles(config)
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -1,9 +1,11 @@
-//! Golden fingerprints of the DSE search and the scoreboard. The search
-//! trajectory digest (trial logs, polish neighbourhoods and every
-//! `SearchStats` field except the three polish walk counters) was
-//! recorded with the exhaustive multi-workload polish; the
-//! incumbent-bounded polish must reproduce it byte for byte while the
-//! pinned sum of polish simulations records what it walks. The
+//! Golden fingerprints of the DSE search and the scoreboard. A search
+//! trajectory digest covers trial logs, polish neighbourhoods and every
+//! `SearchStats` field except the three polish walk counters. The
+//! `Max`/`Latency` digest was recorded with the exhaustive multi-workload
+//! polish, the `WeightedSum`/`Latency` one with the incumbent-bounded
+//! polish before it gained line floors; every cheaper polish must
+//! reproduce both byte for byte, while the pinned sums of polish
+//! simulations record what it walks. The
 //! scoreboard digest was recorded with the node-list scheduler (one heap
 //! dependence list per instruction, per-class pool vectors) and
 //! map-backed report tallies; the flat issue-ordered layout and
@@ -66,29 +68,34 @@ fn codesign_space() -> SearchSpace {
     ])
 }
 
-#[test]
-fn search_trajectories_match_recorded_digest() {
+/// The search trajectory digest and summed polish walks of every app of
+/// `all_apps` (seeds 0–3) co-designed over [`codesign_space`] under one
+/// objective and aggregate. Workload `i` weighs `0.5 + 0.75 i` (only
+/// `Combine::WeightedSum` reads it), so a weighted sum is not a rescaled
+/// plain sum.
+fn trajectory_digest(objective: Objective, combine: Combine) -> (u64, usize) {
     let space = codesign_space();
     let budget = Resources::zc706();
     let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
     let mut polish_simulations = 0;
     for seed in 0..4u64 {
         for (k, app) in all_apps(seed).iter().enumerate() {
-            let mut set = WorkloadSet::new(Objective::Latency, Combine::Max);
-            for algo in &app.algorithms {
+            let mut set = WorkloadSet::new(objective, combine);
+            for (i, algo) in app.algorithms.iter().enumerate() {
                 let prog = compile(&algo.graph, &natural_ordering(&algo.graph)).expect("compiles");
-                set.push(
+                set.push_weighted(
                     algo.name,
                     DseContext::with_parallelism(
                         &Workload::single(algo.name, &prog),
                         Parallelism::serial(),
                     ),
+                    0.5 + 0.75 * i as f64,
                 );
             }
             let got = search_default(&mut set, &space, &budget, seed * 16 + k as u64);
             fnv1a(&mut digest, got.log.to_json_lines().as_bytes());
             // The polish walk counters measure cost, not outcome: they
-            // are pinned as one exact sum below instead.
+            // are pinned as one exact sum instead.
             let outcome_stats = SearchStats {
                 polish_simulations: 0,
                 polish_evaluated: 0,
@@ -102,8 +109,21 @@ fn search_trajectories_match_recorded_digest() {
             polish_simulations += got.stats.polish_simulations;
         }
     }
+    (digest, polish_simulations)
+}
+
+#[test]
+fn search_trajectories_match_recorded_digest() {
+    let (digest, polish_simulations) = trajectory_digest(Objective::Latency, Combine::Max);
     assert_eq!(digest, 0x4A3B_2656_EC63_AB05, "digest {digest:#018X}");
-    assert_eq!(polish_simulations, 1659, "polish simulations");
+    assert_eq!(polish_simulations, 752, "polish simulations");
+}
+
+#[test]
+fn weighted_sum_trajectories_match_recorded_digest() {
+    let (digest, polish_simulations) = trajectory_digest(Objective::Latency, Combine::WeightedSum);
+    assert_eq!(digest, 0x1474_CDDC_C202_DB8B, "digest {digest:#018X}");
+    assert_eq!(polish_simulations, 807, "polish simulations");
 }
 
 /// SplitMix64: a seeded generator that does not depend on any crate.

@@ -7,9 +7,10 @@
 //! checks that promise differentially, the same way [`crate::oracle`]
 //! checks the compiled numeric path against the analytic one.
 
+use orianna_compiler::UnitClass;
 use orianna_hw::{
-    search_default, Combine, DseContext, HwConfig, IssuePolicy, Objective, ParetoPoint, Resources,
-    SearchSpace, SimReport, SweepMode, SweepReport, Workload, WorkloadSet,
+    search_default, Bound, BoundTable, Combine, DseContext, HwConfig, IssuePolicy, Objective,
+    ParetoPoint, Resources, SearchSpace, SimReport, SweepMode, SweepReport, Workload, WorkloadSet,
 };
 use orianna_math::Parallelism;
 
@@ -123,10 +124,7 @@ impl std::fmt::Display for DseViolation {
 impl std::error::Error for DseViolation {}
 
 fn counts_of(config: &HwConfig) -> Vec<usize> {
-    orianna_compiler::UnitClass::ALL
-        .iter()
-        .map(|c| config.count(*c))
-        .collect()
+    UnitClass::ALL.iter().map(|c| config.count(*c)).collect()
 }
 
 /// Field-by-field report comparison (bitwise on floats: the sweep
@@ -348,6 +346,28 @@ pub enum SearchViolation {
         /// Label of the diverging run.
         run: String,
     },
+    /// A bound the search scores a configuration with lies above the
+    /// exact score it stands for.
+    BoundAboveScore {
+        /// The bound: `decode-time` or `floor`.
+        bound: &'static str,
+        /// Index of the configuration in the checked list.
+        index: usize,
+        /// The workload, or `None` for the aggregate.
+        workload: Option<usize>,
+        /// The bound.
+        value: f64,
+        /// The exact score.
+        exact: f64,
+    },
+    /// The search's [`BoundTable`] disagrees with the decode-time bound
+    /// it tabulates.
+    TableDiverges {
+        /// Index of the configuration in the checked list.
+        index: usize,
+        /// The workload, or `None` for the aggregate bits.
+        workload: Option<usize>,
+    },
 }
 
 impl std::fmt::Display for SearchViolation {
@@ -411,6 +431,22 @@ impl std::fmt::Display for SearchViolation {
             SearchViolation::StatsDiverge { run } => {
                 write!(f, "{run}: search stats diverge from serial")
             }
+            SearchViolation::BoundAboveScore {
+                bound,
+                index,
+                workload,
+                value,
+                exact,
+            } => write!(
+                f,
+                "{bound} bound {value} of configuration {index} (workload {workload:?}) \
+                 exceeds its exact score {exact}"
+            ),
+            SearchViolation::TableDiverges { index, workload } => write!(
+                f,
+                "bound table diverges from the decode-time bound on configuration {index} \
+                 (workload {workload:?})"
+            ),
         }
     }
 }
@@ -447,6 +483,103 @@ fn first_diff_line(a: &str, b: &str) -> usize {
         .unwrap_or_else(|| a.lines().count().min(b.lines().count()))
 }
 
+/// Whether `a` dominates `b`: same clock, every count at least `b`'s.
+fn dominates(a: &HwConfig, b: &HwConfig) -> bool {
+    a.clock_mhz.to_bits() == b.clock_mhz.to_bits()
+        && UnitClass::ALL.iter().all(|&c| a.count(c) >= b.count(c))
+}
+
+/// Checks every bound a [`search`](orianna_hw::search) run scores the
+/// configurations of `configs` with against their exact per-workload
+/// `(cycles, energy_mj)` pairs `exact[j]` (workload order, simulated on
+/// contexts the search did not touch):
+///
+/// 1. **Table**: the run's [`BoundTable`] over `space` gives each
+///    workload's decode-time bound as the integer `lower_bound_cycles`
+///    computes, and the aggregate as the bits of
+///    [`WorkloadSet::bound_score`] — what the ranking, the search-phase
+///    gate and the polish read.
+/// 2. **Decode-time**: each workload's bound is at most its exact
+///    cycles, and the aggregate bound at most the exact aggregate.
+/// 3. **Floors**: a polish line floors a candidate's cycles with those of
+///    a configuration that dominates it (same clock, every count at
+///    least as large). For every dominating pair in `configs` the
+///    dominator's exact cycles must be at most the candidate's, and
+///    under the latency objective the aggregate of the floored bounds
+///    (each workload's decode-time bound maxed with every dominator's
+///    cycles) must stay at most the exact aggregate.
+///
+/// # Errors
+/// Returns the first [`SearchViolation::TableDiverges`] or
+/// [`SearchViolation::BoundAboveScore`] found.
+pub fn check_bounds(
+    set: &WorkloadSet,
+    space: &SearchSpace,
+    configs: &[HwConfig],
+    exact: &[Vec<(u64, f64)>],
+) -> Result<(), SearchViolation> {
+    let table = BoundTable::new(set, space);
+    let table = table.bind(set);
+    let objective = set.objective();
+    let score = |&(cycles, energy_mj): &(u64, f64)| match objective {
+        Objective::Latency => cycles as f64,
+        Objective::Energy => energy_mj,
+    };
+    for (index, config) in configs.iter().enumerate() {
+        let above = |bound, workload, value: f64, exact: f64| {
+            Err(SearchViolation::BoundAboveScore {
+                bound,
+                index,
+                workload,
+                value,
+                exact,
+            })
+        };
+        let mut floor = vec![0u64; set.len()];
+        for (other, dominator) in configs.iter().enumerate() {
+            if other == index || !dominates(dominator, config) {
+                continue;
+            }
+            for (w, f) in floor.iter_mut().enumerate() {
+                let (cycles, mine) = (exact[other][w].0, exact[index][w].0);
+                if cycles > mine {
+                    return above("floor", Some(w), cycles as f64, mine as f64);
+                }
+                *f = (*f).max(cycles);
+            }
+        }
+        let mut floored = Vec::with_capacity(set.len());
+        for (w, f) in floor.iter().enumerate() {
+            let lb = set.context(w).decoded().lower_bound_cycles(config);
+            if table.cycles(w, config) != lb {
+                return Err(SearchViolation::TableDiverges {
+                    index,
+                    workload: Some(w),
+                });
+            }
+            if lb > exact[index][w].0 {
+                return above("decode-time", Some(w), lb as f64, exact[index][w].0 as f64);
+            }
+            floored.push(lb.max(*f) as f64);
+        }
+        let exact_agg = set.aggregate(&exact[index].iter().map(score).collect::<Vec<_>>());
+        let bound = set.bound_score(config);
+        if table.score(config).to_bits() != bound.to_bits() {
+            return Err(SearchViolation::TableDiverges {
+                index,
+                workload: None,
+            });
+        }
+        if bound > exact_agg {
+            return above("decode-time", None, bound, exact_agg);
+        }
+        if objective == Objective::Latency && set.aggregate(&floored) > exact_agg {
+            return above("floor", None, set.aggregate(&floored), exact_agg);
+        }
+    }
+    Ok(())
+}
+
 /// Checks the search-DSE oracles on one workload:
 ///
 /// 1. **Never beats exhaustive**: on enumerable spaces (≤4 096
@@ -463,6 +596,8 @@ fn first_diff_line(a: &str, b: &str) -> usize {
 ///    every requested thread count — plus workspace-default parallelism,
 ///    i.e. the `ORIANNA_THREADS` knob — reproduces the serial trial log
 ///    bitwise, stats included.
+/// 5. **Bounds are admissible**: [`check_bounds`] over the polish
+///    neighbourhood, simulated on a fresh context.
 ///
 /// # Errors
 /// Returns the first [`SearchViolation`] found.
@@ -534,6 +669,16 @@ pub fn check_search(
             }
         }
     }
+    let mut fresh = DseContext::with_parallelism(workload, Parallelism::serial());
+    let exact: Vec<Vec<(u64, f64)>> = outcome
+        .polish_neighborhood
+        .iter()
+        .map(|c| {
+            let r = fresh.simulate(c, IssuePolicy::OutOfOrder);
+            vec![(r.cycles, r.energy_mj)]
+        })
+        .collect();
+    check_bounds(&set, space, &outcome.polish_neighborhood, &exact)?;
 
     // Exhaustive comparison, only on spaces small enough to enumerate.
     let mut exhaustive_score = None;
@@ -600,12 +745,15 @@ pub fn check_search(
 /// be the search's answer bitwise: configuration, aggregate score bits
 /// and every per-workload `(cycles, energy_mj)` pair.
 ///
+/// The same re-evaluation then feeds [`check_bounds`], so every bound
+/// the polish could have retired a candidate with is checked too.
+///
 /// `workloads` pairs each workload with its [`Combine::WeightedSum`]
 /// weight (ignored under [`Combine::Max`]).
 ///
 /// # Errors
 /// Returns [`SearchViolation::PolishDiverges`] naming the first field
-/// that differs.
+/// that differs, or the first violation [`check_bounds`] finds.
 pub fn check_polish(
     workloads: &[(Workload<'_>, f64)],
     space: &SearchSpace,
@@ -667,6 +815,9 @@ pub fn check_polish(
             reports.iter().map(|r| (r.cycles, r.energy_mj)).collect(),
         ));
     }
+
+    let exact: Vec<Vec<(u64, f64)>> = rows.iter().map(|(_, per)| per.clone()).collect();
+    check_bounds(&set, space, &outcome.polish_neighborhood, &exact)?;
 
     let diverges = |field| Err(SearchViolation::PolishDiverges { field });
     match (&outcome.best, argmin) {

@@ -40,7 +40,8 @@ pub mod simcheck;
 pub mod snapshot;
 
 pub use dsecheck::{
-    check_dse, check_polish, check_search, DseViolation, SearchSummary, SearchViolation,
+    check_bounds, check_dse, check_polish, check_search, DseViolation, SearchSummary,
+    SearchViolation,
 };
 pub use gen::{generate, Family, GenConfig};
 pub use incremental::{
