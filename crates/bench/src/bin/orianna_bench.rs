@@ -1,19 +1,22 @@
-//! Headless benchmark-baseline recorder.
+//! Headless benchmark recorder: the timing harness whose per-layer rows
+//! are committed (`perfbench` times the end-to-end workloads).
 //!
-//! Criterion produces rich local statistics but no small, diffable
-//! artifact; this binary measures the hot numeric paths with plain
-//! `Instant` medians and writes two hand-rolled JSON files —
-//! `BENCH_solver.json` (elimination/back-substitution: planless vs
-//! arena) and `BENCH_sim.json` (scoreboard: fresh scratch vs
-//! reused [`SimScratch`] over a 200-config DSE sweep, beside the
-//! `compile/all_apps_2024` and `execute/all_apps_2024` compiler rows and
-//! the paired `triangularize/simd` vs `triangularize/scalar` kernel rows
-//! over those programs' QRD panels) — suitable for committing as a
-//! baseline and uploading from CI. `BENCH_solver.json` also holds the
-//! Gauss-Newton layer rows: `linearize/<app>` (construction alone) and
-//! `gn/<app>` (whole mission-settings solves).
+//! Every row is timed rep by rep with `Instant`; the hand-rolled JSON
+//! holds each row's median and quartiles plus speed-up ratios:
 //!
-//! Usage: `orianna-bench [server] [--quick] [--out-dir DIR]`
+//! * `BENCH_solver.json` — the Gauss-Newton layers `linearize/<app>`
+//!   (construction alone) and `gn/<app>` (whole mission-settings solves),
+//!   `solve/{planless,arena}/<app>`, the paired `compose/pose3_unified`
+//!   vs `compose/pose3_se3` rows behind Sec. 4.3's representation
+//!   comparison, and `incremental_update/*`;
+//! * `BENCH_sim.json` — a 200-config DSE scoreboard sweep with fresh vs
+//!   reused [`SimScratch`], the `compile/all_apps_2024` and
+//!   `execute/all_apps_2024` compiler rows, and the paired
+//!   `triangularize/simd` vs `triangularize/scalar` kernel rows over
+//!   those programs' QRD panels.
+//!
+//! Usage: `orianna-bench [server|dse-search] [--quick] [--out-dir DIR]
+//! [--filter SUBSTRING]`
 //!
 //! With the `server` subcommand the binary instead benchmarks the
 //! fleet-scale solver service: the same seeded synthetic traffic is
@@ -32,7 +35,7 @@ use orianna_hw::{
     simulate_decoded, simulate_decoded_with, DecodedWorkload, DseContext, HwConfig, IssuePolicy,
     Objective, Resources, SimScratch, SweepMode, Workload,
 };
-use orianna_lie::Pose2;
+use orianna_lie::{Pose2, Pose3, SE3};
 use orianna_math::{panel, Parallelism};
 use orianna_solver::{
     eliminate, GaussNewton, GaussNewtonSettings, IncrementalSolver, PlanCache, SolvePlan,
@@ -324,8 +327,50 @@ fn bench_solver(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f
             ));
         }
     }
+    bench_compose(&mut results, &mut speedups);
     bench_incremental(&mut results, &mut speedups);
     (results, speedups)
+}
+
+/// Sec. 4.3's representation comparison: one rep composes a fixed batch
+/// of Pose3 pairs in the unified `(φ, t)` form, or the same poses as 4×4
+/// SE(3) matrices. The batch keeps a rep well above timer resolution; the
+/// two rows are interleaved so their ratio is paired rep by rep.
+fn bench_compose(results: &mut Results, speedups: &mut Vec<(String, f64)>) {
+    const BATCH: usize = 1024;
+    let poses: Vec<Pose3> = (0..BATCH)
+        .map(|i| {
+            let s = i as f64 / BATCH as f64;
+            Pose3::from_parts([0.3 - s, -0.2 + 0.5 * s, 0.5], [1.0, 2.0 * s, 3.0 - s])
+        })
+        .collect();
+    let matrices: Vec<SE3> = poses.iter().map(SE3::from_unified).collect();
+    let q = Pose3::from_parts([-0.1, 0.4, 0.2], [0.5, -0.5, 1.0]);
+    let sq = SE3::from_unified(&q);
+    results.record_interleaved(
+        vec![
+            (
+                "compose/pose3_unified".to_string(),
+                Box::new(|| {
+                    for p in &poses {
+                        std::hint::black_box(p.compose(std::hint::black_box(&q)));
+                    }
+                }),
+            ),
+            (
+                "compose/pose3_se3".to_string(),
+                Box::new(|| {
+                    for m in &matrices {
+                        std::hint::black_box(m.compose(std::hint::black_box(&sq)));
+                    }
+                }),
+            ),
+        ],
+        3,
+    );
+    if let Some(ratio) = results.paired_speedup("compose/pose3_se3", "compose/pose3_unified") {
+        speedups.push(("unified_vs_se3/compose".to_string(), ratio));
+    }
 }
 
 /// A `n`-pose odometry chain fed one update at a time, plus its pose ids.

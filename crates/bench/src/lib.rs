@@ -11,8 +11,8 @@
 //!   raw numbers and a formatted text block; the `figures` binary prints
 //!   them (`cargo run --release -p orianna-bench --bin figures -- all`).
 //!
-//! Criterion micro-benchmarks of the underlying kernels live in
-//! `benches/`.
+//! The `orianna-bench` binary times the per-layer rows committed as
+//! `BENCH_*.json`.
 
 pub mod eval;
 pub mod figures;

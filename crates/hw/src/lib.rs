@@ -60,8 +60,8 @@ pub use search::{
     Trial, TrialLog, TrialPhase, WorkloadSet,
 };
 pub use sim::{
-    critical_path_cycles, simulate, simulate_batch, simulate_decoded, simulate_decoded_with,
-    try_simulate, try_simulate_batch, try_simulate_decoded, ClassTally, DecodedWorkload,
-    IssuePolicy, SimError, SimReport, SimScratch, Stream, Workload,
+    critical_path_cycles, simulate, simulate_decoded, simulate_decoded_with, try_simulate,
+    try_simulate_decoded, ClassTally, DecodedWorkload, IssuePolicy, SimError, SimReport,
+    SimScratch, Stream, Workload,
 };
 pub use templates::{energy_nj, latency, unit_resources, Resources};

@@ -23,9 +23,7 @@
 use crate::config::HwConfig;
 use crate::templates::{energy_nj, latency, BOARD_STATIC_W, STATIC_W_PER_UNIT};
 use orianna_compiler::{Phase, Program, UnitClass};
-use orianna_math::{par::scoped_workers, Parallelism};
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 /// Instruction-issue policy.
@@ -38,7 +36,7 @@ pub enum IssuePolicy {
 }
 
 /// Simulation input failures raised by the checked entry points
-/// ([`try_simulate`], [`try_simulate_decoded`], [`try_simulate_batch`]).
+/// ([`try_simulate`], [`try_simulate_decoded`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The workload contains no instructions at all: there is nothing to
@@ -413,7 +411,7 @@ impl DecodedWorkload {
     pub const SIM_NODE_WORK: u64 = 64;
 
     /// Estimated work (in the abstract units of
-    /// [`Parallelism::effective_threads`]) of scoreboarding this trace
+    /// [`orianna_math::Parallelism::effective_threads`]) of scoreboarding this trace
     /// against `candidates` configurations — what the DSE sweeps hand to
     /// the auto-mode cost gate before fanning out.
     pub fn sweep_work(&self, candidates: usize) -> u64 {
@@ -679,72 +677,6 @@ fn out_of_order(
         waited[c] += start - ready;
     }
     (makespan, waited)
-}
-
-/// Simulates many workloads concurrently on the same configuration.
-///
-/// Design-space exploration evaluates one candidate accelerator against
-/// every application workload; those simulations share no mutable state,
-/// so they run on up to `par.threads` scoped threads pulling workloads
-/// from a shared counter. [`simulate`] is a pure function of its inputs
-/// and results are stored by workload index, so the returned reports are
-/// identical to calling [`simulate`] in a loop — in input order, for any
-/// thread count.
-pub fn try_simulate_batch(
-    workloads: &[Workload<'_>],
-    config: &HwConfig,
-    policy: IssuePolicy,
-    par: &Parallelism,
-) -> Result<Vec<SimReport>, SimError> {
-    if workloads.iter().any(|w| w.num_instructions() == 0) {
-        return Err(SimError::EmptyWorkload);
-    }
-    Ok(simulate_batch(workloads, config, policy, par))
-}
-
-/// Simulates many workloads on the same configuration; see
-/// [`try_simulate_batch`] for the input-validating variant.
-pub fn simulate_batch(
-    workloads: &[Workload<'_>],
-    config: &HwConfig,
-    policy: IssuePolicy,
-    par: &Parallelism,
-) -> Vec<SimReport> {
-    // Auto mode gates on the total scoreboard work; small batches run
-    // serially rather than paying a thread spawn (identical results).
-    let work: u64 = workloads
-        .iter()
-        .map(|w| w.num_instructions() as u64 * DecodedWorkload::SIM_NODE_WORK)
-        .sum();
-    let par = &par.gate(work);
-    if !par.is_parallel() || workloads.len() <= 1 {
-        return workloads
-            .iter()
-            .map(|w| simulate(w, config, policy))
-            .collect();
-    }
-    // `scoped_workers` pulls workload indices from a shared counter and
-    // results are merged by index, never by completion order.
-    let next = AtomicUsize::new(0);
-    let per_worker = scoped_workers(par, workloads.len(), |_| {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if i >= workloads.len() {
-                break;
-            }
-            done.push((i, simulate(&workloads[i], config, policy)));
-        }
-        done
-    });
-    let mut reports: Vec<Option<SimReport>> = (0..workloads.len()).map(|_| None).collect();
-    for (i, r) in per_worker.into_iter().flatten() {
-        reports[i] = Some(r);
-    }
-    reports
-        .into_iter()
-        .map(|r| r.expect("every workload simulated"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1092,34 +1024,5 @@ mod tests {
         let big = HwConfig::with_counts(&UnitClass::ALL.map(|c| (c, 64)));
         let fast = simulate_decoded(&decoded, &big, IssuePolicy::OutOfOrder);
         assert_eq!(fast.cycles, decoded.critical_path());
-    }
-
-    #[test]
-    fn batch_matches_sequential_simulation() {
-        let progs: Vec<Program> = [4, 6, 8, 10].map(chain_program).into_iter().collect();
-        let workloads: Vec<Workload<'_>> =
-            progs.iter().map(|p| Workload::single("loc", p)).collect();
-        let cfg = HwConfig::minimal();
-        let serial: Vec<SimReport> = workloads
-            .iter()
-            .map(|w| simulate(w, &cfg, IssuePolicy::OutOfOrder))
-            .collect();
-        for threads in [1, 2, 4, 8] {
-            let batch = simulate_batch(
-                &workloads,
-                &cfg,
-                IssuePolicy::OutOfOrder,
-                &Parallelism::with_threads(threads),
-            );
-            assert_eq!(batch.len(), serial.len());
-            for (b, s) in batch.iter().zip(&serial) {
-                assert_eq!(b.cycles, s.cycles, "threads={threads}");
-                assert_eq!(b.instructions, s.instructions);
-                assert_eq!(b.unit_busy, s.unit_busy);
-                assert_eq!(b.contention, s.contention);
-                assert_eq!(b.phase_work, s.phase_work);
-                assert!((b.energy_mj - s.energy_mj).abs() == 0.0);
-            }
-        }
     }
 }

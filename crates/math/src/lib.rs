@@ -8,8 +8,9 @@
 //! back-substitutions (Fig. 5/6). This crate provides those kernels:
 //!
 //! * [`Mat`] / [`Vec64`] — small dense row-major matrices and vectors,
-//! * [`qr`] — full and partial Householder QR, plus Givens-rotation QR as
-//!   used by the hardware template,
+//! * [`qr`] — full Householder QR, the reference factorization,
+//! * [`panel`] — in-place panel kernels (blocked matmul, Householder
+//!   triangularization) on flat row-major buffers,
 //! * [`triangular`] — forward/back substitution,
 //! * [`solve`] — dense least-squares helpers used as a ground-truth oracle
 //!   in tests,
@@ -48,7 +49,7 @@ pub mod triangular;
 
 pub use mat::{Mat, Vec64};
 pub use par::Parallelism;
-pub use qr::{givens_qr, givens_qr_full, householder_qr, partial_qr, QrFactors};
+pub use qr::{householder_qr, QrFactors};
 pub use solve::{least_squares, solve_upper_triangular};
 
 /// Comparison tolerance used throughout the test-suite of the workspace.

@@ -17,8 +17,6 @@
 //!   of `k`, whose rows `≥ k` hold only residue the final cleanup zeroes)
 //!   and skips the orthogonal-factor accumulation, so the panel afterwards
 //!   holds `zero_below_diag(R)` bit for bit.
-//! * [`givens_triangularize`] — in-place Givens-rotation core with the same
-//!   rotation schedule (and rotation count) as [`crate::givens_qr`].
 //!
 //! ## SIMD dispatch
 //!
@@ -357,41 +355,10 @@ mod avx {
     }
 }
 
-/// In-place Givens-rotation triangularization of a `rows × width` panel.
-/// Identical rotation schedule, arithmetic and MAC accounting to
-/// [`crate::givens_qr`]; returns the rotation count that drives the
-/// hardware QR unit's latency model.
-pub fn givens_triangularize(panel: &mut [f64], rows: usize, width: usize) -> usize {
-    debug_assert_eq!(panel.len(), rows * width);
-    let mut rotations = 0;
-    for col in 0..width.min(rows) {
-        for row in (col + 1..rows).rev() {
-            let x = panel[col * width + col];
-            let y = panel[row * width + col];
-            if y.abs() < 1e-300 {
-                continue;
-            }
-            let h = x.hypot(y);
-            macs::record(3);
-            let (c, s) = (x / h, y / h);
-            for j in col..width {
-                let rc = panel[col * width + j];
-                let rr = panel[row * width + j];
-                panel[col * width + j] = c * rc + s * rr;
-                panel[row * width + j] = -s * rc + c * rr;
-            }
-            macs::record(4 * (width - col));
-            panel[row * width + col] = 0.0;
-            rotations += 1;
-        }
-    }
-    rotations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{givens_qr, householder_qr, Mat};
+    use crate::{householder_qr, Mat};
 
     fn random_like(rows: usize, cols: usize, seed: u64) -> Mat {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -547,18 +514,6 @@ mod tests {
             assert_eq!(scalar, panel, "{m}x{n} scalar");
             assert_eq!(live_macs, full_macs, "{m}x{n} macs");
             assert_eq!(scalar_macs, full_macs, "{m}x{n} scalar macs");
-        }
-    }
-
-    #[test]
-    fn givens_core_matches_givens_qr_bitwise() {
-        for (m, n, seed) in [(4, 3, 11), (5, 5, 12), (6, 2, 13)] {
-            let a = random_like(m, n, seed);
-            let (reference, ref_rot) = givens_qr(&a);
-            let mut panel = a.as_slice().to_vec();
-            let rot = givens_triangularize(&mut panel, m, n);
-            assert_eq!(rot, ref_rot);
-            assert_eq!(panel.as_slice(), reference.as_slice(), "{m}x{n}");
         }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Every solve is serial: one elimination sweep, one back-substitution,
 //! one linearization pass. Parallelism runs only *across* independent
-//! requests — the server's batch fan-out in `orianna-server`, the DSE
-//! sweeps and batched simulation in `orianna-hw` — and all of it funnels
-//! through this module so the policy lives in one place:
+//! requests — the server's batch fan-out in `orianna-server` and the DSE
+//! sweeps in `orianna-hw` — and all of it funnels through this module so
+//! the policy lives in one place:
 //!
 //! * [`Parallelism`] — the user-facing knob: how many worker threads a
 //!   fan-out may use, and whether the cost model may gate a region back

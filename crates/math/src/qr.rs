@@ -2,16 +2,12 @@
 //!
 //! Factor-graph inference (Fig. 5 of the paper) eliminates one variable at a
 //! time by running a *partial* QR decomposition on a small dense matrix
-//! gathered from the factors adjacent to that variable. This module provides:
-//!
-//! * [`householder_qr`] — full QR via Householder reflections (reference),
-//! * [`partial_qr`] — triangularizes only the first `k` columns, which is
-//!   exactly the per-variable elimination step,
-//! * [`givens_qr`] — Givens-rotation QR matching the hardware QR template
-//!   (prior factor-graph accelerators use Givens arrays); also reports the
-//!   number of rotations applied, which drives the unit latency model.
+//! gathered from the factors adjacent to that variable. This module provides
+//! [`householder_qr`], the full QR via Householder reflections that the
+//! reference elimination, the incremental solver and the test oracles use.
+//! The in-place panel form of the same reflection schedule is
+//! [`panel::triangularize`].
 
-use crate::macs;
 use crate::mat::Mat;
 use crate::panel;
 use crate::scratch;
@@ -54,103 +50,6 @@ pub fn householder_qr(a: &Mat) -> QrFactors {
         q: q.transpose(),
         r: zero_below_diag(r),
     }
-}
-
-/// Partially triangularizes `a`: after the call, the first
-/// `k.min(m-1)` columns are zero below the diagonal. Returns the updated
-/// matrix (the paper's `Ā` after partial QR in Fig. 5).
-///
-/// For `k >= n` this is a full triangularization.
-pub fn partial_qr(a: &Mat, k: usize) -> Mat {
-    let (m, n) = a.shape();
-    let mut r = a.clone();
-    let limit = k.min(n).min(m.saturating_sub(1));
-    scratch::with_buf(m, |vbuf| {
-        for col in 0..limit {
-            let v = &mut vbuf[..m - col];
-            if panel::householder_vector(r.as_slice(), m, n, col, v) {
-                panel::reflect_left(r.as_mut_slice(), m, n, v, col);
-            }
-            // Explicitly clean the annihilated column to avoid residue.
-            for row in col + 1..m {
-                r[(row, col)] = 0.0;
-            }
-        }
-    });
-    r
-}
-
-/// Givens-rotation QR. Returns the triangular factor and the number of
-/// rotations performed (the hardware QR unit's latency is proportional to
-/// this count).
-pub fn givens_qr(a: &Mat) -> (Mat, usize) {
-    let (m, n) = a.shape();
-    let mut r = a.clone();
-    let rotations = panel::givens_triangularize(r.as_mut_slice(), m, n);
-    (r, rotations)
-}
-
-/// Givens-rotation QR with an explicitly accumulated orthogonal factor.
-///
-/// Identical rotation schedule to [`givens_qr`], but each rotation is also
-/// applied to an accumulator so the full `A = Q · R` factorization is
-/// recovered. Used by the conformance harness to check the hardware QR
-/// template against the orthogonality/reconstruction properties; the
-/// latency-model rotation count is returned as well.
-///
-/// # Example
-/// ```
-/// use orianna_math::{givens_qr_full, Mat};
-/// let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-/// let (f, _rotations) = givens_qr_full(&a);
-/// assert!((&f.q.mul_mat(&f.r) - &a).norm() < 1e-12);
-/// ```
-pub fn givens_qr_full(a: &Mat) -> (QrFactors, usize) {
-    let (m, n) = a.shape();
-    let mut r = a.clone();
-    let mut qt = Mat::identity(m);
-    let mut rotations = 0;
-    for col in 0..n.min(m) {
-        for row in (col + 1..m).rev() {
-            let x = r[(col, col)];
-            let y = r[(row, col)];
-            if y.abs() < 1e-300 {
-                continue;
-            }
-            let (c, s) = givens(x, y);
-            for j in col..n {
-                let rc = r[(col, j)];
-                let rr = r[(row, j)];
-                r[(col, j)] = c * rc + s * rr;
-                r[(row, j)] = -s * rc + c * rr;
-            }
-            // Accumulate Qᵀ = G_k ⋯ G_1 by applying the same row rotation.
-            for j in 0..m {
-                let qc = qt[(col, j)];
-                let qr = qt[(row, j)];
-                qt[(col, j)] = c * qc + s * qr;
-                qt[(row, j)] = -s * qc + c * qr;
-            }
-            macs::record(4 * (n - col) + 4 * m);
-            r[(row, col)] = 0.0;
-            rotations += 1;
-        }
-    }
-    (
-        QrFactors {
-            q: qt.transpose(),
-            r,
-        },
-        rotations,
-    )
-}
-
-/// Computes a Givens rotation `(c, s)` such that
-/// `[c s; -s c]^T [x; y] = [r; 0]`.
-fn givens(x: f64, y: f64) -> (f64, f64) {
-    let h = x.hypot(y);
-    macs::record(3);
-    (x / h, y / h)
 }
 
 fn zero_below_diag(mut r: Mat) -> Mat {
@@ -214,68 +113,9 @@ mod tests {
     }
 
     #[test]
-    fn partial_qr_zeroes_leading_columns_only() {
-        let a = random_like(6, 5, 5);
-        let k = 2;
-        let r = partial_qr(&a, k);
-        for col in 0..k {
-            for row in col + 1..6 {
-                assert!(r[(row, col)].abs() < 1e-12);
-            }
-        }
-        // Column norms of the whole matrix preserved (orthogonal transform).
-        for c in 0..5 {
-            let an: f64 = (0..6).map(|r2| a[(r2, c)] * a[(r2, c)]).sum::<f64>().sqrt();
-            let rn: f64 = (0..6).map(|r2| r[(r2, c)] * r[(r2, c)]).sum::<f64>().sqrt();
-            assert!((an - rn).abs() < 1e-10, "col {c}");
-        }
-    }
-
-    #[test]
-    fn partial_qr_full_when_k_large() {
-        let a = random_like(5, 3, 9);
-        let r = partial_qr(&a, 10);
-        assert!(r.is_upper_triangular(1e-10));
-    }
-
-    #[test]
-    fn givens_matches_householder_up_to_sign() {
-        let a = random_like(5, 4, 11);
-        let (rg, rotations) = givens_qr(&a);
-        let rh = householder_qr(&a).r;
-        assert!(rotations > 0);
-        assert!(rg.is_upper_triangular(1e-10));
-        // Rows of R are unique up to sign; compare absolute values.
-        for r in 0..4 {
-            for c in 0..4 {
-                assert!(
-                    (rg[(r, c)].abs() - rh[(r, c)].abs()).abs() < 1e-9,
-                    "({r},{c}): {} vs {}",
-                    rg[(r, c)],
-                    rh[(r, c)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn givens_rotation_count_matches_nonzero_pattern() {
-        // A dense 4x3 requires 3+2+1 annihilations below the diagonal plus
-        // the fourth row in each column: rows below diag per column are
-        // (m-1-col) = 3, 2, 1 → wait m=4,n=3: col0 → rows 1..4 (3), col1 →
-        // rows 2..4 (2), col2 → rows 3..4 (1) → 6 total.
-        let a = random_like(4, 3, 13);
-        let (_, rotations) = givens_qr(&a);
-        assert_eq!(rotations, 6);
-    }
-
-    #[test]
     fn qr_of_already_triangular_is_noop() {
         let a = Mat::from_rows(&[&[2.0, 1.0], &[0.0, 3.0]]);
         let f = householder_qr(&a);
         assert!((&f.r - &a).norm() < 1e-12);
-        let (rg, rotations) = givens_qr(&a);
-        assert_eq!(rotations, 0);
-        assert!((&rg - &a).norm() < 1e-12);
     }
 }

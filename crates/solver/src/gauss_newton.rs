@@ -6,7 +6,7 @@
 //! guards against overshooting on strongly nonlinear factors (hinge
 //! collision costs, camera projections).
 
-use crate::elimination::{EliminationStats, SolveError};
+use crate::elimination::SolveError;
 use crate::levenberg::append_damping;
 use crate::plan::{PlanCache, SolvePlan};
 use crate::workspace::Workspace;
@@ -49,9 +49,6 @@ pub struct GaussNewtonReport {
     pub final_error: f64,
     /// Whether a convergence criterion fired (vs. budget exhaustion).
     pub converged: bool,
-    /// Elimination statistics of the final iteration (sizes/densities for
-    /// the Fig. 17/18 analyses).
-    pub last_stats: EliminationStats,
 }
 
 /// The Gauss-Newton optimizer.
@@ -208,7 +205,6 @@ impl GaussNewton {
             initial_error,
             final_error: error,
             converged,
-            last_stats: source.stats(),
         })
     }
 }
@@ -287,19 +283,6 @@ impl PlanSource<'_> {
         let solved = plan.solve_in(&sys, ws).map(|_| ());
         ws.warm.sys = sys;
         solved.map(|()| ws)
-    }
-
-    /// Stats of the workspace's last solve (empty before the first).
-    pub(crate) fn stats(&self) -> EliminationStats {
-        let steps = match self {
-            Self::Held(_, ws) => ws.stats().to_vec(),
-            Self::Cache {
-                checkout: Some((_, ws)),
-                ..
-            } => ws.stats().to_vec(),
-            Self::Cache { checkout: None, .. } => Vec::new(),
-        };
-        EliminationStats { steps }
     }
 
     /// Ends a run, successful or not: parks a checked-out workspace, warm

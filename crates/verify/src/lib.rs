@@ -16,8 +16,7 @@
 //!   must match the analytic solver (and a cached [`orianna_solver::SolvePlan`])
 //!   within tolerance;
 //! * [`simcheck`] — cycle-level simulator invariants (OoO ≤ in-order,
-//!   critical path is a lower bound, more units never hurt,
-//!   batch ≡ sequential);
+//!   critical path is a lower bound, more units never hurt);
 //! * [`dsecheck`] — design-space-exploration equivalence: the pruned,
 //!   multi-threaded hardware sweep must pick the bitwise-same design and
 //!   Pareto frontier as a serial exhaustive sweep; and search-DSE
@@ -48,7 +47,7 @@ pub use incremental::{
     batch_reference, check_incremental, IncrementalReport, IncrementalViolation, INCREMENTAL_TOL,
 };
 pub use oracle::{check_graph, OracleFailure, OracleReport};
-pub use simcheck::{check_batch, check_workload, sample_configs, SimViolation};
+pub use simcheck::{check_workload, sample_configs, SimViolation};
 pub use snapshot::{render, SnapshotResult};
 
 /// Number of fuzz cases per family: `ORIANNA_VERIFY_CASES` when set,

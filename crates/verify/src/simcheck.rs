@@ -5,13 +5,10 @@
 //!
 //! 1. out-of-order issue never loses to in-order issue,
 //! 2. no schedule beats the dependence-only critical path,
-//! 3. adding units never slows a workload down,
-//! 4. batch simulation is observationally identical to one-at-a-time
-//!    simulation.
+//! 3. adding units never slows a workload down.
 
 use orianna_compiler::UnitClass;
-use orianna_hw::{critical_path_cycles, simulate, simulate_batch, HwConfig, IssuePolicy, Workload};
-use orianna_math::Parallelism;
+use orianna_hw::{critical_path_cycles, simulate, HwConfig, IssuePolicy, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,15 +44,6 @@ pub enum SimViolation {
         /// Cycles after growing.
         after: u64,
     },
-    /// `simulate_batch` disagreed with per-workload `simulate`.
-    BatchDiverges {
-        /// Index of the diverging workload.
-        index: usize,
-        /// Batch cycles.
-        batch: u64,
-        /// Individual cycles.
-        single: u64,
-    },
 }
 
 impl std::fmt::Display for SimViolation {
@@ -83,11 +71,6 @@ impl std::fmt::Display for SimViolation {
                 f,
                 "adding a {class:?} unit to {config:?} regressed {before} → {after} cycles"
             ),
-            SimViolation::BatchDiverges {
-                index,
-                batch,
-                single,
-            } => write!(f, "batch[{index}] {batch} != single {single} cycles"),
         }
     }
 }
@@ -112,7 +95,7 @@ pub fn sample_configs(n: usize, max_units: usize, seed: u64) -> Vec<HwConfig> {
         .collect()
 }
 
-/// Checks invariants 1–3 on one workload across the given configurations.
+/// Checks the three invariants on one workload across the given configurations.
 ///
 /// # Errors
 /// Returns the first [`SimViolation`] found.
@@ -147,33 +130,6 @@ pub fn check_workload(workload: &Workload<'_>, configs: &[HwConfig]) -> Result<(
                     after: grown.cycles,
                 });
             }
-        }
-    }
-    Ok(())
-}
-
-/// Checks invariant 4: batch simulation ≡ per-workload simulation.
-///
-/// # Errors
-/// Returns [`SimViolation::BatchDiverges`] on the first disagreement.
-pub fn check_batch(
-    workloads: &[Workload<'_>],
-    config: &HwConfig,
-    policy: IssuePolicy,
-) -> Result<(), SimViolation> {
-    let batch = simulate_batch(workloads, config, policy, &Parallelism::with_threads(4));
-    for (i, (b, w)) in batch.iter().zip(workloads).enumerate() {
-        let single = simulate(w, config, policy);
-        if b.cycles != single.cycles
-            || b.instructions != single.instructions
-            || b.unit_busy != single.unit_busy
-            || b.contention != single.contention
-        {
-            return Err(SimViolation::BatchDiverges {
-                index: i,
-                batch: b.cycles,
-                single: single.cycles,
-            });
         }
     }
     Ok(())

@@ -9,7 +9,7 @@ use orianna_apps::all_apps;
 use orianna_compiler::{compile, Program};
 use orianna_graph::natural_ordering;
 use orianna_hw::{HwConfig, IssuePolicy, Workload};
-use orianna_verify::simcheck::{check_batch, check_workload, sample_configs};
+use orianna_verify::simcheck::{check_workload, sample_configs};
 
 /// One compiled stream per application algorithm (12 programs).
 fn compiled_programs() -> Vec<(String, Program)> {
@@ -56,24 +56,6 @@ fn multi_stream_application_workloads_hold_too() {
                 .collect(),
         };
         check_workload(&workload, &configs).unwrap_or_else(|v| panic!("{}: {v}", chunk[0].0));
-    }
-}
-
-#[test]
-fn batch_simulation_matches_sequential() {
-    let programs = compiled_programs();
-    let workloads: Vec<Workload<'_>> = programs
-        .iter()
-        .map(|(_, p)| Workload::single("stream", p))
-        .collect();
-    let config = HwConfig::with_counts(
-        &orianna_compiler::UnitClass::ALL
-            .iter()
-            .map(|c| (*c, 2))
-            .collect::<Vec<_>>(),
-    );
-    for policy in [IssuePolicy::OutOfOrder, IssuePolicy::InOrder] {
-        check_batch(&workloads, &config, policy).unwrap_or_else(|v| panic!("{v}"));
     }
 }
 
