@@ -11,9 +11,12 @@
 //!   comparison, and `incremental_update/*`;
 //! * `BENCH_sim.json` — a 200-config DSE scoreboard sweep with fresh vs
 //!   reused [`SimScratch`], the `compile/all_apps_2024` and
-//!   `execute/all_apps_2024` compiler rows, and the paired
+//!   `execute/all_apps_2024` compiler rows, the paired
 //!   `triangularize/simd` vs `triangularize/scalar` kernel rows over
-//!   those programs' QRD panels.
+//!   those programs' padded QRD panels, and the same pair as
+//!   `triangularize_arena/*` over the min-degree step panels of every
+//!   Gauss-Newton iteration, the panels the software solver
+//!   triangularizes.
 //!
 //! Usage: `orianna-bench [server|dse-search] [--quick] [--out-dir DIR]
 //! [--filter SUBSTRING]`
@@ -438,30 +441,42 @@ fn bench_incremental(results: &mut Results, speedups: &mut Vec<(String, f64)>) {
         inc.full_rebuilds()
     );
 
-    // Loop-closure row: every update also closes a 64-pose loop, forcing
-    // the affected closure up a long root path.
-    let (mut inc_loop, mut loop_ids) = build_chain_solver(N);
-    results.record("incremental_update/bayes_2k_loop", 3, || {
+    // Loop-closure row: one odometry update that also closes a 64-pose
+    // loop, forcing the affected closure up a long root path. Every rep
+    // runs it on a fresh clone of the same grown 2k-pose solver, cloned
+    // and dropped outside the timed region, so every rep times the same
+    // update and the row does not depend on the rep count.
+    if results.admits("incremental_update/bayes_2k_loop") {
+        let (grown, loop_ids) = build_chain_solver(N);
         let k = loop_ids.len();
-        let v = inc_loop.add_variable(Variable::Pose2(Pose2::new(0.0, k as f64, 0.001)));
-        inc_loop
-            .update(vec![
-                Arc::new(BetweenFactor::pose2(
-                    loop_ids[k - 1],
-                    v,
-                    Pose2::new(0.0, 1.0, 0.0),
-                    0.2,
-                )) as Arc<dyn Factor>,
-                Arc::new(BetweenFactor::pose2(
-                    loop_ids[k - 64],
-                    v,
-                    Pose2::new(0.0, 64.0, 0.0),
-                    0.3,
-                )),
-            ])
-            .expect("loop-closure update");
-        loop_ids.push(v);
-    });
+        let samples: Vec<u128> = (0..3 + results.reps)
+            .map(|_| {
+                let mut inc = grown.clone();
+                let t = Instant::now();
+                let v = inc.add_variable(Variable::Pose2(Pose2::new(0.0, k as f64, 0.001)));
+                inc.update(vec![
+                    Arc::new(BetweenFactor::pose2(
+                        loop_ids[k - 1],
+                        v,
+                        Pose2::new(0.0, 1.0, 0.0),
+                        0.2,
+                    )) as Arc<dyn Factor>,
+                    Arc::new(BetweenFactor::pose2(
+                        loop_ids[k - 64],
+                        v,
+                        Pose2::new(0.0, 64.0, 0.0),
+                        0.3,
+                    )),
+                ])
+                .expect("loop-closure update");
+                let ns = t.elapsed().as_nanos();
+                std::hint::black_box(&inc);
+                ns
+            })
+            .skip(3)
+            .collect();
+        results.push_samples("incremental_update/bayes_2k_loop".into(), samples);
+    }
 
     // Full re-elimination baseline: same stream of cached linear
     // factors, but every update eliminates the whole trajectory.
@@ -620,39 +635,41 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
         }
     });
 
-    // The in-place Householder on every QRD panel of those programs,
-    // dispatched (AVX when available) vs forced scalar. The rows are
-    // compared to each other, so their reps interleave.
+    // The in-place Householder on every padded QRD panel of those
+    // programs, dispatched (AVX when available) vs forced scalar. The rows
+    // are compared to each other, so their reps interleave.
     let panels: Vec<(usize, usize, Vec<f64>)> = programs
         .iter()
         .flat_map(|(prog, values)| qrd_panels(prog, &execute(prog, values).unwrap()))
         .collect();
-    let max_len = panels.iter().map(|(r, w, _)| r * w).max().unwrap_or(0);
-    let max_rows = panels.iter().map(|(r, _, _)| *r).max().unwrap_or(0);
-    let triangularize_all = |kernel: fn(&mut [f64], usize, usize, &mut [f64])| {
-        let panels = &panels;
-        let mut buf = vec![0.0f64; max_len];
-        let mut vbuf = vec![0.0f64; max_rows.max(1)];
-        move || {
-            for (rows, width, a) in panels {
-                let p = &mut buf[..rows * width];
-                p.copy_from_slice(a);
-                kernel(p, *rows, *width, &mut vbuf);
+    record_triangularize(&mut results, "triangularize", &panels);
+
+    // The same kernels on the panels the software solver triangularizes:
+    // every step of every Gauss-Newton iteration of the 12 graphs in
+    // min-degree order (the arena's order), taken from a program compiled
+    // in that order and executed iteration by iteration. Its `Qrd` shapes
+    // are the plan's step shapes.
+    if ["triangularize_arena/simd", "triangularize_arena/scalar"]
+        .iter()
+        .any(|r| results.admits(r))
+    {
+        let mut arena_panels = Vec::new();
+        for a in apps.iter().flat_map(|app| &app.algorithms) {
+            let mut graph = a.graph.clone();
+            let prog = compile(&graph, &min_degree_ordering(&graph)).unwrap();
+            for _ in 0..a.iterations {
+                let run = execute(&prog, graph.values()).unwrap();
+                arena_panels.extend(qrd_panels(&prog, &run));
+                graph.retract_all(&run.delta);
             }
-            std::hint::black_box(&buf);
         }
-    };
-    let triangularize_family: Vec<(String, Box<dyn FnMut() + '_>)> = vec![
-        (
-            "triangularize/simd".into(),
-            Box::new(triangularize_all(panel::triangularize)),
-        ),
-        (
-            "triangularize/scalar".into(),
-            Box::new(triangularize_all(panel::triangularize_scalar)),
-        ),
-    ];
-    results.record_interleaved(triangularize_family, 1);
+        let bytes: usize = arena_panels.iter().map(|(_, _, p)| 8 * p.len()).sum();
+        println!(
+            "  triangularize_arena: {} panels, {bytes} padded panel bytes",
+            arena_panels.len()
+        );
+        record_triangularize(&mut results, "triangularize_arena", &arena_panels);
+    }
 
     // DseContext sweeps: exhaustive at 1/2 threads, plus the
     // branch-and-bound mode. Each rep builds a fresh context from a
@@ -767,8 +784,12 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
     {
         speedups.push(("combined_vs_serial/dse_sweep_200".to_string(), ratio));
     }
-    if let Some(ratio) = results.paired_speedup("triangularize/scalar", "triangularize/simd") {
-        speedups.push(("simd_vs_scalar/triangularize".to_string(), ratio));
+    for family in ["triangularize", "triangularize_arena"] {
+        if let Some(ratio) =
+            results.paired_speedup(&format!("{family}/scalar"), &format!("{family}/simd"))
+        {
+            speedups.push((format!("simd_vs_scalar/{family}"), ratio));
+        }
     }
     if let (Some(ex), Some(pr)) = (
         results.get_opt("dse_ladder_64/exhaustive"),
@@ -782,10 +803,42 @@ fn bench_sim(reps: usize, filter: Option<String>) -> (Results, Vec<(String, f64)
     (results, speedups)
 }
 
+/// Times `<family>/simd` (dispatched) against `<family>/scalar` on
+/// `panels` (`(rows, width, padded panel)`), reps interleaved; each rep
+/// copies every panel into one buffer and triangularizes it there.
+fn record_triangularize(results: &mut Results, family: &str, panels: &[(usize, usize, Vec<f64>)]) {
+    let max_len = panels.iter().map(|(_, _, p)| p.len()).max().unwrap_or(0);
+    let max_rows = panels.iter().map(|(r, _, _)| *r).max().unwrap_or(0);
+    let triangularize_all = |kernel: fn(&mut [f64], usize, usize, usize, &mut [f64])| {
+        let mut buf = vec![0.0f64; max_len];
+        let mut vbuf = vec![0.0f64; max_rows.max(1)];
+        move || {
+            for (rows, width, a) in panels {
+                let p = &mut buf[..a.len()];
+                p.copy_from_slice(a);
+                kernel(p, *rows, *width, panel::stride(*width), &mut vbuf);
+            }
+            std::hint::black_box(&buf);
+        }
+    };
+    let rows: Vec<(String, Box<dyn FnMut() + '_>)> = vec![
+        (
+            format!("{family}/simd"),
+            Box::new(triangularize_all(panel::triangularize)),
+        ),
+        (
+            format!("{family}/scalar"),
+            Box::new(triangularize_all(panel::triangularize_scalar)),
+        ),
+    ];
+    results.record_interleaved(rows, 1);
+}
+
 /// The gathered `[A | b]` panel of every `Qrd` in `prog`, rebuilt from an
 /// executed run: original factor blocks from their registers, new-factor
 /// rows from the producing `Qrd`'s (triangularized) register — exactly
-/// the panel `execute` triangularizes. Returns `(rows, width, panel)`.
+/// the panel `execute` triangularizes, at the padded stride
+/// [`panel::stride`]. Returns `(rows, width, panel)`.
 fn qrd_panels(prog: &Program, run: &ExecResult) -> Vec<(usize, usize, Vec<f64>)> {
     let mut out = Vec::new();
     for instr in &prog.instrs {
@@ -801,6 +854,7 @@ fn qrd_panels(prog: &Program, run: &ExecResult) -> Vec<(usize, usize, Vec<f64>)>
             continue;
         };
         let (rows, width) = instr.dims;
+        let stride = panel::stride(width);
         let col_of = |v: VarId| {
             let mut off = *frontal_dim;
             if v == *frontal {
@@ -814,19 +868,19 @@ fn qrd_panels(prog: &Program, run: &ExecResult) -> Vec<(usize, usize, Vec<f64>)>
             }
             unreachable!("{v} is not a column of this QRD")
         };
-        let mut a = vec![0.0f64; rows * width];
+        let mut a = vec![0.0f64; rows * stride];
         let mut row = 0;
         for g in gather {
             for (k, r) in &g.key_regs {
                 let blk = run.reg(*r);
                 let c0 = col_of(*k);
                 for br in 0..blk.rows() {
-                    a[(row + br) * width + c0..][..blk.cols()].copy_from_slice(blk.row(br));
+                    a[(row + br) * stride + c0..][..blk.cols()].copy_from_slice(blk.row(br));
                 }
             }
             let rhs = run.reg(g.rhs_reg);
             for (i, x) in rhs.as_slice().iter().enumerate() {
-                a[(row + i) * width + width - 1] = *x;
+                a[(row + i) * stride + width - 1] = *x;
             }
             row += rhs.as_slice().len();
         }
@@ -848,17 +902,22 @@ fn qrd_panels(prog: &Program, run: &ExecResult) -> Vec<(usize, usize, Vec<f64>)>
                 let mut off = *pdv;
                 for (s, d) in pseps {
                     let c0 = col_of(*s);
-                    a[(row + r) * width + c0..][..*d].copy_from_slice(&prow[off..off + d]);
+                    a[(row + r) * stride + c0..][..*d].copy_from_slice(&prow[off..off + d]);
                     off += d;
                 }
-                a[(row + r) * width + width - 1] = prow[p.cols() - 1];
+                a[(row + r) * stride + width - 1] = prow[p.cols() - 1];
             }
             row += nr;
         }
         assert_eq!(row, rows, "gathered rows");
         let mut r = a.clone();
-        panel::triangularize(&mut r, rows, width, &mut vec![0.0; rows.max(1)]);
-        assert_eq!(r, run.reg(instr.dst).as_slice(), "rebuilt QRD panel");
+        panel::triangularize(&mut r, rows, width, stride, &mut vec![0.0; rows.max(1)]);
+        let real: Vec<f64> = r
+            .chunks(stride)
+            .flat_map(|row| &row[..width])
+            .copied()
+            .collect();
+        assert_eq!(real, run.reg(instr.dst).as_slice(), "rebuilt QRD panel");
         out.push((rows, width, a));
     }
     out
@@ -868,7 +927,8 @@ fn qrd_panels(prog: &Program, run: &ExecResult) -> Vec<(usize, usize, Vec<f64>)>
 /// server and through the naive plan-per-request path, outcomes
 /// cross-checked bitwise, throughput and exact latency percentiles
 /// recorded. The served run repeats `reps` times (fresh server each rep,
-/// interleaved with naive reps) and the medians are reported.
+/// interleaved with naive reps); every row keeps its per-rep samples, so
+/// it reports a median and quartiles.
 fn bench_server(reps: usize, quick: bool, filter: Option<String>) -> (Results, Vec<(String, f64)>) {
     use orianna_server::{
         install_sessions, oracle::compare_reports, plan_traffic, run_load, run_naive_load,
@@ -913,8 +973,8 @@ fn bench_server(reps: usize, quick: bool, filter: Option<String>) -> (Results, V
     const PERCENTILES: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];
     let mut served_walls = Vec::with_capacity(reps);
     let mut naive_walls = Vec::with_capacity(reps);
-    let mut served_pcts: [Vec<u64>; 3] = Default::default();
-    let mut naive_pcts: [Vec<u64>; 3] = Default::default();
+    let mut served_pcts: [Vec<u128>; 3] = Default::default();
+    let mut naive_pcts: [Vec<u128>; 3] = Default::default();
     for rep in 0..reps {
         let server = SolverServer::new(config());
         install_sessions(&server, &plan).expect("install sessions");
@@ -936,37 +996,30 @@ fn bench_server(reps: usize, quick: bool, filter: Option<String>) -> (Results, V
         // identical results, not an approximation.
         compare_reports(&served.outcomes, &naive.outcomes)
             .unwrap_or_else(|e| panic!("served/naive outcomes diverge: {e}"));
-        served_walls.push(served.wall_ns);
-        naive_walls.push(naive.wall_ns);
+        served_walls.push(u128::from(served.wall_ns));
+        naive_walls.push(u128::from(naive.wall_ns));
         for (i, (_, q)) in PERCENTILES.iter().enumerate() {
-            served_pcts[i].push(served.percentile_ns(*q));
-            naive_pcts[i].push(naive.percentile_ns(*q));
+            served_pcts[i].push(u128::from(served.percentile_ns(*q)));
+            naive_pcts[i].push(u128::from(naive.percentile_ns(*q)));
         }
     }
 
-    let median = |walls: &mut Vec<u64>| {
-        walls.sort_unstable();
-        walls[walls.len() / 2]
-    };
-    let served_wall = median(&mut served_walls);
-    let naive_wall = median(&mut naive_walls);
-    let served_rps = total_ops as f64 * 1e9 / served_wall as f64;
-    let naive_rps = total_ops as f64 * 1e9 / naive_wall as f64;
+    let served_rps = total_ops as f64 * 1e9 / quantile(&served_walls, 0.5) as f64;
+    let naive_rps = total_ops as f64 * 1e9 / quantile(&naive_walls, 0.5) as f64;
 
-    let mut put = |name: &str, ns: u64| {
-        if !results.admits(name) {
-            return;
+    // Each row keeps its per-rep samples, so it carries quartiles too.
+    let mut put = |name: String, samples: Vec<u128>| {
+        if results.admits(&name) {
+            results.push_samples(name, samples);
         }
-        println!("  {name}: {ns} ns");
-        results.entries.push((name.to_string(), u128::from(ns)));
     };
-    put("server/served_wall", served_wall);
-    put("server/naive_wall", naive_wall);
-    for (i, (p, _)) in PERCENTILES.iter().enumerate() {
-        put(&format!("server/served_{p}"), median(&mut served_pcts[i]));
+    put("server/served_wall".into(), served_walls);
+    put("server/naive_wall".into(), naive_walls);
+    for (p, samples) in PERCENTILES.iter().zip(served_pcts) {
+        put(format!("server/served_{}", p.0), samples);
     }
-    for (i, (p, _)) in PERCENTILES.iter().enumerate() {
-        put(&format!("server/naive_{p}"), median(&mut naive_pcts[i]));
+    for (p, samples) in PERCENTILES.iter().zip(naive_pcts) {
+        put(format!("server/naive_{}", p.0), samples);
     }
     println!("  served throughput: {served_rps:.0} req/s, naive: {naive_rps:.0} req/s");
 

@@ -10,9 +10,13 @@
 //! `f64` arena sized before the first instruction runs: every instruction
 //! owns a row-major slot of its output shape (its `dims`, except `Bsub`,
 //! whose output is the `dv × 1` solution segment) and writes it in place.
-//! `Qrd` gathers straight into its slot and triangularizes there; a later
-//! `Qrd` reads the new factor rows out of that slot, and `Bsub` reads
-//! `R`, `S` and `d` from it. Slots are never shared, so every register
+//! `Qrd` gathers straight into its slot and triangularizes there with
+//! [`panel::triangularize`]; its `rows × width` slot is laid out at row
+//! stride [`panel::stride`]`(width)`, padded with zeros to whole AVX
+//! vectors. A later `Qrd` reads the new factor rows out of that slot, and
+//! `Bsub` reads `R`, `S` and `d` from it, both at that stride;
+//! [`ExecResult::try_reg`] strips the padding, so a register reads back as
+//! its `dims`-shaped matrix. Slots are never shared, so every register
 //! stays readable after the run.
 //!
 //! The key correctness property of the whole compiler — asserted
@@ -55,12 +59,14 @@ impl std::fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// Where a written register lives: a row-major `rows × cols` block at
-/// `off` in the arena, written by the instruction at position `by`.
+/// `off` in the arena with rows `stride` apart (`cols` except for padded
+/// `Qrd` panels), written by the instruction at position `by`.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     off: usize,
     rows: usize,
     cols: usize,
+    stride: usize,
     by: usize,
 }
 
@@ -95,16 +101,23 @@ impl ExecResult {
             slots: &self.slots,
             done: &self.arena,
         }
-        .get(r)?;
-        Ok(Mat::from_row_major(v.rows, v.cols, v.data))
+        .panel(r)?;
+        let mut m = Mat::zeros(v.rows, v.cols);
+        for row in 0..v.rows {
+            m.row_mut(row)
+                .copy_from_slice(&v.data[row * v.stride..][..v.cols]);
+        }
+        Ok(m)
     }
 }
 
-/// A register's value borrowed from the arena.
+/// A register's value borrowed from the arena: `rows × cols` at row
+/// stride `stride` (`cols` unless the register is a `Qrd` panel).
 #[derive(Clone, Copy)]
 struct View<'a> {
     rows: usize,
     cols: usize,
+    stride: usize,
     data: &'a [f64],
 }
 
@@ -114,7 +127,7 @@ impl View<'_> {
     }
 
     fn at(&self, r: usize, c: usize) -> f64 {
-        self.data[r * self.cols + c]
+        self.data[r * self.stride + c]
     }
 }
 
@@ -134,12 +147,27 @@ impl<'a> Regs<'a> {
             .ok_or(ExecError::UnwrittenRegister(r))
     }
 
+    /// A dense register (row stride = `cols`), the operand of every
+    /// instruction except the `Qrd` panel readers.
     fn get(&self, r: Reg) -> Result<View<'a>, ExecError> {
+        let v = self.panel(r)?;
+        if v.stride != v.cols {
+            return Err(ExecError::Shape(format!(
+                "register {r} is a padded QRD panel, read as a dense operand"
+            )));
+        }
+        Ok(v)
+    }
+
+    /// Any register at its row stride: how `Qrd` and `Bsub` read the
+    /// padded panels.
+    fn panel(&self, r: Reg) -> Result<View<'a>, ExecError> {
         let s = self.slot(r)?;
         Ok(View {
             rows: s.rows,
             cols: s.cols,
-            data: &self.done[s.off..s.off + s.rows * s.cols],
+            stride: s.stride,
+            data: &self.done[s.off..s.off + s.rows * s.stride],
         })
     }
 }
@@ -169,7 +197,7 @@ fn new_factor<'a>(
         return Err(missing());
     };
     let panel = match regs.slot(instr.dst) {
-        Ok(s) if s.by == dep => regs.get(instr.dst)?,
+        Ok(s) if s.by == dep => regs.panel(instr.dst)?,
         _ => return Err(missing()),
     };
     let sep_cols: usize = seps.iter().map(|(_, d)| d).sum();
@@ -192,6 +220,15 @@ fn out_shape(instr: &Instruction) -> (usize, usize) {
     match instr.op {
         Op::Bsub { .. } => (instr.dims.0, 1),
         _ => instr.dims,
+    }
+}
+
+/// The row stride of an instruction's slot: [`panel::stride`] of its
+/// width for a `Qrd` panel, the width itself otherwise.
+fn out_stride(instr: &Instruction, (_, cols): (usize, usize)) -> usize {
+    match instr.op {
+        Op::Qrd { .. } => panel::stride(cols),
+        _ => cols,
     }
 }
 
@@ -222,9 +259,9 @@ pub fn execute(prog: &Program, values: &Values) -> Result<ExecResult, ExecError>
     let mut total = 0;
     let mut max_rows = 1;
     for instr in &prog.instrs {
-        let (rows, cols) = out_shape(instr);
-        total += rows * cols;
-        max_rows = max_rows.max(rows);
+        let shape = out_shape(instr);
+        total += shape.0 * out_stride(instr, shape);
+        max_rows = max_rows.max(shape.0);
     }
     let mut arena = vec![0.0; total];
     let mut slots: Vec<Option<Slot>> = vec![None; prog.num_regs()];
@@ -243,8 +280,9 @@ pub fn execute(prog: &Program, values: &Values) -> Result<ExecResult, ExecError>
     let mut at = 0;
     for (pos, instr) in prog.instrs.iter().enumerate() {
         let shape = out_shape(instr);
+        let stride = out_stride(instr, shape);
         let (done, rest) = arena.split_at_mut(at);
-        let out = &mut rest[..shape.0 * shape.1];
+        let out = &mut rest[..shape.0 * stride];
         let regs = Regs {
             slots: &slots,
             done,
@@ -491,12 +529,12 @@ pub fn execute(prog: &Program, values: &Values) -> Result<ExecResult, ExecError>
                             )));
                         }
                         for r in 0..blk.rows {
-                            out[(row + r) * width + c0..][..blk.cols]
+                            out[(row + r) * stride + c0..][..blk.cols]
                                 .copy_from_slice(&blk.data[r * blk.cols..][..blk.cols]);
                         }
                     }
                     for (r, x) in rhs.data.iter().enumerate() {
-                        out[(row + r) * width + cols] = *x;
+                        out[(row + r) * stride + cols] = *x;
                     }
                     row += rhs.data.len();
                 }
@@ -504,8 +542,8 @@ pub fn execute(prog: &Program, values: &Values) -> Result<ExecResult, ExecError>
                     let f = new_factor(prog, &regs, *dep)?;
                     let prhs = f.panel.cols - 1;
                     for r in 0..f.rows {
-                        let prow = &f.panel.data[(f.dv + r) * f.panel.cols..][..f.panel.cols];
-                        let orow = &mut out[(row + r) * width..][..width];
+                        let prow = &f.panel.data[(f.dv + r) * f.panel.stride..][..f.panel.cols];
+                        let orow = &mut out[(row + r) * stride..][..width];
                         let mut off = f.dv;
                         for (s, d) in f.seps {
                             let c0 = col_of(*s)?;
@@ -521,9 +559,9 @@ pub fn execute(prog: &Program, values: &Values) -> Result<ExecResult, ExecError>
                 }
                 // In-place R-only triangularization: bitwise-identical to
                 // `householder_qr(&abar).r` without accumulating Q.
-                panel::triangularize(out, total_rows, width, &mut vbuf[..total_rows]);
+                panel::triangularize(out, total_rows, width, stride, &mut vbuf[..total_rows]);
                 for d in 0..dv {
-                    if out[d * width + d].abs() < 1e-12 {
+                    if out[d * stride + d].abs() < 1e-12 {
                         return Err(ExecError::Singular(*frontal));
                     }
                 }
@@ -545,7 +583,7 @@ pub fn execute(prog: &Program, values: &Values) -> Result<ExecResult, ExecError>
                 if frontal != var {
                     return Err(ExecError::Singular(*var));
                 }
-                let (dv, p) = (*dv, regs.get(*q)?);
+                let (dv, p) = (*dv, regs.panel(*q)?);
                 fits(instr, shape, (dv, 1))?;
                 // `out` accumulates `d − Σ S Δ_parent`, one parent at a time
                 // like `rhs − S·Δ` on `Vec64`s (same sums, same MACs).
@@ -560,7 +598,7 @@ pub fn execute(prog: &Program, values: &Values) -> Result<ExecResult, ExecError>
                     }
                     let dp = &delta.as_slice()[var_off[s.0]..var_off[s.0] + w];
                     for (d, o) in out.iter_mut().enumerate() {
-                        let srow = &p.data[d * p.cols + col..][..*w];
+                        let srow = &p.data[d * p.stride + col..][..*w];
                         let mut acc = 0.0;
                         for (sv, x) in srow.iter().zip(dp) {
                             acc += sv * x;
@@ -592,9 +630,10 @@ pub fn execute(prog: &Program, values: &Values) -> Result<ExecResult, ExecError>
             off: at,
             rows: shape.0,
             cols: shape.1,
+            stride,
             by: pos,
         });
-        at += shape.0 * shape.1;
+        at += shape.0 * stride;
     }
     Ok(ExecResult {
         delta,

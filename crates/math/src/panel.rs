@@ -1,39 +1,50 @@
 //! In-place panel kernels on flat row-major `f64` buffers.
 //!
-//! The arena-backed execution path (`SolvePlan` workspaces, the compiler's
-//! register file, the hardware QR template) lays every frontal matrix out as
-//! a contiguous `rows × width` row-major panel inside one pre-sized buffer.
-//! This module provides the numeric kernels that operate directly on such
-//! panels without ever materializing a [`crate::Mat`]:
+//! The arena-backed execution path (`SolvePlan` workspaces and the
+//! compiler's register file) lays every frontal matrix out as a contiguous
+//! row-major panel inside one pre-sized buffer. This module provides the
+//! numeric kernels that operate directly on such panels without ever
+//! materializing a [`crate::Mat`]:
 //!
 //! * [`matmul_into`] — blocked column-panel matrix product. The output is
 //!   computed in fixed-width column chunks held in register accumulators,
 //!   but every output element still accumulates its `k` terms in ascending
 //!   order, so the result is **bitwise identical** to the naive triple loop
 //!   (and therefore reproducible across runs and thread counts).
-//! * [`triangularize`] — in-place R-only Householder triangularization.
+//! * [`triangularize`] — in-place R-only Householder triangularization of
+//!   a `rows × width` panel stored at row stride [`stride`]`(width)`.
 //!   Applies exactly the reflection schedule of [`crate::householder_qr`]
-//!   to the columns that still matter (reflection `k` skips columns left
-//!   of `k`, whose rows `≥ k` hold only residue the final cleanup zeroes)
-//!   and skips the orthogonal-factor accumulation, so the panel afterwards
-//!   holds `zero_below_diag(R)` bit for bit.
+//!   and skips the orthogonal-factor accumulation, so the panel's `width`
+//!   real columns afterwards hold `zero_below_diag(R)` bit for bit.
 //!
 //! ## SIMD dispatch
 //!
-//! The Householder apply ([`reflect_left`]) — the hot inner loop of
-//! triangularization — has AVX f64×4 variants selected at runtime via
-//! [`crate::simd::enabled`] (it also runs 16-column chunks in four
-//! accumulators). They vectorize **across output columns**: each of the
-//! four lanes owns one column and accumulates its row terms in the same
-//! ascending order as the scalar loop, with a separate multiply and add
-//! per term (no FMA). Lane-independent vectorization plus unfused
-//! arithmetic means every output element sees the identical IEEE
-//! operation sequence, so the AVX kernels are bitwise identical to the
-//! scalar fallbacks ([`reflect_left_scalar`], [`triangularize_scalar`] —
-//! kept public as conformance references). The Householder *norm*
-//! ([`householder_vector`]) is deliberately left scalar: it is a
-//! sequential reduction whose summation order defines the bitwise
+//! QR panels are padded: each row holds `width` real columns followed by
+//! zero padding up to [`stride`]`(width)`, a multiple of [`LANES`]. The
+//! Householder apply of [`triangularize`] — the hot inner loop — then runs
+//! in whole AVX f64×4 vectors, selected at runtime via
+//! [`crate::simd::enabled`]: reflection `k` covers columns `k & !3` up to
+//! the stride in blocks of up to four vectors, one accumulator per vector,
+//! with no masks and no scalar tail. The columns `k & !3..k` it also
+//! reflects hold only sub-diagonal residue in rows `≥ k`, which no later
+//! reflection reads and the final cleanup zeroes; padding lanes compute
+//! `0 − 2·(Σ vᵢ·0)·vᵢ = +0` on finite input and are never read.
+//!
+//! The kernels vectorize **across output columns**: each of the four lanes
+//! owns one column and accumulates its row terms in the same ascending
+//! order as the scalar loop, with a separate multiply and add per term (no
+//! FMA). Lane-independent vectorization plus unfused arithmetic means
+//! every output element sees the identical IEEE operation sequence, so the
+//! AVX path is bitwise identical to the scalar one
+//! ([`triangularize_scalar`], which walks only the `width` real columns at
+//! the same stride, is kept public as the conformance reference). The
+//! Householder *norm* ([`householder_vector`]) is deliberately scalar: it
+//! is a sequential reduction whose summation order defines the bitwise
 //! contract, and it is O(rows) against the apply's O(rows × width).
+//!
+//! [`reflect_left`] is the unpadded apply behind the reference
+//! [`crate::householder_qr`]: its AVX path runs 16-column and 4-column
+//! chunks, then scalar tail columns, through the same block kernel.
 //!
 //! [`matmul_into`] is scalar only: the construction products it serves
 //! are mostly narrower than four output columns, and an AVX chunk never
@@ -49,6 +60,15 @@ use crate::simd;
 /// [`matmul_into`]; the chunk is narrowed at the right edge of the
 /// output, never widened.
 const CHUNK: usize = 4;
+
+/// Doubles per AVX vector: QR panel strides are padded to a multiple of it.
+pub const LANES: usize = 4;
+
+/// Row stride of a QR panel with `width` columns: `width` rounded up to a
+/// multiple of [`LANES`]. Columns `width..stride(width)` are padding.
+pub const fn stride(width: usize) -> usize {
+    width.next_multiple_of(LANES)
+}
 
 /// Blocked matrix product `out = a · b` on flat row-major buffers where `a`
 /// is `m×k`, `b` is `k×n` and `out` is `m×n`. Zero rows of `a` are skipped
@@ -104,72 +124,130 @@ fn matmul_chunk<const W: usize>(
     }
 }
 
-/// In-place R-only Householder triangularization of a `rows × width` panel.
+/// In-place R-only Householder triangularization of a `rows × width` panel
+/// stored row-major at row stride `stride` (a multiple of [`LANES`], at
+/// least `width`; see [`stride`]). Padding columns must be finite — the
+/// callers zero them — and are never read into the real columns.
 ///
 /// Runs the exact reflection schedule of [`crate::householder_qr`] (same
-/// Householder vectors, same application order, same MAC accounting) but
-/// never touches an orthogonal accumulator nor the columns left of the
-/// current reflection, then zeroes the sub-diagonal the way
-/// `householder_qr` does before returning `R`. The panel afterwards is
-/// bitwise identical to `householder_qr(&a).r` for the same data. `vbuf`
-/// must hold at least `rows` elements.
-pub fn triangularize(panel: &mut [f64], rows: usize, width: usize, vbuf: &mut [f64]) {
-    triangularize_impl(panel, rows, width, vbuf, simd::enabled());
+/// Householder vectors, same application order, same MAC total, recorded
+/// once per panel) but never touches an orthogonal accumulator, then
+/// zeroes the sub-diagonal the way `householder_qr` does before returning
+/// `R`. The real columns afterwards are bitwise identical to
+/// `householder_qr(&a).r` for the same data. `vbuf` must hold at least
+/// `rows` elements.
+///
+/// # Panics
+/// Panics when `stride` is not a multiple of [`LANES`] at least `width`,
+/// or `panel` is not `rows × stride` long.
+pub fn triangularize(
+    panel: &mut [f64],
+    rows: usize,
+    width: usize,
+    stride: usize,
+    vbuf: &mut [f64],
+) {
+    triangularize_impl(panel, rows, width, stride, vbuf, simd::enabled());
 }
 
-/// The scalar reference for [`triangularize`]: forces the scalar
-/// Householder apply. Public so conformance tests can compare the two
-/// paths bitwise regardless of the host CPU.
-pub fn triangularize_scalar(panel: &mut [f64], rows: usize, width: usize, vbuf: &mut [f64]) {
-    triangularize_impl(panel, rows, width, vbuf, false);
+/// The scalar reference for [`triangularize`]: reflects only the `width`
+/// real columns, one column at a time, at the same stride. Public so
+/// conformance tests can compare the two paths bitwise regardless of the
+/// host CPU.
+pub fn triangularize_scalar(
+    panel: &mut [f64],
+    rows: usize,
+    width: usize,
+    stride: usize,
+    vbuf: &mut [f64],
+) {
+    triangularize_impl(panel, rows, width, stride, vbuf, false);
 }
 
-fn triangularize_impl(panel: &mut [f64], rows: usize, width: usize, vbuf: &mut [f64], simd: bool) {
-    debug_assert_eq!(panel.len(), rows * width);
-    debug_assert!(vbuf.len() >= rows);
+fn triangularize_impl(
+    panel: &mut [f64],
+    rows: usize,
+    width: usize,
+    stride: usize,
+    vbuf: &mut [f64],
+    use_simd: bool,
+) {
+    // The AVX apply indexes rows `k..rows` up to the stride unchecked.
+    assert!(
+        width <= stride && stride.is_multiple_of(LANES) && panel.len() == rows * stride,
+        "{rows}x{width} panel at stride {stride} in {} doubles",
+        panel.len()
+    );
+    // `householder_qr` charges `rows − k` per norm and a full-width apply
+    // per reflection; the total is recorded once.
+    let mut mac = 0;
     for k in 0..width.min(rows.saturating_sub(1)) {
         let v = &mut vbuf[..rows - k];
-        if householder_vector(panel, rows, width, k, v) {
-            // Columns left of `k` hold only sub-diagonal residue in rows
-            // `≥ k`: no later reflection reads it and the cleanup below
-            // zeroes it, so only columns `k..` are reflected. The MAC
-            // record still charges the full-width apply of `householder_qr`.
-            apply_reflection(panel, rows, width, v, k, k, simd);
-            macs::record(2 * (rows - k) * width);
+        mac += rows - k;
+        if !reflector(panel, rows, stride, k, v) {
+            continue;
+        }
+        mac += 2 * (rows - k) * width;
+        #[cfg(target_arch = "x86_64")]
+        if use_simd {
+            // Safety: `use_simd` implies AVX was detected; the assert above
+            // makes every row `stride` long, a multiple of `LANES`, so each
+            // vector from column `k & !3` to the stride is in bounds, and
+            // `v` is `rows − k` long.
+            unsafe { avx::reflect_padded(panel, rows, stride, v, k) };
+            continue;
+        }
+        // Columns left of `k` hold only sub-diagonal residue in rows
+        // `≥ k`: no later reflection reads it and the cleanup below
+        // zeroes it, so the scalar path reflects columns `k..width`.
+        for c in k..width {
+            reflect_col(panel, rows, stride, v, k, c);
         }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = use_simd;
+    macs::record(mac);
     // Clean sub-diagonal residue exactly like `householder_qr`: reflections
     // leave values around `eps · |a|` below the diagonal, which downstream
     // keep-row scans at absolute tolerances must never see.
     for r in 1..rows {
-        let row = &mut panel[r * width..(r + 1) * width];
-        row[..r.min(width)].fill(0.0);
+        panel[r * stride..r * stride + r.min(width)].fill(0.0);
     }
 }
 
 /// Computes the normalized Householder vector annihilating column `k` of the
-/// panel below the diagonal into `v` (length `rows − k`). Returns `false`
-/// when the column is already zero there. Arithmetic mirrors the `Mat`-based
-/// helper in [`crate::qr`] operation for operation. Deliberately scalar —
-/// the norm is an order-sensitive sequential reduction (module docs).
+/// `rows × stride` panel below the diagonal into `v` (length `rows − k`) and
+/// records its `rows − k` MACs. Returns `false` when the column is already
+/// zero there. Arithmetic mirrors the `Mat`-based helper in [`crate::qr`]
+/// operation for operation. Deliberately scalar — the norm is an
+/// order-sensitive sequential reduction (module docs).
 pub fn householder_vector(
     panel: &[f64],
     rows: usize,
-    width: usize,
+    stride: usize,
     k: usize,
     v: &mut [f64],
 ) -> bool {
-    debug_assert_eq!(v.len(), rows - k);
-    let mut norm2 = 0.0;
-    for i in k..rows {
-        let x = panel[i * width + k];
-        v[i - k] = x;
-        norm2 += x * x;
-    }
     macs::record(rows - k);
-    let below: f64 = (k + 1..rows)
-        .map(|i| panel[i * width + k] * panel[i * width + k])
-        .sum();
+    reflector(panel, rows, stride, k, v)
+}
+
+/// [`householder_vector`] without the MAC record. One pass reads the
+/// column and accumulates both the full norm (rows `k..`) and the
+/// below-diagonal sum (rows `k + 1..`), each in ascending row order.
+fn reflector(panel: &[f64], rows: usize, stride: usize, k: usize, v: &mut [f64]) -> bool {
+    debug_assert_eq!(v.len(), rows - k);
+    let x0 = panel[k * stride + k];
+    v[0] = x0;
+    let mut norm2 = 0.0;
+    norm2 += x0 * x0;
+    let mut below = 0.0;
+    for (i, vi) in (k + 1..rows).zip(&mut v[1..]) {
+        let x = panel[i * stride + k];
+        *vi = x;
+        norm2 += x * x;
+        below += x * x;
+    }
     if below < 1e-300 {
         return false;
     }
@@ -186,10 +264,10 @@ pub fn householder_vector(
     true
 }
 
-/// Applies `(I − 2 v vᵀ)` to rows `k..` of the `rows × width` panel,
-/// column-major traversal identical to the `Mat`-based helper. Uses the
-/// AVX four-column kernel when available (bitwise identical — each lane
-/// owns one column and runs the scalar operation sequence).
+/// Applies `(I − 2 v vᵀ)` to rows `k..` of the unpadded `rows × width`
+/// panel, column-major traversal identical to the `Mat`-based helper. Uses
+/// the AVX kernels when available (bitwise identical — each lane owns one
+/// column and runs the scalar operation sequence).
 pub fn reflect_left(panel: &mut [f64], rows: usize, width: usize, v: &[f64], k: usize) {
     reflect_left_impl(panel, rows, width, v, k, simd::enabled());
 }
@@ -200,6 +278,9 @@ pub fn reflect_left_scalar(panel: &mut [f64], rows: usize, width: usize, v: &[f6
     reflect_left_impl(panel, rows, width, v, k, false);
 }
 
+/// With AVX the columns go in 16-wide chunks (four accumulators), then
+/// 4-wide chunks, then one at a time; every lane owns one column and runs
+/// `reflect_col`'s operation sequence.
 fn reflect_left_impl(
     panel: &mut [f64],
     rows: usize,
@@ -208,36 +289,20 @@ fn reflect_left_impl(
     k: usize,
     use_simd: bool,
 ) {
-    apply_reflection(panel, rows, width, v, k, 0, use_simd);
-    macs::record(2 * (rows - k) * width);
-}
-
-/// Applies `(I − 2 v vᵀ)` to rows `k..` of columns `c0..width`, without
-/// recording MACs. With AVX the columns go in 16-wide chunks (four
-/// accumulators), then 4-wide chunks, then one at a time; every lane owns
-/// one column and runs `reflect_col`'s operation sequence.
-fn apply_reflection(
-    panel: &mut [f64],
-    rows: usize,
-    width: usize,
-    v: &[f64],
-    k: usize,
-    c0: usize,
-    use_simd: bool,
-) {
-    debug_assert_eq!(v.len(), rows - k);
-    let mut c = c0;
+    // The AVX chunks index rows `k..rows` of columns `..width` unchecked.
+    assert!(panel.len() >= rows * width && v.len() == rows - k);
+    let mut c = 0;
     #[cfg(target_arch = "x86_64")]
     if use_simd {
         while c + 16 <= width {
             // Safety: `use_simd` implies AVX was detected; columns
             // `c..c + 16` are in bounds for every touched row.
-            unsafe { avx::reflect_cols16(panel, rows, width, v, k, c) };
+            unsafe { avx::reflect_block::<4>(panel, rows, width, v, k, c) };
             c += 16;
         }
         while c + 4 <= width {
             // Safety: as above, for columns `c..c + 4`.
-            unsafe { avx::reflect_cols4(panel, rows, width, v, k, c) };
+            unsafe { avx::reflect_block::<1>(panel, rows, width, v, k, c) };
             c += 4;
         }
     }
@@ -247,109 +312,108 @@ fn apply_reflection(
         reflect_col(panel, rows, width, v, k, c);
         c += 1;
     }
+    macs::record(2 * (rows - k) * width);
 }
 
 /// One column of the Householder apply: dot in ascending row order, then
-/// the rank-1 update. Both the scalar and remainder paths use this.
+/// the rank-1 update. The scalar paths and the unpadded tail use this.
 #[inline]
-fn reflect_col(panel: &mut [f64], rows: usize, width: usize, v: &[f64], k: usize, c: usize) {
+fn reflect_col(panel: &mut [f64], rows: usize, stride: usize, v: &[f64], k: usize, c: usize) {
     let mut dot = 0.0;
     for i in k..rows {
-        dot += v[i - k] * panel[i * width + c];
+        dot += v[i - k] * panel[i * stride + c];
     }
     let f = 2.0 * dot;
     for i in k..rows {
-        panel[i * width + c] -= f * v[i - k];
+        panel[i * stride + c] -= f * v[i - k];
     }
 }
 
-/// AVX f64×4 variants of the Householder apply. Every kernel vectorizes
-/// across four output columns — one column per lane — with separate
-/// multiply and add intrinsics, so each element's IEEE operation sequence
-/// is exactly the scalar one (see the module docs).
+/// AVX f64×4 Householder apply. Every kernel vectorizes across output
+/// columns — one column per lane — with separate multiply and add
+/// intrinsics, so each element's IEEE operation sequence is exactly the
+/// scalar one (see the module docs).
 #[cfg(target_arch = "x86_64")]
 mod avx {
+    use super::LANES;
     use std::arch::x86_64::{
         _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
         _mm256_storeu_pd, _mm256_sub_pd,
     };
 
-    /// Householder apply to columns `c0..c0 + 4`, lane `j` owning column
-    /// `c0 + j`: per lane the dot accumulates in ascending row order and
-    /// the update subtracts `f·vᵢ` exactly like `reflect_col`.
+    /// Reflects whole vectors of a padded panel: columns `k & !3` up to
+    /// `stride`, in blocks of four vectors and one final block of the
+    /// remaining one to three.
     ///
     /// # Safety
-    /// Requires AVX; `c0 + 4 <= width` and `v.len() == rows - k`.
+    /// Requires AVX; `stride % LANES == 0`, `panel.len() == rows * stride`,
+    /// `k < rows` and `v.len() == rows - k`.
     #[target_feature(enable = "avx")]
-    pub unsafe fn reflect_cols4(
+    pub unsafe fn reflect_padded(
         panel: &mut [f64],
         rows: usize,
-        width: usize,
+        stride: usize,
         v: &[f64],
         k: usize,
-        c0: usize,
     ) {
-        debug_assert!(c0 + 4 <= width);
-        debug_assert_eq!(v.len(), rows - k);
-        let mut dot = _mm256_setzero_pd();
-        for i in k..rows {
-            let vi = _mm256_set1_pd(*v.get_unchecked(i - k));
-            let row = _mm256_loadu_pd(panel.as_ptr().add(i * width + c0));
-            dot = _mm256_add_pd(dot, _mm256_mul_pd(vi, row));
+        debug_assert!(stride.is_multiple_of(LANES));
+        debug_assert_eq!(panel.len(), rows * stride);
+        let mut c = k & !(LANES - 1);
+        while c + 4 * LANES <= stride {
+            reflect_block::<4>(panel, rows, stride, v, k, c);
+            c += 4 * LANES;
         }
-        let f = _mm256_mul_pd(_mm256_set1_pd(2.0), dot);
-        for i in k..rows {
-            let vi = _mm256_set1_pd(*v.get_unchecked(i - k));
-            let row = _mm256_loadu_pd(panel.as_ptr().add(i * width + c0));
-            let updated = _mm256_sub_pd(row, _mm256_mul_pd(f, vi));
-            _mm256_storeu_pd(panel.as_mut_ptr().add(i * width + c0), updated);
+        match (stride - c) / LANES {
+            3 => reflect_block::<3>(panel, rows, stride, v, k, c),
+            2 => reflect_block::<2>(panel, rows, stride, v, k, c),
+            1 => reflect_block::<1>(panel, rows, stride, v, k, c),
+            _ => {}
         }
     }
 
-    /// Householder apply to columns `c0..c0 + 16` in four accumulators,
-    /// lane by lane the same operation sequence as [`reflect_cols4`].
+    /// Householder apply to columns `c0..c0 + 4·N` in `N` accumulators,
+    /// lane `j` of vector `n` owning column `c0 + 4n + j`: per lane the
+    /// dot accumulates in ascending row order and the update subtracts
+    /// `f·vᵢ` exactly like `reflect_col`.
     ///
     /// # Safety
-    /// Requires AVX; `c0 + 16 <= width` and `v.len() == rows - k`.
+    /// Requires AVX; `c0 + 4·N <= stride`, `panel.len() >= rows * stride`
+    /// and `v.len() == rows - k`.
     #[target_feature(enable = "avx")]
-    pub unsafe fn reflect_cols16(
+    pub unsafe fn reflect_block<const N: usize>(
         panel: &mut [f64],
         rows: usize,
-        width: usize,
+        stride: usize,
         v: &[f64],
         k: usize,
         c0: usize,
     ) {
-        debug_assert!(c0 + 16 <= width);
+        debug_assert!(c0 + N * LANES <= stride);
+        debug_assert!(panel.len() >= rows * stride);
         debug_assert_eq!(v.len(), rows - k);
         let p = panel.as_mut_ptr();
-        let (mut d0, mut d1, mut d2, mut d3) = (
-            _mm256_setzero_pd(),
-            _mm256_setzero_pd(),
-            _mm256_setzero_pd(),
-            _mm256_setzero_pd(),
-        );
+        let mut dot = [_mm256_setzero_pd(); N];
         for i in k..rows {
             let vi = _mm256_set1_pd(*v.get_unchecked(i - k));
-            let at = p.add(i * width + c0);
-            d0 = _mm256_add_pd(d0, _mm256_mul_pd(vi, _mm256_loadu_pd(at)));
-            d1 = _mm256_add_pd(d1, _mm256_mul_pd(vi, _mm256_loadu_pd(at.add(4))));
-            d2 = _mm256_add_pd(d2, _mm256_mul_pd(vi, _mm256_loadu_pd(at.add(8))));
-            d3 = _mm256_add_pd(d3, _mm256_mul_pd(vi, _mm256_loadu_pd(at.add(12))));
+            let at = p.add(i * stride + c0);
+            for (n, d) in dot.iter_mut().enumerate() {
+                *d = _mm256_add_pd(*d, _mm256_mul_pd(vi, _mm256_loadu_pd(at.add(n * LANES))));
+            }
         }
         let two = _mm256_set1_pd(2.0);
-        let (f0, f1, f2, f3) = (
-            _mm256_mul_pd(two, d0),
-            _mm256_mul_pd(two, d1),
-            _mm256_mul_pd(two, d2),
-            _mm256_mul_pd(two, d3),
-        );
+        let mut f = dot;
+        for fn_ in f.iter_mut() {
+            *fn_ = _mm256_mul_pd(two, *fn_);
+        }
         for i in k..rows {
             let vi = _mm256_set1_pd(*v.get_unchecked(i - k));
-            let at = p.add(i * width + c0);
-            for (j, f) in [(0, f0), (4, f1), (8, f2), (12, f3)] {
-                let row = _mm256_loadu_pd(at.add(j));
-                _mm256_storeu_pd(at.add(j), _mm256_sub_pd(row, _mm256_mul_pd(f, vi)));
+            let at = p.add(i * stride + c0);
+            for (n, fn_) in f.iter().enumerate() {
+                let row = _mm256_loadu_pd(at.add(n * LANES));
+                _mm256_storeu_pd(
+                    at.add(n * LANES),
+                    _mm256_sub_pd(row, _mm256_mul_pd(*fn_, vi)),
+                );
             }
         }
     }
@@ -463,24 +527,32 @@ mod tests {
         assert_eq!(simd_macs, scalar_macs);
     }
 
-    #[test]
-    fn triangularize_matches_householder_qr_bitwise() {
-        for (m, n, seed) in [(4, 4, 1), (6, 3, 2), (3, 5, 3), (8, 8, 4), (9, 2, 5)] {
-            let a = random_like(m, n, seed);
-            let reference = householder_qr(&a).r;
-            let mut panel = a.as_slice().to_vec();
-            let mut vbuf = vec![0.0f64; m];
-            triangularize(&mut panel, m, n, &mut vbuf);
-            assert_eq!(panel.as_slice(), reference.as_slice(), "{m}x{n}");
-            // And the forced-scalar path agrees with the dispatched one.
-            let mut panel2 = a.as_slice().to_vec();
-            triangularize_scalar(&mut panel2, m, n, &mut vbuf);
-            assert_eq!(panel2, panel, "{m}x{n} scalar");
+    /// `a` laid out at the padded stride, padding zeroed.
+    fn padded(a: &Mat) -> Vec<f64> {
+        let (rows, width) = a.shape();
+        let s = stride(width);
+        let mut p = vec![0.0f64; rows * s];
+        for r in 0..rows {
+            p[r * s..r * s + width].copy_from_slice(a.row(r));
         }
+        p
     }
 
-    /// The full-width schedule: every reflection applied to every column
-    /// through [`reflect_left`], then the sub-diagonal cleanup.
+    /// The real columns of a padded panel, unpadded.
+    fn real(p: &[f64], rows: usize, width: usize) -> Vec<f64> {
+        let s = stride(width);
+        (0..rows)
+            .flat_map(|r| p[r * s..r * s + width].iter().copied())
+            .collect()
+    }
+
+    fn bits(p: &[f64]) -> Vec<u64> {
+        p.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The full-width schedule on an unpadded panel: every reflection
+    /// applied to every column through [`reflect_left`], then the
+    /// sub-diagonal cleanup.
     fn triangularize_full_width(panel: &mut [f64], rows: usize, width: usize) {
         let mut vbuf = vec![0.0f64; rows];
         for k in 0..width.min(rows.saturating_sub(1)) {
@@ -494,26 +566,107 @@ mod tests {
         }
     }
 
+    /// Both kernels on the padded layout of `a`, checked against
+    /// `householder_qr` and the full-width MAC schedule; padding must stay
+    /// `+0.0`.
+    fn check_padded(a: &Mat) {
+        let (m, n) = a.shape();
+        let reference = householder_qr(a).r;
+        let mut full = a.as_slice().to_vec();
+        let (_, full_macs) = macs::measure(|| triangularize_full_width(&mut full, m, n));
+        assert_eq!(
+            bits(&full),
+            bits(reference.as_slice()),
+            "{m}x{n} full width"
+        );
+        let mut vbuf = vec![0.0f64; m];
+        let mut panel = padded(a);
+        let (_, macs_simd) =
+            macs::measure(|| triangularize(&mut panel, m, n, stride(n), &mut vbuf));
+        let mut scalar = padded(a);
+        let (_, macs_scalar) =
+            macs::measure(|| triangularize_scalar(&mut scalar, m, n, stride(n), &mut vbuf));
+        assert_eq!(
+            bits(&real(&panel, m, n)),
+            bits(reference.as_slice()),
+            "{m}x{n}"
+        );
+        assert_eq!(bits(&scalar), bits(&panel), "{m}x{n} scalar");
+        assert_eq!(macs_simd, full_macs, "{m}x{n} macs");
+        assert_eq!(macs_scalar, full_macs, "{m}x{n} scalar macs");
+        for r in 0..m {
+            for &x in &panel[r * stride(n) + n..(r + 1) * stride(n)] {
+                assert_eq!(x.to_bits(), 0.0f64.to_bits(), "{m}x{n} padding");
+            }
+        }
+    }
+
     #[test]
-    fn wide_triangularize_matches_full_width_schedule_and_macs() {
-        // Widths ≥ 16 reach the 16-column AVX chunk; the remainders
-        // exercise the 4-wide and scalar tails after it.
-        for (m, n, seed) in [(20, 17, 51), (40, 37, 52), (33, 50, 53), (104, 86, 54)] {
-            let a = random_like(m, n, seed);
-            let reference = householder_qr(&a).r;
-            let mut full = a.as_slice().to_vec();
-            let (_, full_macs) = macs::measure(|| triangularize_full_width(&mut full, m, n));
-            assert_eq!(full.as_slice(), reference.as_slice(), "{m}x{n} full width");
-            let mut vbuf = vec![0.0f64; m];
-            let mut panel = a.as_slice().to_vec();
-            let (_, live_macs) = macs::measure(|| triangularize(&mut panel, m, n, &mut vbuf));
-            assert_eq!(panel.as_slice(), reference.as_slice(), "{m}x{n}");
-            let mut scalar = a.as_slice().to_vec();
-            let (_, scalar_macs) =
-                macs::measure(|| triangularize_scalar(&mut scalar, m, n, &mut vbuf));
-            assert_eq!(scalar, panel, "{m}x{n} scalar");
-            assert_eq!(live_macs, full_macs, "{m}x{n} macs");
-            assert_eq!(scalar_macs, full_macs, "{m}x{n} scalar macs");
+    fn stride_pads_to_whole_vectors() {
+        assert_eq!(
+            (0..10).map(stride).collect::<Vec<_>>(),
+            [0, 4, 4, 4, 4, 8, 8, 8, 8, 12]
+        );
+    }
+
+    #[test]
+    fn triangularize_matches_householder_qr_bitwise() {
+        // Every `width % 4`, tall, square and wide panels, and widths past
+        // one four-vector block.
+        for (m, n, seed) in [
+            (4, 4, 1),
+            (6, 3, 2),
+            (3, 5, 3),
+            (8, 8, 4),
+            (9, 2, 5),
+            (7, 1, 6),
+            (2, 7, 7),
+            (20, 17, 51),
+            (40, 37, 52),
+            (33, 50, 53),
+            (104, 86, 54),
+        ] {
+            check_padded(&random_like(m, n, seed));
+        }
+    }
+
+    #[test]
+    fn zero_pivot_columns_skip_their_reflection() {
+        // Columns 0 and 1 start upper-triangular, so reflections 0 and 1
+        // find nothing below a non-zero diagonal; column 3 is all zero and
+        // stays zero through reflection 2, so reflection 3 finds a zero
+        // pivot column. All three take the early `false` return.
+        let mut a = random_like(9, 6, 61);
+        for r in 1..9 {
+            a[(r, 0)] = 0.0;
+        }
+        for r in 2..9 {
+            a[(r, 1)] = 0.0;
+        }
+        for r in 0..9 {
+            a[(r, 3)] = 0.0;
+        }
+        check_padded(&a);
+        check_padded(&Mat::zeros(5, 7));
+    }
+
+    #[test]
+    fn non_finite_panels_agree_in_real_columns() {
+        for (m, n, seed) in [(6, 5, 71), (9, 11, 72), (18, 18, 73)] {
+            for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut a = random_like(m, n, seed);
+                a[(m / 2, n / 2)] = poison;
+                let mut vbuf = vec![0.0f64; m];
+                let mut panel = padded(&a);
+                triangularize(&mut panel, m, n, stride(n), &mut vbuf);
+                let mut scalar = padded(&a);
+                triangularize_scalar(&mut scalar, m, n, stride(n), &mut vbuf);
+                assert_eq!(
+                    bits(&real(&panel, m, n)),
+                    bits(&real(&scalar, m, n)),
+                    "{m}x{n} {poison}"
+                );
+            }
         }
     }
 }

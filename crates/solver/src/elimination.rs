@@ -201,6 +201,34 @@ pub struct EliminationStep {
     pub gathered: usize,
 }
 
+impl EliminationStep {
+    /// The step's shape record without its density: what the arena solve
+    /// keeps per step in [`Workspace::stats`](crate::Workspace::stats).
+    pub fn shape(&self) -> StepShape {
+        StepShape {
+            var: self.var,
+            rows: self.rows,
+            cols: self.cols,
+            gathered: self.gathered,
+        }
+    }
+}
+
+/// Size record of one arena elimination step: the fields of
+/// [`EliminationStep`] that fall out of the gather, without the density
+/// scan, which only the reference sweep runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepShape {
+    /// Eliminated variable.
+    pub var: VarId,
+    /// Rows of the gathered dense matrix `Ā`.
+    pub rows: usize,
+    /// Columns of `Ā` (frontal + separator, excluding rhs).
+    pub cols: usize,
+    /// Number of adjacent factors gathered.
+    pub gathered: usize,
+}
+
 /// Aggregate statistics over one full elimination pass.
 #[derive(Debug, Clone, Default)]
 pub struct EliminationStats {
@@ -218,6 +246,12 @@ impl EliminationStats {
                 m
             }
         })
+    }
+
+    /// The shape record of every step, in order — what an arena solve of
+    /// the same system leaves in [`Workspace::stats`](crate::Workspace::stats).
+    pub fn shapes(&self) -> Vec<StepShape> {
+        self.steps.iter().map(EliminationStep::shape).collect()
     }
 
     /// Mean density across steps (1.0 when there are no steps).

@@ -46,7 +46,7 @@ pub mod levenberg;
 pub mod plan;
 pub mod workspace;
 
-pub use elimination::{eliminate, BayesNet, Conditional, EliminationStats, SolveError};
+pub use elimination::{eliminate, BayesNet, Conditional, EliminationStats, SolveError, StepShape};
 pub use gauss_newton::{GaussNewton, GaussNewtonReport, GaussNewtonSettings};
 pub use incremental::IncrementalSolver;
 pub use levenberg::{LevenbergMarquardt, LevenbergMarquardtReport, LevenbergMarquardtSettings};

@@ -4,11 +4,15 @@
 //! step, so it can also lay the *numeric* phase out in memory ahead of
 //! time: each step owns one contiguous row-major **panel** of
 //! `rows × (cols + 1)` doubles (`[frontal | separators | rhs]`, the paper's
-//! `Ā`) at a fixed offset inside a single flat arena. A [`WorkspaceLayout`]
-//! records those offsets plus precomputed gather copy-lists (which factor
-//! block or producer-panel column range lands at which destination column),
-//! and a [`Workspace`] is the reusable allocation: the arena, a Householder
-//! scratch vector, the Δ vector, and the per-step statistics buffer.
+//! `Ā`) at a fixed offset inside a single flat arena. Each panel row is
+//! padded to [`panel::stride`]`(cols + 1)` doubles, a whole number of AVX
+//! vectors, so the Householder apply runs without scalar tail columns; the
+//! RHS stays at column `cols` and the padding stays zero. A
+//! [`WorkspaceLayout`] records those offsets plus precomputed gather
+//! copy-lists (which factor block or producer-panel column range lands at
+//! which destination column), and a [`Workspace`] is the reusable
+//! allocation: the arena, a Householder scratch vector, the Δ vector, and
+//! the per-step shape records.
 //!
 //! Steady-state execution ([`SolvePlan::solve_in`]) then performs **zero
 //! heap allocations**: gather is `copy_from_slice` into the panel,
@@ -16,7 +20,10 @@
 //! which skips the never-used orthogonal factor), the separator factor is
 //! compacted upward inside the same panel, and back-substitution reads the
 //! conditional blocks straight out of the arena. The workspace survives
-//! GN/LM iterations, `PlanCache` hits, and incremental re-solves.
+//! GN/LM iterations and `PlanCache` hits. The per-step record is a
+//! [`StepShape`]: sizes only, since the density the reference
+//! [`EliminationStep`](crate::elimination::EliminationStep) carries has no
+//! production reader.
 //!
 //! Numeric results are **bitwise identical** to the reference
 //! [`eliminate`](crate::elimination::eliminate): the panels stack the same
@@ -32,7 +39,7 @@
 //! itself, preserving bitwise identity at the cost of allocations for that
 //! solve only.
 
-use crate::elimination::{Conditional, EliminationStep, SolveError};
+use crate::elimination::{Conditional, SolveError, StepShape};
 use orianna_graph::{EliminationSchedule, LinearFactor, LinearSystem, Values, VarId};
 use orianna_math::{macs, panel, Vec64};
 
@@ -84,6 +91,8 @@ pub(crate) struct PanelLayout {
     pub rows: usize,
     /// Panel width: frontal + separator columns + 1 RHS column.
     pub width: usize,
+    /// Row stride of the panel: `width` padded to whole AVX vectors.
+    pub stride: usize,
     /// Frontal dimension.
     pub dv: usize,
     /// Gather copy-lists in plan gather order.
@@ -138,6 +147,7 @@ impl WorkspaceLayout {
             let (var, seps, rows, cols) = (step.var, &step.seps, step.rows, step.cols);
             let dv = var_dims[var.0];
             let width = cols + 1;
+            let stride = panel::stride(width);
             // Destination column of a variable in this panel's layout.
             let col_of = |k: VarId| -> usize {
                 if k == var {
@@ -197,12 +207,13 @@ impl WorkspaceLayout {
                 offset,
                 rows,
                 width,
+                stride,
                 dv,
                 srcs,
                 var_offset: var_offsets[var.0],
                 sep_cols,
             });
-            offset += rows * width;
+            offset += rows * stride;
             max_rows = max_rows.max(rows);
             max_dv = max_dv.max(dv);
         }
@@ -235,8 +246,8 @@ impl WorkspaceLayout {
     /// After `Ok(())`, each panel holds its conditional in rows `0..dv`
     /// (upper-triangular `R`, separator blocks, RHS in the last column) and
     /// its kept separator-factor rows compacted at rows `dv..dv + kept`;
-    /// `ws.live_rows[i]` records `kept` and `ws.stats` the per-step
-    /// size/density records.
+    /// `ws.live_rows[i]` records `kept` and `ws.stats` the per-step shape
+    /// records.
     pub(crate) fn eliminate_in(
         &self,
         sys: &LinearSystem,
@@ -263,7 +274,8 @@ impl WorkspaceLayout {
         // Producers sit below this panel's offset, so splitting there
         // gives a shared view of every producer beside the panel itself.
         let (producers, rest) = ws.arena.split_at_mut(pl.offset);
-        let panel_buf = &mut rest[..pl.rows * pl.width];
+        let (width, stride) = (pl.width, pl.stride);
+        let panel_buf = &mut rest[..pl.rows * stride];
         panel_buf.fill(0.0);
 
         // Gather: stack sources in plan order, bitwise the rows the
@@ -281,13 +293,12 @@ impl WorkspaceLayout {
                     for &(bi, dst_col, w) in copies {
                         let blk = &f.blocks[bi];
                         for r in 0..*rows {
-                            panel_buf[(row + r) * pl.width + dst_col
-                                ..(row + r) * pl.width + dst_col + w]
+                            panel_buf[(row + r) * stride + dst_col..][..w]
                                 .copy_from_slice(blk.row(r));
                         }
                     }
                     for r in 0..*rows {
-                        panel_buf[(row + r) * pl.width + pl.width - 1] = f.rhs[r];
+                        panel_buf[(row + r) * stride + width - 1] = f.rhs[r];
                     }
                     row += rows;
                     gathered += 1;
@@ -301,10 +312,10 @@ impl WorkspaceLayout {
                         return Err(ArenaError::Fallback);
                     }
                     let pp = &self.panels[*step];
-                    let src_panel = &producers[pp.offset..pp.offset + pp.rows * pp.width];
+                    let src_panel = &producers[pp.offset..pp.offset + pp.rows * pp.stride];
                     for r in 0..live {
-                        let srow = (pp.dv + r) * pp.width;
-                        let drow = (row + r) * pl.width;
+                        let srow = (pp.dv + r) * pp.stride;
+                        let drow = (row + r) * stride;
                         for &(sc, dc, w) in segs {
                             panel_buf[drow + dc..drow + dc + w]
                                 .copy_from_slice(&src_panel[srow + sc..srow + sc + w]);
@@ -316,26 +327,10 @@ impl WorkspaceLayout {
             }
         }
 
-        // Size/density record, identical to the reference's
-        // `abar.block(0, 0, rows, cols).density(1e-14)`.
-        let cols = pl.width - 1;
-        let mut nnz = 0usize;
-        for r in 0..row {
-            nnz += panel_buf[r * pl.width..r * pl.width + cols]
-                .iter()
-                .filter(|x| x.abs() > 1e-14)
-                .count();
-        }
-        let cells = row * cols;
-        ws.stats[i] = EliminationStep {
+        ws.stats[i] = StepShape {
             var: pl.var,
             rows: row,
-            cols,
-            density: if cells == 0 {
-                0.0
-            } else {
-                nnz as f64 / cells as f64
-            },
+            cols: width - 1,
             gathered,
         };
 
@@ -346,14 +341,15 @@ impl WorkspaceLayout {
         // In-place R-only triangularization: bitwise identical to
         // `householder_qr(&abar).r` on the same stacked rows.
         panel::triangularize(
-            &mut panel_buf[..row * pl.width],
+            &mut panel_buf[..row * stride],
             row,
-            pl.width,
+            width,
+            stride,
             &mut ws.vbuf[..row.max(1)],
         );
 
         for d in 0..pl.dv {
-            if panel_buf[d * pl.width + d].abs() < 1e-12 {
+            if panel_buf[d * stride + d].abs() < 1e-12 {
                 return Err(ArenaError::Solve(SolveError::SingularVariable(pl.var)));
             }
         }
@@ -362,16 +358,16 @@ impl WorkspaceLayout {
         // `dv..min(row, cols + 1)` and compact them to start at `dv`.
         let mut kept = 0usize;
         if !pl.sep_cols.is_empty() {
-            let last = row.min(pl.width);
+            let last = row.min(width);
             for r in pl.dv..last {
-                let base = r * pl.width;
-                let nonzero = panel_buf[base + pl.dv..base + pl.width]
+                let base = r * stride;
+                let nonzero = panel_buf[base + pl.dv..base + width]
                     .iter()
                     .any(|x| x.abs() > 1e-12);
                 if nonzero {
-                    let dst = (pl.dv + kept) * pl.width;
+                    let dst = (pl.dv + kept) * stride;
                     if dst != base {
-                        panel_buf.copy_within(base..base + pl.width, dst);
+                        panel_buf.copy_within(base..base + width, dst);
                     }
                     kept += 1;
                 }
@@ -407,16 +403,16 @@ impl WorkspaceLayout {
         rhs_buf: &mut [f64],
     ) -> Result<(), SolveError> {
         let pl = &self.panels[i];
-        let panel_buf = &arena[pl.offset..pl.offset + pl.rows * pl.width];
+        let panel_buf = &arena[pl.offset..pl.offset + pl.rows * pl.stride];
         let rb = &mut rhs_buf[..pl.dv];
         for (d, r) in rb.iter_mut().enumerate() {
-            *r = panel_buf[d * pl.width + pl.width - 1];
+            *r = panel_buf[d * pl.stride + pl.width - 1];
         }
         // rhs − Σ Sⱼ Δ_parent, one parent at a time like the reference.
         for sc in &pl.sep_cols {
             let dp = &delta[sc.delta_off..sc.delta_off + sc.width];
             for (d, r) in rb.iter_mut().enumerate() {
-                let srow = d * pl.width + sc.col;
+                let srow = d * pl.stride + sc.col;
                 let mut acc = 0.0;
                 for (c, dv_c) in dp.iter().enumerate() {
                     acc += panel_buf[srow + c] * dv_c;
@@ -431,7 +427,7 @@ impl WorkspaceLayout {
         // already holds Δⱼ when row i reads it).
         for i in (0..pl.dv).rev() {
             let mut acc = rb[i];
-            let prow = i * pl.width;
+            let prow = i * pl.stride;
             for j in i + 1..pl.dv {
                 acc -= panel_buf[prow + j] * rb[j];
             }
@@ -475,8 +471,8 @@ pub struct Workspace {
     pub(crate) live_rows: Vec<usize>,
     /// The solved Δ of the latest run.
     pub(crate) delta: Vec64,
-    /// Per-step size/density records of the latest run.
-    pub(crate) stats: Vec<EliminationStep>,
+    /// Per-step shape records of the latest run.
+    pub(crate) stats: Vec<StepShape>,
     /// The GN/LM construction buffers (boxed: they travel with the
     /// workspace through every park and checkout, and stay warm).
     pub(crate) warm: Box<WarmBuffers>,
@@ -540,12 +536,14 @@ impl Workspace {
         &self.delta
     }
 
-    /// Per-step statistics of the latest run (elimination order).
-    pub fn stats(&self) -> &[EliminationStep] {
+    /// Per-step shape records of the latest run (elimination order):
+    /// equal to [`EliminationStats::shapes`](crate::EliminationStats::shapes)
+    /// of the reference sweep on the same system.
+    pub fn stats(&self) -> &[StepShape] {
         &self.stats
     }
 
-    /// Arena footprint in doubles (panel storage only).
+    /// Arena footprint in doubles (panel storage only, padding included).
     pub fn arena_len(&self) -> usize {
         self.arena.len()
     }
@@ -557,11 +555,10 @@ impl Workspace {
         self.stats.clear();
         self.stats.resize(
             n,
-            EliminationStep {
+            StepShape {
                 var: VarId(0),
                 rows: 0,
                 cols: 0,
-                density: 0.0,
                 gathered: 0,
             },
         );

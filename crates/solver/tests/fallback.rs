@@ -53,6 +53,6 @@ fn arena_falls_back_to_the_reference_sweep_bitwise() {
     for _ in 0..2 {
         let delta = plan.solve_in(&sys, &mut ws).unwrap();
         assert_eq!(delta.as_slice(), reference.as_slice());
-        assert_eq!(ws.stats(), stats.steps.as_slice());
+        assert_eq!(ws.stats(), stats.shapes());
     }
 }

@@ -242,7 +242,7 @@ pub fn check_graph(g: &FactorGraph, tol: f64) -> Result<OracleReport, OracleFail
         let pd = (delta_plan - &delta_ref).norm();
         return Err(mismatch("delta (plan)", 0, pd, 0.0));
     }
-    if ws.stats() != stats.steps.as_slice() {
+    if ws.stats() != stats.shapes() {
         return Err(mismatch("plan stats", 0, f64::NAN, 0.0));
     }
     report.delta_dim = delta_ref.len();

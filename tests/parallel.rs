@@ -37,13 +37,7 @@ fn assert_arena_matches_eliminate(seed: u64, solves: usize) {
                     app.name,
                     algo.name
                 );
-                assert_eq!(
-                    ws.stats(),
-                    stats.steps.as_slice(),
-                    "{}/{}",
-                    app.name,
-                    algo.name
-                );
+                assert_eq!(ws.stats(), stats.shapes(), "{}/{}", app.name, algo.name);
             }
         }
     }

@@ -134,7 +134,7 @@ proptest! {
         for _ in 0..2 {
             let delta = plan.solve_in(&sys, &mut ws).unwrap();
             prop_assert_eq!(delta.as_slice(), reference.as_slice());
-            prop_assert_eq!(ws.stats(), stats.steps.as_slice());
+            prop_assert_eq!(ws.stats(), stats.shapes());
         }
     }
 
@@ -185,7 +185,7 @@ proptest! {
             let delta = plan.solve_in(&sys, &mut ws).unwrap();
             let fresh_delta = fresh.back_substitute().unwrap();
             prop_assert!(delta.as_slice() == fresh_delta.as_slice(), "arena round {round}");
-            prop_assert_eq!(ws.stats(), fresh_stats.steps.as_slice());
+            prop_assert_eq!(ws.stats(), fresh_stats.shapes());
             // Relinearize at the Gauss-Newton step for the next round.
             g.retract_all(&fresh_delta);
         }
@@ -272,7 +272,7 @@ proptest! {
                         delta.as_slice() == fresh_delta.as_slice(),
                         "{}/{} round {round}", app.name, algo.name
                     );
-                    prop_assert_eq!(ws.stats(), fresh_stats.steps.as_slice());
+                    prop_assert_eq!(ws.stats(), fresh_stats.shapes());
                     g.retract_all(&fresh_delta);
                 }
             }
